@@ -25,7 +25,6 @@ from .mat2 import (
     Vec2,
     ZeroVector,
     canonical_direction,
-    cond2,
     cross,
     is_eigenvector,
     line_angle,

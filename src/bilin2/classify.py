@@ -113,16 +113,15 @@ class Verdict:
     """Classification outcome plus the certificates that witness it.
 
     ``excluded_initial`` is the union of initial-state lines to avoid under a
-    nearly-controllable verdict; ``excluded_terminal`` is always None because
-    the constructions never restrict targets.  ``largest_region`` is the
-    invariant line of an uncontrollable system.  ``structure`` carries the
-    canonical forms when a shared structure was found, and ``reduction``
-    records how steering should collapse the inputs to one effective pair.
+    nearly-controllable verdict; targets are never restricted.
+    ``largest_region`` is the invariant line of an uncontrollable system.
+    ``structure`` carries the canonical forms when a shared structure was
+    found, and ``reduction`` records how steering should collapse the inputs
+    to one effective pair.
     """
 
     klass: VerdictClass
     excluded_initial: Optional[LineUnion]
-    excluded_terminal: Optional[LineUnion]
     largest_region: Optional[Direction]
     structure: Optional[StructureReport]
     reduction: Reduction
@@ -196,12 +195,12 @@ def _verdict_controllable(sys: BilinearSystem) -> Verdict:
         ca, cb = combine_inputs(sys.inputs[0], sys.inputs[1], sys.inputs[2], sys.inputs[3], sys.tol)
         red = Reduction(pinned_index=0, pinned_value=1.0,
                         combined_indices=(2, 3), combined_coeffs=(ca, cb))
-    return Verdict(VerdictClass.CONTROLLABLE, None, None, None, None, red)
+    return Verdict(VerdictClass.CONTROLLABLE, None, None, None, red)
 
 
 def _nearly(sys: BilinearSystem, report: StructureReport, red: Reduction) -> Verdict:
     return Verdict(VerdictClass.NEARLY_CONTROLLABLE, _excluded_lines(sys, red), None,
-                   None, report, red)
+                   report, red)
 
 
 def _verdict_with_common_vector(sys: BilinearSystem, common: Direction) -> Verdict:
@@ -210,7 +209,7 @@ def _verdict_with_common_vector(sys: BilinearSystem, common: Direction) -> Verdi
     live = [not sys.tol.is_zero(f.a22, b.frob())
             for f, b in zip(input_forms, sys.inputs)]
     if not any(live):
-        return Verdict(VerdictClass.UNCONTROLLABLE, None, None, common, report, Reduction())
+        return Verdict(VerdictClass.UNCONTROLLABLE, None, common, report, Reduction())
     if sys.m == 2:
         return _nearly(sys, report, Reduction())
     if sys.kind is SystemKind.WITH_DRIFT:

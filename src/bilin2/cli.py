@@ -51,39 +51,37 @@ def _as_mat(node, where: str) -> Mat2:
 
 
 def _resolve_tolerance(node) -> TolerancePolicy:
-    abs_eps, rel_eps = 1e-9, 1e-9
-    if node is not None:
-        if not isinstance(node, dict):
-            raise SystemFileError("tolerance must be an object with keys 'abs' and 'rel'")
-        abs_eps = node.get("abs", abs_eps)
-        rel_eps = node.get("rel", rel_eps)
-    for env, current in (("BILIN2_TOL_ABS", "abs"), ("BILIN2_TOL_REL", "rel")):
+    if node is not None and not isinstance(node, dict):
+        raise SystemFileError("tolerance must be an object with keys 'abs' and 'rel'")
+    eps = {key: (node or {}).get(key, 1e-9) for key in ("abs", "rel")}
+    for key in eps:
+        env = f"BILIN2_TOL_{key.upper()}"
         raw = os.environ.get(env)
         if raw is None:
             continue
         try:
-            value = float(raw)
+            eps[key] = float(raw)
         except ValueError as exc:
             raise SystemFileError(f"{env} must be a number, got {raw!r}") from exc
-        if env.endswith("ABS"):
-            abs_eps = value
-        else:
-            rel_eps = value
     try:
-        return TolerancePolicy(abs_eps, rel_eps)
+        return TolerancePolicy(eps["abs"], eps["rel"])
     except ValueError as exc:
         raise SystemFileError(str(exc)) from exc
 
 
-def load_system(path: str) -> BilinearSystem:
+def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SystemFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
                               f"{exc.msg}") from exc
+
+
+def load_system(path: str) -> BilinearSystem:
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise SystemFileError(f"{path}: top level must be an object")
     kind_raw = doc.get("kind")
@@ -196,14 +194,7 @@ def cmd_steer(args) -> int:
 
 
 def _load_plan(path: str, m: int) -> ControlPlan:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SystemFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SystemFileError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-                              f"{exc.msg}") from exc
+    doc = _read_json(path)
     steps = doc.get("steps") if isinstance(doc, dict) else doc
     if not isinstance(steps, list):
         raise SystemFileError(f"{path}: plan must be a list of control tuples "
@@ -255,16 +246,11 @@ def cmd_oracle(args) -> int:
     verdict = analyze(sys)
     hits = None
     if verdict.excluded_initial is not None:
+        # A sample hits a line when the sine of the angle between them is zero.
         lines = verdict.excluded_initial.lines
-        hits = 0
-        for sample in report.samples:
-            n = sample.norm()
-            if n == 0.0:
-                hits += 1
-                continue
-            unit = Vec2(sample.x / n, sample.y / n)
-            if any(abs(cross(unit, d.vector)) <= 1e-9 for d in lines):
-                hits += 1
+        hits = sum(1 for s in report.samples
+                   if s.norm() == 0.0
+                   or any(sys.tol.is_zero(cross(s, d.vector) / s.norm()) for d in lines))
     _emit({
         "samples": [[s.x, s.y] for s in report.samples],
         "covariance_rank": report.covariance_rank,

@@ -163,38 +163,27 @@ class Mat2:
         return NotImplemented
 
     def inverse(self, tol: TolerancePolicy = DEFAULT_TOL) -> "Mat2":
-        d = self.det()
-        scale = math.hypot(self.a11, self.a12) * math.hypot(self.a21, self.a22)
-        if tol.is_zero(d, scale):
-            raise SingularMatrix(f"matrix {self.rows()} is singular within tolerance")
+        d = _nonsingular_det(self, tol)
         return Mat2(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
 
 
-def solve2(m: Mat2, y: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Vec2:
-    """Solve m @ x = y by Cramer's rule.
+def _nonsingular_det(m: Mat2, tol: TolerancePolicy) -> float:
+    """det(m), or SingularMatrix when it fails the zero test.
 
-    The determinant zero test is scaled by the product of the row norms, so a
-    uniformly scaled system makes the same singular/nonsingular decision.
-    Raises SingularMatrix when the test fires.
+    The test is scaled by the product of the row norms, so a uniformly scaled
+    matrix makes the same singular/nonsingular decision.
     """
     d = m.det()
-    scale = math.hypot(m.a11, m.a12) * math.hypot(m.a21, m.a22)
-    if tol.is_zero(d, scale):
+    if tol.is_zero(d, math.hypot(m.a11, m.a12) * math.hypot(m.a21, m.a22)):
         raise SingularMatrix(f"matrix {m.rows()} is singular within tolerance")
+    return d
+
+
+def solve2(m: Mat2, y: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Vec2:
+    """Solve m @ x = y by Cramer's rule; SingularMatrix when det(m) tests zero."""
+    d = _nonsingular_det(m, tol)
     return Vec2((y.x * m.a22 - m.a12 * y.y) / d,
                 (m.a11 * y.y - y.x * m.a21) / d)
-
-
-def cond2(m: Mat2, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Spectral condition number, from the singular values in closed form."""
-    t = m.a11**2 + m.a12**2 + m.a21**2 + m.a22**2
-    d = m.det() ** 2
-    gap = math.sqrt(max(t * t - 4.0 * d, 0.0))
-    hi = 0.5 * (t + gap)
-    lo = 0.5 * (t - gap)
-    if tol.is_zero(lo, hi):
-        raise SingularMatrix("condition number of a singular matrix")
-    return math.sqrt(hi / lo)
 
 
 @dataclass(frozen=True)
@@ -268,7 +257,7 @@ class EigenReport:
     directions: tuple[Direction, ...] = ()
 
 
-def _eigvec_for(m: Mat2, lam: float, tol: TolerancePolicy) -> Vec2:
+def _eigvec_for(m: Mat2, lam: float) -> Vec2:
     # Kernel vector of (m - lam*I): orthogonal to either row; both candidates
     # are parallel in exact arithmetic, so take the numerically larger one.
     va = Vec2(m.a12, lam - m.a11)
@@ -293,13 +282,13 @@ def real_eigen_directions(m: Mat2, tol: TolerancePolicy = DEFAULT_TOL) -> EigenR
     disc_scale = scale * scale
     if tol.is_zero(disc, disc_scale):
         lam = 0.5 * tr
-        d = canonical_direction(_eigvec_for(m, lam, tol), tol)
+        d = canonical_direction(_eigvec_for(m, lam), tol)
         return EigenReport(EigenKind.ONE, (d,))
     if disc < 0.0:
         return EigenReport(EigenKind.NONE)
     sq = math.sqrt(disc)
-    hi = canonical_direction(_eigvec_for(m, 0.5 * (tr + sq), tol), tol)
-    lo = canonical_direction(_eigvec_for(m, 0.5 * (tr - sq), tol), tol)
+    hi = canonical_direction(_eigvec_for(m, 0.5 * (tr + sq)), tol)
+    lo = canonical_direction(_eigvec_for(m, 0.5 * (tr - sq)), tol)
     return EigenReport(EigenKind.TWO, (hi, lo))
 
 

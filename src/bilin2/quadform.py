@@ -121,14 +121,18 @@ def zero_lines(q: QuadraticForm, tol: TolerancePolicy = DEFAULT_TOL,
         return LineUnion(LineSetKind.POINT_ONLY)
     sq = math.sqrt(disc)
     s = -0.5 * (b + math.copysign(sq, b))
-    # |s| >= sq/2 > 0, so both divisions below are safe.
+    # |s| >= sq/2 > 0, so every division below is defined.  s/a (or s/c)
+    # overflows only when the dominant end coefficient is subnormal; that root
+    # is then the coordinate axis itself.
     if abs(a) >= abs(c):
         # roots of a t^2 + b t + c in t = z1/z2
-        dirs = (canonical_direction(Vec2(s / a, 1.0), tol),
+        t = s / a
+        dirs = (canonical_direction(Vec2(t, 1.0) if math.isfinite(t) else Vec2(1.0, 0.0), tol),
                 canonical_direction(Vec2(c / s, 1.0), tol))
     else:
         # roots of c t^2 + b t + a in t = z2/z1
-        dirs = (canonical_direction(Vec2(1.0, s / c), tol),
+        t = s / c
+        dirs = (canonical_direction(Vec2(1.0, t) if math.isfinite(t) else Vec2(0.0, 1.0), tol),
                 canonical_direction(Vec2(1.0, a / s), tol))
     ordered = tuple(sorted(dirs, key=_angle_key))
     return LineUnion(LineSetKind.TWO_LINES, ordered)

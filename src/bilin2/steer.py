@@ -4,9 +4,12 @@ The basic move is a one-step solve: the step lands on eta exactly when
 [B1 xi, B2 xi] u = eta - A xi has a solution, which fails only on the zero
 lines of the pair's steering form.  Off-line states steer in one step; on-line
 states under a controllable verdict first take an escape step chosen from a
-fixed candidate list.  Pairs whose steering form vanishes identically are
-handled by a dedicated two-step construction in a zero-bottom-row basis.
-Every plan is replayed through the simulator before it is returned.
+fixed candidate list.  When every candidate lands back on the zero lines, a
+candidate move and a second escape step come first (escape + escape + one
+step).  Pairs whose steering form vanishes identically are handled by a
+dedicated two-step construction in a zero-bottom-row basis.  Every returned
+plan is replayed once, through ``simulate.verify_plan``, and accepted only
+under its bound.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .classify import (
 )
 from .mat2 import DEFAULT_TOL, Mat2, SingularMatrix, Vec2, solve2
 from .quadform import LineSetKind, form_scale, gram_form, zero_lines
-from .simulate import ControlPlan, run
+from .simulate import ControlPlan, verify_plan
 from .structure import zero_bottom_row_pair
 
 
@@ -53,10 +56,6 @@ class SingularSubstitution(RuntimeError):
 ESCAPE_CANDIDATES_DRIFT = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 3.0))
 ESCAPE_CANDIDATES_DRIFTLESS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 3.0), (1.0, -1.0))
 ESCAPE_MARGIN_FACTOR = 1e3
-
-# Landing accuracy every returned plan is verified against.
-PLAN_ABS_TOL = 1e-9
-PLAN_REL_TOL = 1e-6
 
 
 def _require_pair(sys: BilinearSystem) -> None:
@@ -90,37 +89,51 @@ def escape_step(sys: BilinearSystem, xi: Vec2) -> tuple[tuple[float, float], Vec
     |q(x)| / |x|^2 wins, so the choice is insensitive to the landing's size.
     """
     _require_pair(sys)
-    b1, b2 = sys.inputs
-    q = gram_form(b1, b2)
-    fscale = form_scale(b1, b2)
-    candidates = (ESCAPE_CANDIDATES_DRIFT if sys.kind is SystemKind.WITH_DRIFT
-                  else ESCAPE_CANDIDATES_DRIFTLESS)
-    best = None
-    best_score = 0.0
-    for u in candidates:
-        m = u[0] * b1 + u[1] * b2
-        if sys.drift is not None:
-            m = sys.drift + m
-        x = m @ xi
+    q = gram_form(*sys.inputs)
+    fscale = form_scale(*sys.inputs)
+    best, best_score = None, 0.0
+    for u, x in _landings(sys, xi):
         nrm2 = x.x * x.x + x.y * x.y
-        if nrm2 == 0.0:
-            continue
         value = abs(q.evaluate(x))
-        if value < ESCAPE_MARGIN_FACTOR * sys.tol.threshold(fscale * nrm2):
-            continue
-        score = value / nrm2
-        if best is None or score > best_score:
-            best = (u, x)
-            best_score = score
+        margin = ESCAPE_MARGIN_FACTOR * sys.tol.threshold(fscale * nrm2)
+        if value >= margin and value / nrm2 > best_score:
+            best, best_score = (u, x), value / nrm2
     if best is None:
         raise EscapeFailed("no escape candidate cleared the singular-set margin")
     return best
 
 
+def _landings(sys: BilinearSystem, xi: Vec2):
+    """(u, x) for each escape candidate u whose step from xi lands on a nonzero x."""
+    b1, b2 = sys.inputs
+    candidates = (ESCAPE_CANDIDATES_DRIFT if sys.kind is SystemKind.WITH_DRIFT
+                  else ESCAPE_CANDIDATES_DRIFTLESS)
+    for u in candidates:
+        m = u[0] * b1 + u[1] * b2
+        if sys.drift is not None:
+            m = sys.drift + m
+        x = m @ xi
+        if x.x * x.x + x.y * x.y != 0.0:
+            yield u, x
+
+
+def _escape_moves(sys: BilinearSystem, xi: Vec2) -> list:
+    """One escape step; or, when every candidate lands back on the zero lines
+    (on some pairs each image of one zero line lies on the other), the first
+    candidate's move followed by an escape step from where it landed."""
+    try:
+        return [escape_step(sys, xi)]
+    except EscapeFailed:
+        move = next(_landings(sys, xi), None)
+        if move is None:
+            raise
+        return [move, escape_step(sys, move[1])]
+
+
 def _verified(sys: BilinearSystem, xi: Vec2, eta: Vec2, steps) -> ControlPlan:
     plan = ControlPlan(tuple(steps))
-    error = (run(sys, xi, plan).final - eta).norm()
-    if error > PLAN_ABS_TOL + PLAN_REL_TOL * eta.norm():
+    ok, error = verify_plan(sys, xi, eta, plan)
+    if not ok:
         raise RuntimeError(f"synthesized plan misses the target by {error}; "
                            "this is a bug, not a property of the system")
     return plan
@@ -140,6 +153,11 @@ def canonical_steer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
     the first coordinate second.  When the transformed state starts with
     x1 ~ 0 or A21 x1 + A22 x2 ~ 0, a pre-step (0, c) repairs both degeneracies.
     """
+    return _verified(sys, xi, eta, _canonical_steps(sys, xi, eta))
+
+
+def _canonical_steps(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> list:
+    """The controls of :func:`canonical_steer`, not yet replayed."""
     _require_pair(sys)
     if sys.drift is None:
         raise NotCanonicalClass("the two-step construction needs a drift term")
@@ -182,19 +200,21 @@ def canonical_steer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
         bar_steps.append(Vec2(0.0, 0.0))
         bar_steps.append(Vec2(0.0, target.x / s))
     try:
-        steps = [solve2(m_sub, vb - offset, tol).as_tuple() for vb in bar_steps]
+        return [solve2(m_sub, vb - offset, tol).as_tuple() for vb in bar_steps]
     except SingularMatrix as exc:
         raise SingularSubstitution("input substitution matrix is singular") from exc
-    return _verified(sys, xi, eta, steps)
 
 
 def plan_transfer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
     """Plan of at most three steps from xi to eta, honoring the verdict.
 
     Controllable: both endpoints must be nonzero; steering is one step, or an
-    escape step plus one step, or the two-step zero-bottom-row construction.
-    Nearly controllable: one step from any state off the excluded lines, to
-    any target including zero.  Uncontrollable: refused outright.
+    escape step plus one step, or two escape steps plus one step when every
+    image of xi lands back on the singular set, or the two-step zero-bottom-row
+    construction.  Nearly controllable: one step from any state off the
+    excluded lines, to any target including zero.  Uncontrollable: refused
+    outright.  A returned plan has been replayed once and passed
+    ``verify_plan`` at its default bound.
     """
     verdict = analyze(sys)
     if verdict.klass is VerdictClass.UNCONTROLLABLE:
@@ -215,13 +235,12 @@ def plan_transfer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
     b1, b2 = eff.inputs
     lu = zero_lines(gram_form(b1, b2), sys.tol, scale=form_scale(b1, b2))
     if lu.kind is LineSetKind.ALL_OF_PLANE:
-        bar_plan = canonical_steer(eff, xi, eta)
-        return _verified(sys, xi, eta, [expand(u) for u in bar_plan.steps])
+        return _verified(sys, xi, eta, [expand(u) for u in _canonical_steps(eff, xi, eta)])
     u = one_step(eff, xi, eta)
     if u is not None:
         return _verified(sys, xi, eta, [expand(u)])
-    first, mid = escape_step(eff, xi)
-    u = one_step(eff, mid, eta)
+    moves = _escape_moves(eff, xi)
+    u = one_step(eff, moves[-1][1], eta)
     if u is None:
         raise EscapeFailed("escape landed back on the singular set")
-    return _verified(sys, xi, eta, [expand(first), expand(u)])
+    return _verified(sys, xi, eta, [expand(v) for v, _ in moves] + [expand(u)])

@@ -24,7 +24,6 @@ from .mat2 import (
     TolerancePolicy,
     Vec2,
     canonical_direction,
-    cond2,
     cross,
     is_eigenvector,
     real_eigen_directions,
@@ -60,7 +59,6 @@ class StructureReport:
     transform_inv: Mat2
     canonical_forms: tuple[Mat2, ...]
     common_eigenvector: Optional[Direction]
-    transform_cond: float
 
 
 def common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL) -> Optional[Direction]:
@@ -107,7 +105,7 @@ def triangularize(ms, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> Struc
     forms = tuple(p @ m @ p_inv for m in ms)
     zero_bottom = all(tol.is_zero(f.a22, m.frob()) for f, m in zip(forms, ms))
     klass = FormClass.ZERO_BOTTOM_ROW if zero_bottom else FormClass.UPPER_TRIANGULAR
-    return StructureReport(klass, p, p_inv, forms, d, 1.0)
+    return StructureReport(klass, p, p_inv, forms, d)
 
 
 def _left_kernel(m: Mat2, tol: TolerancePolicy) -> Optional[Vec2]:
@@ -183,8 +181,7 @@ def antidiagonalize_pair(b1: Mat2, b2: Mat2,
         except SingularMatrix:
             continue
         forms = (p @ b1 @ p_inv, p @ b2 @ p_inv)
-        return StructureReport(FormClass.ANTI_DIAGONAL, p, p_inv, forms, None,
-                               cond2(p_inv, tol))
+        return StructureReport(FormClass.ANTI_DIAGONAL, p, p_inv, forms, None)
     return None
 
 

@@ -70,7 +70,6 @@ def test_analyze_controllable(rotation_drift_system):
     verdict = analyze(rotation_drift_system)
     assert verdict.klass is VerdictClass.CONTROLLABLE
     assert verdict.excluded_initial is None
-    assert verdict.excluded_terminal is None
     assert verdict.largest_region is None
     assert verdict.structure is None
     assert verdict.reduction.is_identity()
@@ -93,6 +92,20 @@ def test_analyze_nearly_controllable_swap_pair(swap_pair_system):
     assert verdict.klass is VerdictClass.NEARLY_CONTROLLABLE
     assert verdict.structure.form_class is FormClass.ANTI_DIAGONAL
     assert_lines_match(verdict.excluded_initial.lines, [(1.0, -1.0), (-1.0, 2.0)],
+                       tol_angle=1e-9)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e6])
+def test_scaled_antidiagonal_pair_keeps_its_excluded_lines(s):
+    # At s = 1e6 the basis column b1 @ v is 1e6 times longer than v; a
+    # homogeneous family must keep its verdict and lines under that scaling.
+    sys = BilinearSystem(SystemKind.DRIFTLESS, None,
+                         (mat([[0.0, -s], [0.0, 0.0]]),
+                          mat([[-2.0 * s, 2.0 * s], [-2.0 * s, 2.0 * s]])))
+    verdict = analyze(sys)
+    assert verdict.klass is VerdictClass.NEARLY_CONTROLLABLE
+    assert verdict.structure.form_class is FormClass.ANTI_DIAGONAL
+    assert_lines_match(verdict.excluded_initial.lines, [(1.0, 0.0), (1.0, 1.0)],
                        tol_angle=1e-9)
 
 

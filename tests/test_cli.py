@@ -1,6 +1,7 @@
 """End-to-end command line checks: JSON shapes, CSV bytes, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,22 @@ def write_doc(tmp_path):
         path.write_text(json.dumps(doc), encoding="utf-8")
         return str(path)
     return _write
+
+
+# stdout and exit code of `analyze` and of `steer --from 1,1 --to -11,-7` on
+# the four fixture documents, byte for byte.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+FIXTURE_DOCS = {"ROTATION_DRIFT": ROTATION_DRIFT, "SHARED_LINE": SHARED_LINE,
+                "SWAP_PAIR": SWAP_PAIR, "TRAPPED": TRAPPED}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DOCS))
+def test_analyze_and_steer_stdout_is_pinned(name, write_doc, capsys):
+    path = write_doc(FIXTURE_DOCS[name])
+    for argv in (["analyze", path], ["steer", path, "--from", "1,1", "--to", "-11,-7"]):
+        expected = GOLDEN[f"{name} {argv[0]}"]
+        assert cli.main(argv) == expected["exit"]
+        assert capsys.readouterr().out == expected["stdout"]
 
 
 def test_analyze_controllable_shape(write_doc, capsys):
@@ -185,6 +202,18 @@ def test_oracle_counts_excluded_hits_from_the_invariant_line(write_doc, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["covariance_rank"] == 1
     assert doc["excluded_set_hits"] == 20
+
+
+def test_oracle_counts_excluded_hits_with_the_file_tolerance(write_doc, monkeypatch, capsys):
+    # Every sample from near the invariant line stays 2e-4..2e-3 (in sin of
+    # the angle) off the excluded lines: a hit under abs 1e-2, a miss under 1e-9.
+    path = write_doc(dict(SHARED_LINE, tolerance={"abs": 1e-2}))
+    argv = ["oracle", path, "--from", "1,-1.001", "--trials", "20"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["excluded_set_hits"] == 20
+    monkeypatch.setenv("BILIN2_TOL_ABS", "1e-9")
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["excluded_set_hits"] == 0
 
 
 def test_oracle_rejects_bad_trials(write_doc, capsys):

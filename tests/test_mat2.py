@@ -15,7 +15,6 @@ from bilin2 import (
     Vec2,
     ZeroVector,
     canonical_direction,
-    cond2,
     cross,
     is_eigenvector,
     line_angle,
@@ -143,16 +142,6 @@ def test_solve2_residual_is_small(a, b, c, d, y1, y2):
         assert abs(m.det()) <= 1e-3 * scale + 1e-9 or scale <= 1e-3
         return
     assert ((m @ u) - y).norm() <= 1e-9 * (1.0 + y.norm() + u.norm() * scale)
-
-
-def test_cond2_golden_values():
-    assert cond2(Mat2.identity()) == 1.0
-    assert cond2(Mat2.from_rows([[3.0, 0.0], [0.0, 1.0 / 3.0]])) == pytest.approx(9.0)
-    theta = 0.7
-    rot = Mat2(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
-    assert cond2(rot) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(SingularMatrix):
-        cond2(Mat2.from_rows([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_canonical_direction_sign_rules():

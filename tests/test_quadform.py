@@ -1,6 +1,7 @@
 """Steering form construction and zero-line extraction."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -123,6 +124,11 @@ def test_zero_lines_pure_cross_term_is_the_axes():
     # a tiny cross term must not fall into the repeated-root branch
     tiny = zero_lines(QuadraticForm(0.0, 1e-6, 0.0), scale=1.0)
     assert tiny.kind is LineSetKind.TWO_LINES
+    # the slope root overflows when the dominant end coefficient is this small
+    for q in (QuadraticForm(0.0, 4.0, sys.float_info.min),
+              QuadraticForm(sys.float_info.min, 4.0, 0.0)):
+        lines = zero_lines(q, scale=4.0).lines
+        assert [d.vector.as_tuple() for d in lines] == [(1.0, 0.0), (0.0, 1.0)]
 
 
 def test_zero_lines_near_axis_roots_are_tracked():

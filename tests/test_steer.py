@@ -17,6 +17,7 @@ from bilin2 import (
     VerdictClass,
     ZeroState,
     analyze,
+    apply_reduction,
     canonical_steer,
     escape_step,
     one_step,
@@ -175,6 +176,22 @@ def test_plan_transfer_driftless_escape():
     eta = Vec2(1.0, 1.0)
     plan = plan_transfer(sys, xi, eta)
     assert len(plan) == 2
+    ok, err = verify_plan(sys, xi, eta, plan)
+    assert ok, err
+
+
+def test_plan_transfer_escapes_twice_when_every_image_stays_singular():
+    # The effective pair diag(1, -1), [[0, 1], [-1, 0]] has the zero lines
+    # x1 = x2 and x1 = -x2, and every escape candidate maps the first onto
+    # the second: one escape step cannot leave the singular set.
+    sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[1.0, -2.0], [1.0, 0.0]]),
+                         (mat([[1.0, 0.0], [0.0, -1.0]]), mat([[0.0, 1.0], [-1.0, 0.0]]),
+                          mat([[1.0, 1.0], [0.0, 1.0]])))
+    xi, eta = Vec2(1.0, 1.0), Vec2(2.0, -3.0)
+    with pytest.raises(EscapeFailed):
+        escape_step(apply_reduction(sys, analyze(sys).reduction), xi)
+    plan = plan_transfer(sys, xi, eta)
+    assert len(plan) == 3
     ok, err = verify_plan(sys, xi, eta, plan)
     assert ok, err
 

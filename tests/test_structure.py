@@ -53,7 +53,6 @@ def test_triangularize_golden(shared_line_drift_system):
     d = common_real_eigenvector(ms)
     report = triangularize(ms, d)
     assert report.form_class is FormClass.UPPER_TRIANGULAR
-    assert report.transform_cond == 1.0
     assert report.common_eigenvector is d
     for f, m in zip(report.canonical_forms, ms):
         assert abs(f.a21) <= 1e-12 * m.frob()
@@ -145,7 +144,6 @@ def test_antidiagonalize_golden(swap_pair_system):
         assert abs(f.a11) <= 1e-12 * f.frob()
         assert abs(f.a22) <= 1e-12 * f.frob()
     assert report.common_eigenvector is None
-    assert report.transform_cond >= 1.0
 
 
 def test_antidiagonalize_canonical_pair_recovered():
