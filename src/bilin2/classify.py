@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .mat2 import DEFAULT_TOL, Direction, Mat2, TolerancePolicy, linearly_independent
@@ -87,6 +88,27 @@ class BilinearSystem:
         if self.drift is not None:
             return (self.drift,) + self.inputs
         return self.inputs
+
+    # Per-instance memos of what depends on the family alone.  cached_property
+    # writes straight into the instance __dict__, so they are not fields:
+    # equality, hashing and repr ignore them, and they die with the system.
+
+    @cached_property
+    def _verdict(self) -> "Verdict":
+        return _classify(self)
+
+    @cached_property
+    def _effective(self) -> "BilinearSystem":
+        """The two-input system the verdict's reduction leaves; defined for
+        verdicts other than uncontrollable."""
+        return apply_reduction(self, self._verdict.reduction)
+
+    @cached_property
+    def _steering(self):
+        """State-independent steering data of a two-input system."""
+        from .steer import _Steering  # steer imports this module
+
+        return _Steering(self)
 
 
 @dataclass(frozen=True)
@@ -177,10 +199,9 @@ def expand_controls(red: Reduction, m: int, v1: float, v2: float) -> tuple[float
     return tuple(u)
 
 
-def _excluded_lines(sys: BilinearSystem, red: Reduction) -> LineUnion:
-    eff = apply_reduction(sys, red)
-    b1, b2 = eff.inputs
-    return zero_lines(gram_form(b1, b2), sys.tol, scale=form_scale(b1, b2))
+def _pair_lines(pair: BilinearSystem) -> LineUnion:
+    b1, b2 = pair.inputs
+    return zero_lines(gram_form(b1, b2), pair.tol, scale=form_scale(b1, b2))
 
 
 def _verdict_controllable(sys: BilinearSystem) -> Verdict:
@@ -199,8 +220,8 @@ def _verdict_controllable(sys: BilinearSystem) -> Verdict:
 
 
 def _nearly(sys: BilinearSystem, report: StructureReport, red: Reduction) -> Verdict:
-    return Verdict(VerdictClass.NEARLY_CONTROLLABLE, _excluded_lines(sys, red), None,
-                   report, red)
+    return Verdict(VerdictClass.NEARLY_CONTROLLABLE, _pair_lines(apply_reduction(sys, red)),
+                   None, report, red)
 
 
 def _verdict_with_common_vector(sys: BilinearSystem, common: Direction) -> Verdict:
@@ -230,7 +251,15 @@ def _verdict_with_common_vector(sys: BilinearSystem, common: Direction) -> Verdi
 
 
 def analyze(sys: BilinearSystem) -> Verdict:
-    """Classify the system and assemble its certificates."""
+    """Classify the system and assemble its certificates.
+
+    The verdict depends on the matrix family alone, so it is computed once per
+    system object and kept on it: every later call returns the same Verdict.
+    """
+    return sys._verdict
+
+
+def _classify(sys: BilinearSystem) -> Verdict:
     common = common_real_eigenvector(sys.matrices(), sys.tol)
     if common is not None:
         return _verdict_with_common_vector(sys, common)

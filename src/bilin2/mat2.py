@@ -5,6 +5,11 @@ routes its floating point zero decisions through :class:`TolerancePolicy`, so th
 numeric policy lives in exactly one place.  All kernels are closed-form: for 2x2
 problems the explicit formulas are both faster and easier to audit than a general
 linear algebra call, and they keep golden-value tests exact.
+
+``Vec2`` and ``Mat2`` are immutable slotted values.  Their constructors are
+the one place finiteness is checked: every entry is coerced to float and a
+non-finite one raises ValueError, so arithmetic that overflows fails where it
+happens and nothing downstream re-checks its inputs.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 
 
 class ZeroVector(ValueError):
@@ -52,16 +58,48 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
-@dataclass(frozen=True)
-class Vec2:
-    x: float
-    y: float
+class _Value:
+    """Base of the slotted value types: immutable once built, and compared,
+    hashed, printed, copied and pickled by ``_values()``, the values of their
+    slots in order."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite vector ({self.x}, {self.y})")
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # __setattr__ refuses every write, so copies and unpickling go
+        # through the constructor instead.
+        return (type(self), self._values())
+
+
+class Vec2(_Value):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        x = float(x)
+        y = float(y)
+        if not (isfinite(x) and isfinite(y)):
+            raise ValueError(f"non-finite vector ({x}, {y})")
+        _set_x(self, x)
+        _set_y(self, y)
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -86,6 +124,13 @@ class Vec2:
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
 
+    _values = as_tuple
+
+
+# The slot setters are the only writes a value type sees, made once in
+# __init__; they skip the refusing __setattr__.
+_set_x, _set_y = Vec2.x.__set__, Vec2.y.__set__
+
 
 def cross(u: Vec2, v: Vec2) -> float:
     """Signed area det[u v]; zero exactly when u and v are parallel."""
@@ -97,19 +142,23 @@ def rot90(v: Vec2) -> Vec2:
     return Vec2(-v.y, v.x)
 
 
-@dataclass(frozen=True)
-class Mat2:
-    a11: float
-    a12: float
-    a21: float
-    a22: float
+class Mat2(_Value):
+    __slots__ = ("a11", "a12", "a21", "a22")
 
-    def __post_init__(self):
-        for name in ("a11", "a12", "a21", "a22"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite matrix entry {name}={value}")
+    def __init__(self, a11: float, a12: float, a21: float, a22: float):
+        a11 = float(a11)
+        a12 = float(a12)
+        a21 = float(a21)
+        a22 = float(a22)
+        if not (isfinite(a11) and isfinite(a12) and isfinite(a21) and isfinite(a22)):
+            raise ValueError(f"non-finite matrix entries ({a11}, {a12}, {a21}, {a22})")
+        _set_a11(self, a11)
+        _set_a12(self, a12)
+        _set_a21(self, a21)
+        _set_a22(self, a22)
+
+    def _values(self) -> tuple[float, float, float, float]:
+        return (self.a11, self.a12, self.a21, self.a22)
 
     @staticmethod
     def from_rows(rows) -> "Mat2":
@@ -165,6 +214,10 @@ class Mat2:
     def inverse(self, tol: TolerancePolicy = DEFAULT_TOL) -> "Mat2":
         d = _nonsingular_det(self, tol)
         return Mat2(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
+
+
+_set_a11, _set_a12, _set_a21, _set_a22 = (
+    Mat2.a11.__set__, Mat2.a12.__set__, Mat2.a21.__set__, Mat2.a22.__set__)
 
 
 def _nonsingular_det(m: Mat2, tol: TolerancePolicy) -> float:

@@ -10,9 +10,8 @@ drift out of agreement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .classify import BilinearSystem
 from .mat2 import Vec2
@@ -24,9 +23,15 @@ class ArityMismatch(ValueError):
 
 @dataclass(frozen=True)
 class ControlPlan:
-    """A finite open-loop plan: one control tuple per step."""
+    """A finite open-loop plan: one control tuple per step.
+
+    ``residual`` is the landing error |x_end - eta| that ``verify_plan``
+    measured when ``plan_transfer`` or ``canonical_steer`` accepted the plan,
+    and None on a plan built elsewhere.  It is not part of equality or hashing.
+    """
 
     steps: tuple[tuple[float, ...], ...]
+    residual: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self):
         steps = tuple(tuple(float(c) for c in step) for step in self.steps)
@@ -106,6 +111,8 @@ def reachability_oracle(sys: BilinearSystem, xi: Vec2, trials: int,
     separates line-trapped systems (rank 1) from ones that spread over the
     plane (rank 2).
     """
+    import numpy as np  # only the oracle needs numpy; importing bilin2 stays light
+
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     samples = []

@@ -14,13 +14,14 @@ under its bound.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .classify import (
     BilinearSystem,
     SystemKind,
     Verdict,
     VerdictClass,
     analyze,
-    apply_reduction,
     expand_controls,
 )
 from .mat2 import DEFAULT_TOL, Mat2, SingularMatrix, Vec2, solve2
@@ -79,6 +80,52 @@ def one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):
     return (u.x, u.y)
 
 
+class _Steering:
+    """What escape_step and the two-step construction know of a two-input
+    system before any state is given: the steering form, its zero lines and
+    the candidate step matrices, and on first use the zero-bottom-row frame.
+    Built once per system, through ``BilinearSystem._steering``, and kept on
+    it; it holds no reference back to the system."""
+
+    def __init__(self, sys: BilinearSystem):
+        self.drift, self.inputs, self.tol = sys.drift, sys.inputs, sys.tol
+        b1, b2 = sys.inputs
+        self.form = gram_form(b1, b2)
+        self.form_scale = form_scale(b1, b2)
+        self.lines = zero_lines(self.form, sys.tol, scale=self.form_scale)
+        candidates = (ESCAPE_CANDIDATES_DRIFT if sys.kind is SystemKind.WITH_DRIFT
+                      else ESCAPE_CANDIDATES_DRIFTLESS)
+        steps = []
+        for u in candidates:
+            m = u[0] * b1 + u[1] * b2
+            if sys.drift is not None:
+                m = sys.drift + m
+            steps.append((u, m))
+        self.candidate_steps = tuple(steps)
+
+    @cached_property
+    def canonical(self) -> tuple[Mat2, Mat2, Vec2, float, float, float]:
+        """(P, M_sub, offset, A21, A22, |A-bar|_F) of the zero-bottom-row basis,
+        or NotCanonicalClass (not kept) when the pair has none."""
+        if self.drift is None:
+            raise NotCanonicalClass("the two-step construction needs a drift term")
+        b1, b2 = self.inputs
+        found = zero_bottom_row_pair(b1, b2, self.tol)
+        if found is None:
+            raise NotCanonicalClass("inputs do not share a left null direction")
+        _, p = found
+        p_inv = Mat2(p.a11, p.a21, p.a12, p.a22)  # rotation: inverse is transpose
+        a_bar = p @ self.drift @ p_inv
+        f1 = p @ b1 @ p_inv
+        f2 = p @ b2 @ p_inv
+        m_sub = Mat2(f1.a11, f2.a11, f1.a12, f2.a12)
+        offset = Vec2(a_bar.a11, a_bar.a12)
+        a_scale = a_bar.frob()
+        if self.tol.is_zero(a_bar.a21, a_scale):
+            raise NotCanonicalClass("drift has no coupling into the decoupled coordinate")
+        return p, m_sub, offset, a_bar.a21, a_bar.a22, a_scale
+
+
 def escape_step(sys: BilinearSystem, xi: Vec2) -> tuple[tuple[float, float], Vec2]:
     """One control moving xi off the steering form's zero set.
 
@@ -89,10 +136,10 @@ def escape_step(sys: BilinearSystem, xi: Vec2) -> tuple[tuple[float, float], Vec
     |q(x)| / |x|^2 wins, so the choice is insensitive to the landing's size.
     """
     _require_pair(sys)
-    q = gram_form(*sys.inputs)
-    fscale = form_scale(*sys.inputs)
+    steering = sys._steering
+    q, fscale = steering.form, steering.form_scale
     best, best_score = None, 0.0
-    for u, x in _landings(sys, xi):
+    for u, x in _landings(steering, xi):
         nrm2 = x.x * x.x + x.y * x.y
         value = abs(q.evaluate(x))
         margin = ESCAPE_MARGIN_FACTOR * sys.tol.threshold(fscale * nrm2)
@@ -103,15 +150,9 @@ def escape_step(sys: BilinearSystem, xi: Vec2) -> tuple[tuple[float, float], Vec
     return best
 
 
-def _landings(sys: BilinearSystem, xi: Vec2):
+def _landings(steering: _Steering, xi: Vec2):
     """(u, x) for each escape candidate u whose step from xi lands on a nonzero x."""
-    b1, b2 = sys.inputs
-    candidates = (ESCAPE_CANDIDATES_DRIFT if sys.kind is SystemKind.WITH_DRIFT
-                  else ESCAPE_CANDIDATES_DRIFTLESS)
-    for u in candidates:
-        m = u[0] * b1 + u[1] * b2
-        if sys.drift is not None:
-            m = sys.drift + m
+    for u, m in steering.candidate_steps:
         x = m @ xi
         if x.x * x.x + x.y * x.y != 0.0:
             yield u, x
@@ -124,7 +165,7 @@ def _escape_moves(sys: BilinearSystem, xi: Vec2) -> list:
     try:
         return [escape_step(sys, xi)]
     except EscapeFailed:
-        move = next(_landings(sys, xi), None)
+        move = next(_landings(sys._steering, xi), None)
         if move is None:
             raise
         return [move, escape_step(sys, move[1])]
@@ -136,7 +177,7 @@ def _verified(sys: BilinearSystem, xi: Vec2, eta: Vec2, steps) -> ControlPlan:
     if not ok:
         raise RuntimeError(f"synthesized plan misses the target by {error}; "
                            "this is a bug, not a property of the system")
-    return plan
+    return ControlPlan(plan.steps, error)
 
 
 def canonical_steer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
@@ -159,22 +200,8 @@ def canonical_steer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
 def _canonical_steps(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> list:
     """The controls of :func:`canonical_steer`, not yet replayed."""
     _require_pair(sys)
-    if sys.drift is None:
-        raise NotCanonicalClass("the two-step construction needs a drift term")
     tol = sys.tol
-    found = zero_bottom_row_pair(sys.inputs[0], sys.inputs[1], tol)
-    if found is None:
-        raise NotCanonicalClass("inputs do not share a left null direction")
-    _, p = found
-    p_inv = Mat2(p.a11, p.a21, p.a12, p.a22)  # rotation: inverse is transpose
-    a_bar = p @ sys.drift @ p_inv
-    f1 = p @ sys.inputs[0] @ p_inv
-    f2 = p @ sys.inputs[1] @ p_inv
-    m_sub = Mat2(f1.a11, f2.a11, f1.a12, f2.a12)
-    offset = Vec2(a_bar.a11, a_bar.a12)
-    a21, a22 = a_bar.a21, a_bar.a22
-    if tol.is_zero(a21, a_bar.frob()):
-        raise NotCanonicalClass("drift has no coupling into the decoupled coordinate")
+    p, m_sub, offset, a21, a22, a_scale = sys._steering.canonical
 
     x = p @ xi
     target = p @ eta
@@ -182,7 +209,7 @@ def _canonical_steps(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> list:
     if tol.is_zero(state_scale):
         raise ZeroState("cannot steer from the zero state")
     bar_steps = []
-    if tol.is_zero(x.x, state_scale) or tol.is_zero(a21 * x.x + a22 * x.y, a_bar.frob() * state_scale):
+    if tol.is_zero(x.x, state_scale) or tol.is_zero(a21 * x.x + a22 * x.y, a_scale * state_scale):
         # x2 is nonzero in both degenerate cases, so (0, c) restores them;
         # c must avoid turning the new A21 x1 + A22 x2 into zero again.
         c = next(cc for cc in (1.0, 2.0)
@@ -190,7 +217,7 @@ def _canonical_steps(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> list:
         bar_steps.append(Vec2(0.0, c))
         x = Vec2(c * x.y, a21 * x.x + a22 * x.y)
     s = a21 * x.x + a22 * x.y
-    if tol.is_zero(x.x, x.norm()) or tol.is_zero(s, a_bar.frob() * x.norm()):
+    if tol.is_zero(x.x, x.norm()) or tol.is_zero(s, a_scale * x.norm()):
         raise EscapeFailed("pre-step failed to clear the degenerate coordinates")
     t = target.y - a22 * s
     if not tol.is_zero(t, abs(target.y) + abs(a22 * s)):
@@ -214,12 +241,13 @@ def plan_transfer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
     construction.  Nearly controllable: one step from any state off the
     excluded lines, to any target including zero.  Uncontrollable: refused
     outright.  A returned plan has been replayed once and passed
-    ``verify_plan`` at its default bound.
+    ``verify_plan`` at its default bound; ``plan.residual`` is that replay's
+    landing error.
     """
     verdict = analyze(sys)
     if verdict.klass is VerdictClass.UNCONTROLLABLE:
         raise NotControllablePair("system is uncontrollable; no transfers are synthesized")
-    eff = apply_reduction(sys, verdict.reduction)
+    eff = sys._effective
 
     def expand(u):
         return expand_controls(verdict.reduction, sys.m, u[0], u[1])
@@ -232,9 +260,7 @@ def plan_transfer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
 
     if sys.tol.is_zero(xi.norm()) or sys.tol.is_zero(eta.norm()):
         raise ZeroState("controllable transfers connect nonzero states only")
-    b1, b2 = eff.inputs
-    lu = zero_lines(gram_form(b1, b2), sys.tol, scale=form_scale(b1, b2))
-    if lu.kind is LineSetKind.ALL_OF_PLANE:
+    if eff._steering.lines.kind is LineSetKind.ALL_OF_PLANE:
         return _verified(sys, xi, eta, [expand(u) for u in _canonical_steps(eff, xi, eta)])
     u = one_step(eff, xi, eta)
     if u is not None:

@@ -1,10 +1,14 @@
 """Verdicts, excluded sets, reductions, and their invariance under conjugation."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from bilin2 import (
     BilinearSystem,
+    ControlPlan,
     FormClass,
     InvalidSystem,
     LineSetKind,
@@ -20,6 +24,7 @@ from bilin2 import (
     excluded_set,
     expand_controls,
     line_gap,
+    plan_transfer,
 )
 from helpers import (
     assert_lines_match,
@@ -225,3 +230,41 @@ def test_verdict_class_is_similarity_invariant():
         if base.largest_region is not None:
             mapped = canonical_direction(p @ base.largest_region.vector)
             assert line_gap(conj.largest_region, mapped) <= 1e-6
+
+
+def test_analyze_computes_the_verdict_once_per_system(shared_line_drift_system):
+    sys = shared_line_drift_system
+    assert analyze(sys) is analyze(sys)
+    assert excluded_set(sys) is analyze(sys).excluded_initial
+
+
+def test_equal_systems_get_equal_verdicts(shared_line_drift_system, swap_pair_system,
+                                          trapped_triangular_system, rotation_drift_system):
+    for sys in (shared_line_drift_system, swap_pair_system, trapped_triangular_system,
+                rotation_drift_system):
+        twin = BilinearSystem(sys.kind, sys.drift, tuple(sys.inputs), sys.tol)
+        assert twin is not sys
+        assert analyze(twin) == analyze(sys)
+
+
+def test_analyze_keeps_equality_hash_and_repr(rotation_drift_system):
+    sys = rotation_drift_system
+    twin = BilinearSystem(sys.kind, sys.drift, sys.inputs, sys.tol)
+    before = (hash(sys), repr(sys))
+    analyze(sys)
+    plan_transfer(sys, Vec2(1.0, 1.0), Vec2(-11.0, -7.0))
+    assert (hash(sys), repr(sys)) == before
+    assert sys == twin and twin == sys
+
+
+def test_values_survive_copy_and_pickle(shared_line_drift_system):
+    sys = shared_line_drift_system
+    analyze(sys)
+    plan = plan_transfer(sys, Vec2(1.0, 1.0), Vec2(-11.0, -7.0))
+    for value in (Vec2(1.5, -2.0), Mat2(1.0, -2.0, 0.5, 3.0), ControlPlan(((1.0, 2.0),)),
+                  plan, sys):
+        for clone in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value)
+            assert clone == value
+    assert analyze(pickle.loads(pickle.dumps(sys))) == analyze(sys)

@@ -1,11 +1,14 @@
 """End-to-end command line checks: JSON shapes, CSV bytes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from bilin2 import cli
+from bilin2 import cli, simulate
 
 ROTATION_DRIFT = {"kind": "drift", "A": [[0, -1], [1, 0]],
                   "B": [[[1, -1], [0, 2]], [[0, 0], [1, 0]]]}
@@ -35,7 +38,7 @@ def write_doc(tmp_path):
 
 
 # stdout and exit code of `analyze` and of `steer --from 1,1 --to -11,-7` on
-# the four fixture documents, byte for byte.
+# the four fixture documents, and of two `oracle` runs, byte for byte.
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 FIXTURE_DOCS = {"ROTATION_DRIFT": ROTATION_DRIFT, "SHARED_LINE": SHARED_LINE,
                 "SWAP_PAIR": SWAP_PAIR, "TRAPPED": TRAPPED}
@@ -48,6 +51,37 @@ def test_analyze_and_steer_stdout_is_pinned(name, write_doc, capsys):
         expected = GOLDEN[f"{name} {argv[0]}"]
         assert cli.main(argv) == expected["exit"]
         assert capsys.readouterr().out == expected["stdout"]
+
+
+@pytest.mark.parametrize("name, start", [("ROTATION_DRIFT", "1,1"), ("SHARED_LINE", "1,-1")])
+def test_oracle_stdout_is_pinned(name, start, write_doc, capsys):
+    argv = ["oracle", write_doc(FIXTURE_DOCS[name]), "--from", start,
+            "--trials", "8", "--seed", "7"]
+    expected = GOLDEN[f"{name} oracle"]
+    assert cli.main(argv) == expected["exit"]
+    assert capsys.readouterr().out == expected["stdout"]
+
+
+def test_steer_replays_its_plan_once(write_doc, monkeypatch, capsys):
+    calls = []
+    replay = simulate.run
+
+    def counting_run(*args):
+        calls.append(args)
+        return replay(*args)
+
+    monkeypatch.setattr(simulate, "run", counting_run)
+    assert cli.main(["steer", write_doc(ROTATION_DRIFT), "--from", "1,1", "--to", "-11,-7"]) == 0
+    assert json.loads(capsys.readouterr().out)["residual"] == 0.0
+    assert len(calls) == 1
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, bilin2, bilin2.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_analyze_controllable_shape(write_doc, capsys):

@@ -89,6 +89,21 @@ def test_mat2_rejects_non_finite():
         Mat2(1.0, float("nan"), 0.0, 1.0)
 
 
+def test_value_types_are_immutable_and_compare_by_value():
+    v, m = Vec2(1, -2), Mat2(1, 2, 3, 4)
+    for value, name in ((v, "x"), (m, "a21")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert v == Vec2(1.0, -2.0) and hash(v) == hash(Vec2(1.0, -2.0))
+    assert m == Mat2(1.0, 2.0, 3.0, 4.0) and hash(m) == hash(Mat2(1.0, 2.0, 3.0, 4.0))
+    assert v != Vec2(1.0, 2.0) and m != Mat2(1.0, 2.0, 3.0, 5.0)
+    assert v != (1.0, -2.0) and m != m.rows()
+    assert repr(v) == "Vec2(x=1.0, y=-2.0)"
+    assert repr(m) == "Mat2(a11=1.0, a12=2.0, a21=3.0, a22=4.0)"
+
+
 def test_matmul_matrix_and_vector():
     m = Mat2.from_rows([[1.0, 2.0], [3.0, 4.0]])
     n = Mat2.from_rows([[5.0, 6.0], [7.0, 8.0]])

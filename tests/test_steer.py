@@ -24,7 +24,8 @@ from bilin2 import (
     plan_transfer,
     verify_plan,
 )
-from helpers import generic_drift_system, mat, unit_vec
+from bilin2 import classify, steer, structure
+from helpers import generic_drift_system, generic_driftless_system, mat, unit_vec
 
 
 @pytest.fixture
@@ -180,13 +181,17 @@ def test_plan_transfer_driftless_escape():
     assert ok, err
 
 
-def test_plan_transfer_escapes_twice_when_every_image_stays_singular():
+def _escape_twice_system() -> BilinearSystem:
     # The effective pair diag(1, -1), [[0, 1], [-1, 0]] has the zero lines
     # x1 = x2 and x1 = -x2, and every escape candidate maps the first onto
     # the second: one escape step cannot leave the singular set.
-    sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[1.0, -2.0], [1.0, 0.0]]),
-                         (mat([[1.0, 0.0], [0.0, -1.0]]), mat([[0.0, 1.0], [-1.0, 0.0]]),
-                          mat([[1.0, 1.0], [0.0, 1.0]])))
+    return BilinearSystem(SystemKind.WITH_DRIFT, mat([[1.0, -2.0], [1.0, 0.0]]),
+                          (mat([[1.0, 0.0], [0.0, -1.0]]), mat([[0.0, 1.0], [-1.0, 0.0]]),
+                           mat([[1.0, 1.0], [0.0, 1.0]])))
+
+
+def test_plan_transfer_escapes_twice_when_every_image_stays_singular():
+    sys = _escape_twice_system()
     xi, eta = Vec2(1.0, 1.0), Vec2(2.0, -3.0)
     with pytest.raises(EscapeFailed):
         escape_step(apply_reduction(sys, analyze(sys).reduction), xi)
@@ -218,3 +223,51 @@ def test_plan_transfer_random_controllable_systems():
         ok, err = verify_plan(sys, xi, eta, plan, tol=1e-6)
         assert ok, (sys, xi, eta, err)
         done += 1
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Count calls of a classify function, under every module's binding of it."""
+    calls = []
+    original = getattr(classify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (classify, steer, structure):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["rotation_drift_system", "coupled_shift_system",
+                                  "shared_line_drift_system", "swap_pair_system",
+                                  "escape_twice", "driftless4"])
+def test_plan_transfer_reduces_and_finds_zero_lines_once_per_system(name, request, monkeypatch):
+    built = {"escape_twice": _escape_twice_system,
+             "driftless4": lambda: generic_driftless_system(np.random.default_rng(7), m=4)}
+    sys = built[name]() if name in built else request.getfixturevalue(name)
+    # The verdict comes first: classifying a nearly-controllable system builds
+    # its excluded lines from the effective pair once on its own.
+    analyze(sys)
+    reductions = _counting(monkeypatch, "apply_reduction")
+    line_sets = _counting(monkeypatch, "zero_lines")
+    rng = np.random.default_rng(3)
+    for k in range(100):
+        xi = Vec2(1.0, 1.0) if k % 10 == 0 else unit_vec(rng)
+        try:
+            plan = plan_transfer(sys, xi, unit_vec(rng))
+        except InExcludedSet:
+            continue
+        assert plan.residual is not None
+    assert len(reductions) <= 1
+    assert len(line_sets) <= 1
+
+
+def test_plan_residual_is_the_verify_plan_error_and_not_compared(rotation_drift_system):
+    xi, eta = Vec2(0.3, -1.2), Vec2(2.0, 0.7)
+    plan = plan_transfer(rotation_drift_system, xi, eta)
+    assert plan.residual == verify_plan(rotation_drift_system, xi, eta, plan)[1]
+    bare = type(plan)(plan.steps)
+    assert bare.residual is None
+    assert bare == plan and hash(bare) == hash(plan)
