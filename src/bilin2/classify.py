@@ -199,9 +199,8 @@ def expand_controls(red: Reduction, m: int, v1: float, v2: float) -> tuple[float
     return tuple(u)
 
 
-def _pair_lines(pair: BilinearSystem) -> LineUnion:
-    b1, b2 = pair.inputs
-    return zero_lines(gram_form(b1, b2), pair.tol, scale=form_scale(b1, b2))
+def _pair_lines(b1: Mat2, b2: Mat2, tol: TolerancePolicy) -> LineUnion:
+    return zero_lines(gram_form(b1, b2), tol, scale=form_scale(b1, b2))
 
 
 def _verdict_controllable(sys: BilinearSystem) -> Verdict:
@@ -219,9 +218,8 @@ def _verdict_controllable(sys: BilinearSystem) -> Verdict:
     return Verdict(VerdictClass.CONTROLLABLE, None, None, None, red)
 
 
-def _nearly(sys: BilinearSystem, report: StructureReport, red: Reduction) -> Verdict:
-    return Verdict(VerdictClass.NEARLY_CONTROLLABLE, _pair_lines(apply_reduction(sys, red)),
-                   None, report, red)
+def _nearly(lines: LineUnion, report: StructureReport, red: Reduction) -> Verdict:
+    return Verdict(VerdictClass.NEARLY_CONTROLLABLE, lines, None, report, red)
 
 
 def _verdict_with_common_vector(sys: BilinearSystem, common: Direction) -> Verdict:
@@ -232,7 +230,7 @@ def _verdict_with_common_vector(sys: BilinearSystem, common: Direction) -> Verdi
     if not any(live):
         return Verdict(VerdictClass.UNCONTROLLABLE, None, common, report, Reduction())
     if sys.m == 2:
-        return _nearly(sys, report, Reduction())
+        return _nearly(_pair_lines(*sys.inputs, sys.tol), report, Reduction())
     if sys.kind is SystemKind.WITH_DRIFT:
         # Three independent matrices sharing an eigenvector plus an independent
         # drift cannot exist: triangular 2x2 matrices span a 3-dim space.  Only
@@ -240,11 +238,10 @@ def _verdict_with_common_vector(sys: BilinearSystem, common: Direction) -> Verdi
         raise InvalidSystem("drift system with three inputs sharing an eigenvector "
                             "is inconsistent with linear independence")
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        q = gram_form(sys.inputs[i], sys.inputs[j])
-        lu = zero_lines(q, sys.tol, scale=form_scale(sys.inputs[i], sys.inputs[j]))
+        lu = _pair_lines(sys.inputs[i], sys.inputs[j], sys.tol)
         if lu.kind is not LineSetKind.ALL_OF_PLANE:
             (pinned,) = set(range(3)) - {i, j}
-            return _nearly(sys, report, Reduction(pinned_index=pinned, pinned_value=0.0))
+            return _nearly(lu, report, Reduction(pinned_index=pinned, pinned_value=0.0))
     # Unreachable when some (2,2) entry survives: that input's pairs have
     # nonvanishing forms.  Guard for tolerance corner cases.
     raise InvalidSystem("no input pair with a usable steering form")
@@ -266,7 +263,7 @@ def _classify(sys: BilinearSystem) -> Verdict:
     if sys.kind is SystemKind.DRIFTLESS and sys.m == 2:
         report = antidiagonalize_pair(sys.inputs[0], sys.inputs[1], sys.tol)
         if report is not None:
-            return _nearly(sys, report, Reduction())
+            return _nearly(_pair_lines(*sys.inputs, sys.tol), report, Reduction())
     return _verdict_controllable(sys)
 
 

@@ -81,16 +81,19 @@ def run(sys: BilinearSystem, x0: Vec2, plan: ControlPlan) -> Trajectory:
     return Trajectory(tuple(states), plan)
 
 
-def verify_plan(sys: BilinearSystem, xi: Vec2, eta: Vec2, plan: ControlPlan,
-                tol: float = 1e-9) -> tuple[bool, float]:
+_LANDING_TOL = 1e-9
+
+
+def verify_plan(sys: BilinearSystem, xi: Vec2, eta: Vec2,
+                plan: ControlPlan) -> tuple[bool, float]:
     """Replay the plan from xi and measure the landing error against eta.
 
-    Returns (ok, error) with ok true when error <= tol * (1 + |eta|).  This is
-    the one acceptance rule: ``plan_transfer`` and ``canonical_steer`` return
-    a plan only when it holds at the default tol.
+    Returns (ok, error) with ok true when error <= 1e-9 * (1 + |eta|).  This
+    is the one acceptance rule: ``plan_transfer`` and ``canonical_steer``
+    return a plan only when it holds.
     """
     error = (run(sys, xi, plan).final - eta).norm()
-    return error <= tol * (1.0 + eta.norm()), error
+    return error <= _LANDING_TOL * (1.0 + eta.norm()), error
 
 
 @dataclass(frozen=True)

@@ -241,8 +241,7 @@ def plan_transfer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
     construction.  Nearly controllable: one step from any state off the
     excluded lines, to any target including zero.  Uncontrollable: refused
     outright.  A returned plan has been replayed once and passed
-    ``verify_plan`` at its default bound; ``plan.residual`` is that replay's
-    landing error.
+    ``verify_plan``; ``plan.residual`` is that replay's landing error.
     """
     verdict = analyze(sys)
     if verdict.klass is VerdictClass.UNCONTROLLABLE:

@@ -10,7 +10,6 @@ and steer in the transformed frame.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -64,26 +63,22 @@ class StructureReport:
 def common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL) -> Optional[Direction]:
     """A direction invariant under every matrix in ms, or None.
 
-    Candidates come from the first non-isotropic member (it has at most two
-    real eigen-directions, and any common direction must be one of them); each
-    is certified against the whole family by residual test.  Isotropic members
-    impose no constraint.  Raises AllIsotropic when no member constrains the
-    answer at all.
+    Members are scanned in order and only the first non-isotropic one has its
+    eigen-directions computed: it has at most two real ones, and any common
+    direction must be one of them.  Each candidate is certified against the
+    whole family by residual test.  Isotropic members impose no constraint.
+    Raises AllIsotropic when no member constrains the answer at all.
     """
-    ms = list(ms)
-    reports = [real_eigen_directions(m, tol) for m in ms]
-    candidates = None
-    for report in reports:
+    ms = tuple(ms)
+    for m in ms:
+        report = real_eigen_directions(m, tol)
         if report.kind is EigenKind.ISOTROPIC:
             continue
-        candidates = report.directions
-        break
-    if candidates is None:
-        raise AllIsotropic("every matrix is scalar; any direction is invariant")
-    for d in candidates:
-        if all(is_eigenvector(m, d, tol) for m in ms):
-            return d
-    return None
+        for d in report.directions:
+            if all(is_eigenvector(x, d, tol) for x in ms):
+                return d
+        return None
+    raise AllIsotropic("every matrix is scalar; any direction is invariant")
 
 
 def triangularize(ms, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> StructureReport:
@@ -111,11 +106,11 @@ def triangularize(ms, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> Struc
 def _left_kernel(m: Mat2, tol: TolerancePolicy) -> Optional[Vec2]:
     """A nonzero w with w^T m = 0, None when m is nonsingular, or a zero
     vector sentinel when m itself is zero (every w works)."""
-    scale = m.col1().norm() if m.col1().norm() >= m.col2().norm() else m.col2().norm()
+    col = max(m.col1(), m.col2(), key=Vec2.norm)
+    scale = col.norm()
     if not tol.is_zero(m.det(), scale * scale):
         return None
-    col = m.col1() if m.col1().norm() >= m.col2().norm() else m.col2()
-    if tol.is_zero(col.norm()):
+    if tol.is_zero(scale):
         return Vec2(0.0, 0.0)
     return rot90(col)
 
@@ -185,23 +180,21 @@ def antidiagonalize_pair(b1: Mat2, b2: Mat2,
     return None
 
 
-_FALLBACK_SEED = 0x2D2D
-
-
 def combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
                    tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, float]:
     """Coefficients (ca, cb) such that {a, b1, ca*b2 + cb*b3} has no common
     real eigenvector.
 
-    Tries (1,0), (0,1), (1,1) first - when {a, b1, b2, b3} share no direction
-    one of these works outside degenerate scalar-matrix corners - then falls
-    back to a fixed-seed randomized search.  Every candidate is certified by
-    re-running the common-eigenvector check, never trusted from construction.
+    Tries (1,0), (0,1), (1,1) in that order, each certified by re-running the
+    common-eigenvector check.  Three are enough when a and b1 are not both
+    scalar, which linear independence of the four guarantees: then a and b1
+    share at most two directions, and for each shared direction d the pairs
+    that keep d invariant under ca*b2 + cb*b3 (cross(d, (ca*b2 + cb*b3) d) = 0,
+    linear in (ca, cb)) form a line through the origin, unless b2 and b3 keep
+    d too.  Two lines cannot hold three pairwise non-parallel pairs.  Raises
+    NoCombinationFound when all four matrices share a direction.
     """
-    rng = random.Random(_FALLBACK_SEED)
-    candidates = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-    candidates += [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(32)]
-    for ca, cb in candidates:
+    for ca, cb in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
         combined = ca * b2 + cb * b3
         try:
             if common_real_eigenvector([a, b1, combined], tol) is None:

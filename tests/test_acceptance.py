@@ -158,7 +158,7 @@ def test_criterion_4_random_controllable_steering():
             xi, eta = unit_vec(rng), unit_vec(rng)
             plan = plan_transfer(sys, xi, eta)
             assert len(plan) <= 3
-            _, err = verify_plan(sys, xi, eta, plan, tol=1e-6)
+            _, err = verify_plan(sys, xi, eta, plan)
             assert err <= 1e-6, (sys, xi, eta, err)
             done += 1
 
@@ -250,20 +250,20 @@ def test_criterion_7_two_step_construction():
 
             plan = canonical_steer(sys, xi, eta)
             assert len(plan) == 2 and plan.steps[0] != (0.0, 0.0)
-            _, err = verify_plan(sys, xi, eta, plan, tol=1e-8)
+            _, err = verify_plan(sys, xi, eta, plan)
             assert err <= 1e-8 * (1.0 + eta.norm())
 
             degenerate = Vec2(eta.x, a22 * s)
             plan = canonical_steer(sys, xi, degenerate)
             assert len(plan) == 2 and plan.steps[0] == (0.0, 0.0)
-            _, err = verify_plan(sys, xi, degenerate, plan, tol=1e-8)
+            _, err = verify_plan(sys, xi, degenerate, plan)
             assert err <= 1e-8 * (1.0 + degenerate.norm())
 
             for blocked in (Vec2(0.0, xi.y if abs(xi.y) >= 0.1 else 1.0),
                             Vec2(a22 * 1.25, -(a21 * 1.25))):
                 plan = canonical_steer(sys, blocked, eta)
                 assert len(plan) == 3
-                _, err = verify_plan(sys, blocked, eta, plan, tol=1e-8)
+                _, err = verify_plan(sys, blocked, eta, plan)
                 assert err <= 1e-8 * (1.0 + eta.norm())
 
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bilin2 import (
@@ -147,6 +147,7 @@ def test_solve2_singular_decision_survives_uniform_scaling():
 
 
 @given(finite, finite, finite, finite, finite, finite)
+@example(1e-9, 0.0, 1.0, 2.0, 1.0, 1.0)
 def test_solve2_residual_is_small(a, b, c, d, y1, y2):
     m = Mat2(a, b, c, d)
     y = Vec2(y1, y2)
@@ -156,7 +157,7 @@ def test_solve2_residual_is_small(a, b, c, d, y1, y2):
     except SingularMatrix:
         assert abs(m.det()) <= 1e-3 * scale + 1e-9 or scale <= 1e-3
         return
-    assert ((m @ u) - y).norm() <= 1e-9 * (1.0 + y.norm() + u.norm() * scale)
+    assert ((m @ u) - y).norm() <= 1e-9 * (1.0 + y.norm() + u.norm() * m.frob())
 
 
 def test_canonical_direction_sign_rules():

@@ -8,17 +8,22 @@ import pytest
 
 from bilin2 import (
     AllIsotropic,
+    BilinearSystem,
     FormClass,
     Mat2,
     NoCombinationFound,
     NotCommonEigenvector,
+    SystemKind,
     Vec2,
+    VerdictClass,
+    analyze,
     antidiagonalize_pair,
     canonical_direction,
     combine_inputs,
     common_real_eigenvector,
     is_eigenvector,
     line_gap,
+    linearly_independent,
     rot90,
     triangularize,
     zero_bottom_row_pair,
@@ -46,6 +51,16 @@ def test_common_real_eigenvector_skips_isotropic_members():
     d = common_real_eigenvector(family)
     assert d is not None
     assert all(is_eigenvector(m, d) for m in family)
+
+
+def test_common_real_eigenvector_takes_candidates_from_the_first_constraining_member():
+    # The second member lies inside the absolute zero band: its own eigenvector
+    # cannot be oriented (ZeroVector), so it may only be certified against.
+    big, tiny = Mat2(1.0, 2.0, 0.5, 3.0), Mat2(1e-8, 0.0, 0.0, 1.15e-8)
+    d = common_real_eigenvector([big, tiny])
+    assert d is not None and is_eigenvector(big, d)
+    sys = BilinearSystem(SystemKind.DRIFTLESS, None, (big, tiny))
+    assert analyze(sys).klass is VerdictClass.NEARLY_CONTROLLABLE
 
 
 def test_triangularize_golden(shared_line_drift_system):
@@ -201,10 +216,21 @@ def test_combine_inputs_exhausts_and_raises():
 
 def test_combine_inputs_result_is_certified():
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        ms = [Mat2(*rng.uniform(-2.0, 2.0, 4)) for _ in range(4)]
+    families = [[Mat2(*rng.uniform(-2.0, 2.0, 4)) for _ in range(4)] for _ in range(20)]
+    # Integer families with three upper-triangular members and one free
+    # matrix, placed anywhere: the first candidate is often blocked, and now
+    # and then the second too.
+    for _ in range(600):
+        ms = [Mat2(x, y, 0.0, z) for x, y, z in rng.integers(-2, 3, (3, 3)).tolist()]
+        ms.insert(int(rng.integers(4)), Mat2(*rng.integers(-2, 3, 4).tolist()))
+        families.append(ms)
+    for ms in families:
+        if not linearly_independent(ms):
+            continue
         try:
             ca, cb = combine_inputs(*ms)
         except NoCombinationFound:
+            assert common_real_eigenvector(ms) is not None
             continue
+        assert (ca, cb) in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
         assert common_real_eigenvector([ms[0], ms[1], ca * ms[2] + cb * ms[3]]) is None
