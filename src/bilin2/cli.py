@@ -45,7 +45,7 @@ class SystemFileError(ValueError):
 def _as_mat(node, where: str) -> Mat2:
     try:
         (a, b), (c, d) = node
-        return Mat2(float(a), float(b), float(c), float(d))
+        return Mat2(a, b, c, d)
     except (TypeError, ValueError) as exc:
         raise SystemFileError(f"{where} must be a 2x2 array of finite numbers") from exc
 
@@ -111,7 +111,7 @@ def _parse_state(raw: str, flag: str) -> Vec2:
     if len(parts) != 2:
         raise SystemFileError(f"{flag} expects 'x1,x2', got {raw!r}")
     try:
-        return Vec2(float(parts[0]), float(parts[1]))
+        return Vec2(parts[0], parts[1])
     except ValueError as exc:
         raise SystemFileError(f"{flag} expects two numbers, got {raw!r}") from exc
 

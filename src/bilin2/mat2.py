@@ -6,10 +6,12 @@ numeric policy lives in exactly one place.  All kernels are closed-form: for 2x2
 problems the explicit formulas are both faster and easier to audit than a general
 linear algebra call, and they keep golden-value tests exact.
 
-``Vec2`` and ``Mat2`` are immutable slotted values.  Their constructors are
-the one place finiteness is checked: every entry is coerced to float and a
-non-finite one raises ValueError, so arithmetic that overflows fails where it
-happens and nothing downstream re-checks its inputs.
+``Vec2`` and ``Mat2`` are frozen slotted dataclasses: equality, hashing, repr
+and immutability are generated.  Their hand-written ``__init__`` is the one
+place finiteness is checked: every entry is coerced to float and a non-finite
+one raises ValueError, so arithmetic that overflows fails where it happens and
+nothing downstream re-checks its inputs.  Their ``__reduce__`` sends copies and
+unpickling through that same constructor, so no path builds an unchecked value.
 """
 
 from __future__ import annotations
@@ -58,40 +60,10 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
-class _Value:
-    """Base of the slotted value types: immutable once built, and compared,
-    hashed, printed, copied and pickled by ``_values()``, the values of their
-    slots in order."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        # __setattr__ refuses every write, so copies and unpickling go
-        # through the constructor instead.
-        return (type(self), self._values())
-
-
-class Vec2(_Value):
-    __slots__ = ("x", "y")
+@dataclass(frozen=True, slots=True, init=False)
+class Vec2:
+    x: float
+    y: float
 
     def __init__(self, x: float, y: float):
         x = float(x)
@@ -100,6 +72,9 @@ class Vec2(_Value):
             raise ValueError(f"non-finite vector ({x}, {y})")
         _set_x(self, x)
         _set_y(self, y)
+
+    def __reduce__(self):
+        return (Vec2, (self.x, self.y))
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -124,11 +99,10 @@ class Vec2(_Value):
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
 
-    _values = as_tuple
-
 
 # The slot setters are the only writes a value type sees, made once in
-# __init__; they skip the refusing __setattr__.
+# __init__.  They skip the frozen __setattr__, and are faster than the
+# object.__setattr__ calls a generated frozen __init__ would make.
 _set_x, _set_y = Vec2.x.__set__, Vec2.y.__set__
 
 
@@ -142,8 +116,12 @@ def rot90(v: Vec2) -> Vec2:
     return Vec2(-v.y, v.x)
 
 
-class Mat2(_Value):
-    __slots__ = ("a11", "a12", "a21", "a22")
+@dataclass(frozen=True, slots=True, init=False)
+class Mat2:
+    a11: float
+    a12: float
+    a21: float
+    a22: float
 
     def __init__(self, a11: float, a12: float, a21: float, a22: float):
         a11 = float(a11)
@@ -157,8 +135,8 @@ class Mat2(_Value):
         _set_a21(self, a21)
         _set_a22(self, a22)
 
-    def _values(self) -> tuple[float, float, float, float]:
-        return (self.a11, self.a12, self.a21, self.a22)
+    def __reduce__(self):
+        return (Mat2, (self.a11, self.a12, self.a21, self.a22))
 
     @staticmethod
     def from_rows(rows) -> "Mat2":

@@ -212,8 +212,8 @@ def _canonical_steps(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> list:
     if tol.is_zero(x.x, state_scale) or tol.is_zero(a21 * x.x + a22 * x.y, a_scale * state_scale):
         # x2 is nonzero in both degenerate cases, so (0, c) restores them;
         # c must avoid turning the new A21 x1 + A22 x2 into zero again.
-        c = next(cc for cc in (1.0, 2.0)
-                 if not tol.is_zero(cc * a21 + a22 * a22, abs(a21) + a22 * a22))
+        c = next((cc for cc in (1.0, 2.0)
+                  if not tol.is_zero(cc * a21 + a22 * a22, abs(a21) + a22 * a22)), 2.0)
         bar_steps.append(Vec2(0.0, c))
         x = Vec2(c * x.y, a21 * x.x + a22 * x.y)
     s = a21 * x.x + a22 * x.y

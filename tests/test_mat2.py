@@ -1,6 +1,7 @@
 """Arithmetic kernels: tolerance policy, vectors, matrices, eigen machinery."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given
@@ -102,6 +103,13 @@ def test_value_types_are_immutable_and_compare_by_value():
     assert v != (1.0, -2.0) and m != m.rows()
     assert repr(v) == "Vec2(x=1.0, y=-2.0)"
     assert repr(m) == "Mat2(a11=1.0, a12=2.0, a21=3.0, a22=4.0)"
+    assert not hasattr(v, "__dict__") and not hasattr(m, "__dict__")
+    # Unpickling goes through the constructor, so a corrupted entry is refused.
+    for value, good, bad in ((Vec2(1, 2), b"F2.0", b"Finf"), (m, b"F4.0", b"Fnan")):
+        data = pickle.dumps(value, protocol=0)
+        assert pickle.loads(data) == value and good in data
+        with pytest.raises(ValueError, match="non-finite"):
+            pickle.loads(data.replace(good, bad))
 
 
 def test_matmul_matrix_and_vector():

@@ -122,6 +122,21 @@ def test_canonical_steer_rejects_zero_start(coupled_shift_system):
         canonical_steer(coupled_shift_system, Vec2(0.0, 0.0), Vec2(1.0, 1.0))
 
 
+@pytest.mark.parametrize("steer_fn", [plan_transfer, canonical_steer])
+def test_canonical_prestep_without_a_clearing_scale_is_verified_or_escape_failed(steer_fn):
+    # Neither pre-step scale c in (1, 2) clears c*A21 + A22^2 at this tiny
+    # coupling; the route must end in a documented answer, not StopIteration.
+    sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 0.0], [-1.5e-9, 4.74e-5]]),
+                         (mat([[1.0, 0.0], [0.0, 0.0]]), mat([[0.0, 1.0], [0.0, 0.0]])))
+    xi, eta = Vec2(0.0, 1.0), Vec2(1.0, 1.0)
+    try:
+        plan = steer_fn(sys, xi, eta)
+    except EscapeFailed:
+        return
+    ok, err = verify_plan(sys, xi, eta, plan)
+    assert ok, err
+
+
 def test_plan_transfer_escape_then_solve(rotation_drift_system):
     plan = plan_transfer(rotation_drift_system, Vec2(1.0, 1.0), Vec2(-11.0, -7.0))
     assert plan.steps == ((0.0, 0.0), (5.0, 16.0))
