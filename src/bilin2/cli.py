@@ -32,7 +32,7 @@ from .classify import (
 )
 from .mat2 import Direction, Mat2, TolerancePolicy, Vec2, cross
 from .quadform import LineUnion
-from .simulate import ControlPlan, reachability_oracle, run
+from .simulate import ControlPlan, line_hits, reachability_oracle, run
 from .steer import InExcludedSet, NotControllablePair, ZeroState, plan_transfer
 
 REFUSALS = (InExcludedSet, NotControllablePair, ZeroState)
@@ -245,11 +245,7 @@ def cmd_oracle(args) -> int:
     verdict = analyze(sys)
     hits = None
     if verdict.excluded_initial is not None:
-        # A sample hits a line when the sine of the angle between them is zero.
-        lines = verdict.excluded_initial.lines
-        hits = sum(1 for s in report.samples
-                   if s.norm() == 0.0
-                   or any(sys.tol.is_zero(cross(s, d.vector) / s.norm()) for d in lines))
+        hits = line_hits(sys, report.samples, verdict.excluded_initial.lines)
     _emit({
         "samples": [[s.x, s.y] for s in report.samples],
         "covariance_rank": report.covariance_rank,

@@ -2,9 +2,13 @@
 
 The step map accumulates A + sum u_i B_i entry by entry in input order, so a
 zero control contributes exactly nothing and structurally zero entries stay
-exactly zero along the whole trajectory.  Plan verification and the sampling
-oracle both ride on the same step function; there is no second integrator to
-drift out of agreement.
+exactly zero along the whole trajectory.  Plan verification replays plans
+through ``step``.  The sampling oracle advances all its trials at once as
+numpy arrays, with the same arithmetic in the same order, so each sample is
+bit for bit the ``step`` replay of its plan: there is no second integrator to
+drift out of agreement.  Its random plans come from one generator keyed by
+the seed, one row of uniforms per trial, and the spread of the cloud is
+summarized by a closed-form, scale-free covariance rank.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .classify import BilinearSystem
-from .mat2 import Vec2
+from .mat2 import Vec2, cross
 
 
 class ArityMismatch(ValueError):
@@ -108,26 +112,84 @@ def reachability_oracle(sys: BilinearSystem, xi: Vec2, trials: int,
                         seed: int = 42) -> OracleReport:
     """Sample reachable states by playing random plans of length 1 to 3.
 
-    Control components are uniform on [-3, 3].  Each trial owns a generator
-    derived from (seed, trial index), so the cloud is reproducible and
-    independent of evaluation order.  The covariance rank of the cloud
-    separates line-trapped systems (rank 1) from ones that spread over the
-    plane (rank 2).
+    One generator keyed by ``seed`` draws a (trials, 1 + 3m) block of
+    uniforms on [0, 1), one row per trial: r[0] sets the plan length
+    1 + floor(3 r[0]), and r[1 + k*m + i] the control u_i = -3 + 6 r of step
+    k, so control components are uniform on [-3, 3].  Trial t depends only
+    on (seed, t): the cloud of n trials is a prefix of the cloud of N > n.
+
+    All trials advance together as arrays.  Each step matrix is accumulated
+    like ``step`` does it, from the drift entries (or 0.0) adding u_i B_i in
+    input order, so every sample equals the replay of its plan through
+    ``step`` bit for bit.  A non-finite sample raises ValueError.
+
+    The covariance rank of the cloud separates line-trapped systems (rank 1)
+    from ones that spread over the plane (rank 2); it is 0 when every sample
+    is the same point.  The moments are formed on the cloud divided by its
+    largest coordinate magnitude, and an eigenvalue of the covariance counts
+    when its ratio to the mean squared sample norm is not zero under
+    ``sys.tol``, so the rank does not depend on the scale of xi.
     """
     import numpy as np  # only the oracle needs numpy; importing bilin2 stays light
 
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    samples = []
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        length = int(rng.integers(1, 4))
-        x = xi
-        for _ in range(length):
-            x = step(sys, x, tuple(rng.uniform(-3.0, 3.0, sys.m)))
-        samples.append(x)
-    pts = np.array([[s.x, s.y] for s in samples])
-    cov = np.cov(pts, rowvar=False, bias=True)
-    eigvals = np.linalg.eigvalsh(cov)
-    rank = int(sum(ev > sys.tol.threshold(eigvals[-1]) for ev in eigvals))
-    return OracleReport(tuple(samples), rank)
+    m = sys.m
+    draws = np.random.default_rng(seed).random((trials, 1 + 3 * m))
+    length = 1 + (3.0 * draws[:, 0]).astype(np.intp)
+    controls = -3.0 + 6.0 * draws[:, 1:]
+    x = np.full(trials, xi.x)
+    y = np.full(trials, xi.y)
+    a = sys.drift
+    start = (a.a11, a.a12, a.a21, a.a22) if a is not None else (0.0, 0.0, 0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(3):
+            a11, a12, a21, a22 = start
+            for i, b in enumerate(sys.inputs):
+                ui = controls[:, k * m + i]
+                a11 = a11 + ui * b.a11
+                a12 = a12 + ui * b.a12
+                a21 = a21 + ui * b.a21
+                a22 = a22 + ui * b.a22
+            live = length > k
+            x, y = (np.where(live, a11 * x + a12 * y, x),
+                    np.where(live, a21 * x + a22 * y, y))
+    samples = tuple(map(Vec2, x.tolist(), y.tolist()))
+    return OracleReport(samples, _covariance_rank(x, y, sys.tol))
+
+
+def _covariance_rank(x, y, tol) -> int:
+    """Rank of the 2x2 covariance of the finite cloud (x, y), from its
+    closed-form eigenvalues, each measured against the mean squared norm."""
+    import numpy as np
+
+    scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+    if scale == 0.0:
+        return 0
+    x = x / scale
+    y = y / scale
+    mean_sq = float(np.mean(x * x + y * y))
+    dx = x - np.mean(x)
+    dy = y - np.mean(y)
+    sxx = float(np.mean(dx * dx))
+    syy = float(np.mean(dy * dy))
+    sxy = float(np.mean(dx * dy))
+    half_trace = 0.5 * (sxx + syy)
+    radius = math.hypot(0.5 * (sxx - syy), sxy)
+    return sum(not tol.is_zero(ev / mean_sq)
+               for ev in (half_trace + radius, half_trace - radius))
+
+
+def line_hits(sys: BilinearSystem, samples, lines) -> int:
+    """How many samples lie on one of the lines (``Direction``s).
+
+    A sample is on a line when the sine of the angle between them,
+    cross(s, d) / |s|, is zero under ``sys.tol``; the zero sample is on every
+    line.
+    """
+    hits = 0
+    for s in samples:
+        r = s.norm()
+        if r == 0.0 or any(sys.tol.is_zero(cross(s, d.vector) / r) for d in lines):
+            hits += 1
+    return hits

@@ -1,17 +1,46 @@
 """Plan replay, verification, and the Monte-Carlo reachability probe."""
 
+import warnings
+
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bilin2 import (
     ArityMismatch,
+    BilinearSystem,
     ControlPlan,
+    Mat2,
     OracleReport,
+    SystemKind,
     Vec2,
+    canonical_direction,
     reachability_oracle,
     run,
     step,
     verify_plan,
 )
+from bilin2.simulate import line_hits
+
+ROTATION = Mat2(0.0, -1.0, 1.0, 0.0)
+README_INPUTS = (Mat2(1.0, -1.0, 0.0, 2.0), Mat2(0.0, 0.0, 1.0, 0.0))
+README = BilinearSystem(SystemKind.WITH_DRIFT, ROTATION, README_INPUTS)
+TRAPPED = BilinearSystem(SystemKind.WITH_DRIFT, Mat2(1.0, 2.0, 0.0, 3.0),
+                         (Mat2(1.0, 1.0, 0.0, 0.0), Mat2(0.0, 1.0, 0.0, 0.0)))
+SHARED_LINE = BilinearSystem(SystemKind.WITH_DRIFT, Mat2(5.0, 3.0, -4.0, -2.0),
+                             (Mat2(0.0, -1.0, 2.0, 3.0), Mat2(7.0, 1.0, -1.0, 5.0)))
+# One system per kernel shape: drift with m = 2 and 3, driftless with m = 2 and 4.
+KERNEL_SYSTEMS = {
+    "drift2": README,
+    "drift3": BilinearSystem(SystemKind.WITH_DRIFT, ROTATION,
+                             README_INPUTS + (Mat2(1.5, 0.5, 0.0, -0.25),)),
+    "driftless2": BilinearSystem(SystemKind.DRIFTLESS, None,
+                                 (Mat2(-1.0, 0.0, 3.0, 1.0), Mat2(4.0, 3.0, -6.0, -4.0))),
+    "driftless4": BilinearSystem(SystemKind.DRIFTLESS, None,
+                                 (Mat2(1.0, 2.0, 0.0, -1.0), Mat2(0.0, 1.0, 3.0, 0.0),
+                                  Mat2(2.0, 0.0, 1.0, 1.0), Mat2(0.5, -1.0, 1.0, 0.25))),
+}
 
 
 def test_control_plan_coerces_to_float():
@@ -106,3 +135,78 @@ def test_oracle_sees_the_trapped_line(trapped_triangular_system):
 def test_oracle_rejects_empty_runs(rotation_drift_system):
     with pytest.raises(ValueError, match="trials"):
         reachability_oracle(rotation_drift_system, Vec2(1.0, 1.0), trials=0)
+
+
+def _oracle_plan(sys, seed, trials, t) -> ControlPlan:
+    """Trial t's plan, read from the oracle's documented draw layout."""
+    m = sys.m
+    row = np.random.default_rng(seed).random((trials, 1 + 3 * m))[t]
+    length = 1 + int(3.0 * row[0])
+    return ControlPlan(tuple(tuple(-3.0 + 6.0 * row[1 + k * m:1 + (k + 1) * m])
+                             for k in range(length)))
+
+
+def _bits(v: Vec2) -> tuple[str, str]:
+    return v.x.hex(), v.y.hex()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+def test_oracle_samples_are_step_replays_bit_for_bit(name):
+    sys, xi, trials, seed = KERNEL_SYSTEMS[name], Vec2(0.3, -0.7), 300, 11
+    report = reachability_oracle(sys, xi, trials, seed=seed)
+    lengths = set()
+    for t in range(0, trials, 7):
+        plan = _oracle_plan(sys, seed, trials, t)
+        lengths.add(len(plan))
+        assert _bits(run(sys, xi, plan).final) == _bits(report.samples[t]), t
+    assert lengths == {1, 2, 3}
+
+
+def test_oracle_cloud_of_fewer_trials_is_a_prefix(shared_line_drift_system):
+    xi = Vec2(0.8, 0.3)
+    short = reachability_oracle(shared_line_drift_system, xi, 25, seed=3)
+    long = reachability_oracle(shared_line_drift_system, xi, 1000, seed=3)
+    assert short.samples == long.samples[:25]
+
+
+@given(st.sampled_from([(README, Vec2(1.3, 0.4), 2), (TRAPPED, Vec2(1.0, 0.0), 1),
+                        (SHARED_LINE, Vec2(1.0, -1.0), 1), (SHARED_LINE, Vec2(0.8, 0.3), 2)]),
+       st.integers(min_value=-60, max_value=60), st.integers(min_value=0, max_value=2**32 - 1))
+@example((README, Vec2(1.3, 0.4), 2), -20, 42)
+def test_oracle_rank_does_not_depend_on_the_scale_of_the_start(case, k, seed):
+    # A power of two scales every sample exactly, so the rank must not move.
+    sys, xi, rank = case
+    scaled = Vec2(xi.x * 2.0 ** k, xi.y * 2.0 ** k)
+    assert reachability_oracle(sys, xi, 200, seed=seed).covariance_rank == rank
+    assert reachability_oracle(sys, scaled, 200, seed=seed).covariance_rank == rank
+
+
+def test_oracle_rank_survives_huge_finite_clouds():
+    report = reachability_oracle(README, Vec2(1e200, 1e200), 1000)
+    assert max(s.norm() for s in report.samples) > 1e200
+    assert report.covariance_rank == 2
+
+
+def test_oracle_overflow_raises_value_error_without_warnings():
+    # Inputs scaled by 1e4 push every plan from 1e300 past the largest float;
+    # on the unscaled system the same start stays finite.
+    loud = BilinearSystem(SystemKind.WITH_DRIFT, ROTATION,
+                          tuple(Mat2(*(1e4 * e for e in (b.a11, b.a12, b.a21, b.a22)))
+                                for b in README_INPUTS))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="non-finite"):
+            reachability_oracle(loud, Vec2(1e300, 1e300), 1000)
+    assert caught == []
+
+
+def test_oracle_rank_of_a_single_point_is_zero():
+    assert reachability_oracle(README, Vec2(0.0, 0.0), 50).covariance_rank == 0
+    assert reachability_oracle(README, Vec2(1.0, 0.0), 1).covariance_rank == 0
+
+
+def test_line_hits_counts_samples_on_a_line_and_the_origin(shared_line_drift_system):
+    lines = (canonical_direction(Vec2(1.0, -1.0)),)
+    samples = (Vec2(2.0, -2.0), Vec2(0.0, 0.0), Vec2(1.0, -1.0 + 1e-6), Vec2(-3.0, 3.0))
+    assert line_hits(shared_line_drift_system, samples, lines) == 3
+    assert line_hits(shared_line_drift_system, samples, ()) == 1
