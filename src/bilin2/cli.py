@@ -7,9 +7,10 @@ System files are JSON:
      "B": [[[..,..],[..,..]], ...],   # 2 to 4 input matrices
      "tolerance": {"abs": 1e-9, "rel": 1e-9}}   # optional
 
-Exit codes: 0 on success, 2 on parse or validation failure, 3 when a steering
-request is refused (uncontrollable verdict, excluded initial state, zero
-endpoint under a controllable verdict).  BILIN2_TOL_ABS / BILIN2_TOL_REL
+Exit codes: 0 on success, 2 on parse or validation failure or on a simulated
+state that overflows to a non-finite value, 3 when a steering request is
+refused (uncontrollable verdict, excluded initial state, zero endpoint under a
+controllable verdict).  BILIN2_TOL_ABS / BILIN2_TOL_REL
 override the tolerance from the environment, taking precedence over the file.
 """
 
@@ -216,7 +217,10 @@ def cmd_simulate(args) -> int:
     sys = load_system(args.file)
     xi = _parse_state(args.from_state, "--from")
     plan = _load_plan(args.plan, sys.m)
-    trajectory = run(sys, xi, plan)
+    try:
+        trajectory = run(sys, xi, plan)
+    except ValueError as exc:  # a state overflowed to inf or nan
+        raise SystemFileError(str(exc)) from exc
     rows = []
     for k, state in enumerate(trajectory.states):
         controls = ([repr(c) for c in plan.steps[k]] if k < len(plan)
@@ -241,7 +245,12 @@ def cmd_oracle(args) -> int:
     xi = _parse_state(args.from_state, "--from")
     if args.trials < 1:
         raise SystemFileError(f"--trials must be positive, got {args.trials}")
-    report = reachability_oracle(sys, xi, args.trials, seed=args.seed)
+    if args.seed < 0:
+        raise SystemFileError(f"--seed must not be negative, got {args.seed}")
+    try:
+        report = reachability_oracle(sys, xi, args.trials, seed=args.seed)
+    except ValueError as exc:  # a sample overflowed to inf or nan
+        raise SystemFileError(str(exc)) from exc
     verdict = analyze(sys)
     hits = None
     if verdict.excluded_initial is not None:

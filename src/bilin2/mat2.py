@@ -7,18 +7,23 @@ problems the explicit formulas are both faster and easier to audit than a genera
 linear algebra call, and they keep golden-value tests exact.
 
 ``Vec2`` and ``Mat2`` are frozen slotted dataclasses: equality, hashing, repr
-and immutability are generated.  Their hand-written ``__init__`` is the one
-place finiteness is checked: every entry is coerced to float and a non-finite
-one raises ValueError, so arithmetic that overflows fails where it happens and
-nothing downstream re-checks its inputs.  Their ``__reduce__`` sends copies and
-unpickling through that same constructor, so no path builds an unchecked value.
+and immutability are generated.  Finiteness is checked in this module only,
+at two doors.  The hand-written ``__init__`` coerces every entry to float and
+raises ValueError on a non-finite one, so arithmetic that overflows fails
+where it happens and nothing downstream re-checks its inputs; ``__reduce__``
+sends copies and unpickling through it.  The bulk constructor ``_vec2s``
+builds a whole cloud of vectors at once: it checks every coordinate in one
+pass and raises the constructor's own error, so no path builds an unchecked
+value.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from math import isfinite
 
 
@@ -101,9 +106,25 @@ class Vec2:
 
 
 # The slot setters are the only writes a value type sees, made once in
-# __init__.  They skip the frozen __setattr__, and are faster than the
-# object.__setattr__ calls a generated frozen __init__ would make.
+# __init__ or _vec2s.  They skip the frozen __setattr__, and are faster than
+# the object.__setattr__ calls a generated frozen __init__ would make.
 _set_x, _set_y = Vec2.x.__set__, Vec2.y.__set__
+
+
+def _vec2s(xs: list[float], ys: list[float]) -> tuple[Vec2, ...]:
+    """The vectors (xs[i], ys[i]) from two equal-length lists of floats.
+
+    Equal to ``tuple(map(Vec2, xs, ys))``, without a constructor call per
+    vector: finiteness is checked once over each list, and the loops run in
+    C.  When a coordinate is not finite the pairs go through ``Vec2`` in
+    order, so the first bad pair raises the constructor's own ValueError.
+    """
+    if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
+        deque(map(Vec2, xs, ys), 0)
+    vs = tuple(map(object.__new__, repeat(Vec2, len(xs))))
+    deque(map(_set_x, vs, xs), 0)
+    deque(map(_set_y, vs, ys), 0)
+    return vs
 
 
 def cross(u: Vec2, v: Vec2) -> float:

@@ -7,8 +7,9 @@ through ``step``.  The sampling oracle advances all its trials at once as
 numpy arrays, with the same arithmetic in the same order, so each sample is
 bit for bit the ``step`` replay of its plan: there is no second integrator to
 drift out of agreement.  Its random plans come from one generator keyed by
-the seed, one row of uniforms per trial, and the spread of the cloud is
-summarized by a closed-form, scale-free covariance rank.
+the seed, one row of uniforms per trial; the final states are built into
+``Vec2`` samples in bulk, with one finiteness pass over the cloud, and their
+spread is summarized by a closed-form, scale-free covariance rank.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .classify import BilinearSystem
-from .mat2 import Vec2, cross
+from .mat2 import Vec2, _vec2s, cross
 
 
 class ArityMismatch(ValueError):
@@ -121,7 +122,9 @@ def reachability_oracle(sys: BilinearSystem, xi: Vec2, trials: int,
     All trials advance together as arrays.  Each step matrix is accumulated
     like ``step`` does it, from the drift entries (or 0.0) adding u_i B_i in
     input order, so every sample equals the replay of its plan through
-    ``step`` bit for bit.  A non-finite sample raises ValueError.
+    ``step`` bit for bit.  The samples are built in bulk by ``mat2``, which
+    checks the whole cloud for finiteness at once; a non-finite sample raises
+    the ValueError that ``Vec2`` raises for the first such sample.
 
     The covariance rank of the cloud separates line-trapped systems (rank 1)
     from ones that spread over the plane (rank 2); it is 0 when every sample
@@ -154,7 +157,7 @@ def reachability_oracle(sys: BilinearSystem, xi: Vec2, trials: int,
             live = length > k
             x, y = (np.where(live, a11 * x + a12 * y, x),
                     np.where(live, a21 * x + a22 * y, y))
-    samples = tuple(map(Vec2, x.tolist(), y.tolist()))
+    samples = _vec2s(x.tolist(), y.tolist())
     return OracleReport(samples, _covariance_rank(x, y, sys.tol))
 
 
@@ -168,15 +171,18 @@ def _covariance_rank(x, y, tol) -> int:
         return 0
     x = x / scale
     y = y / scale
-    mean_sq = float(np.mean(x * x + y * y))
-    dx = x - np.mean(x)
-    dy = y - np.mean(y)
-    sxx = float(np.mean(dx * dx))
-    syy = float(np.mean(dy * dy))
-    sxy = float(np.mean(dx * dy))
+    n = x.size
+    # Sums, not means: the trial count cancels in the ratio of an eigenvalue
+    # to the mean squared norm.
+    sum_sq = float(x @ x + y @ y)
+    dx = x - x.sum() / n
+    dy = y - y.sum() / n
+    sxx = float(dx @ dx)
+    syy = float(dy @ dy)
+    sxy = float(dx @ dy)
     half_trace = 0.5 * (sxx + syy)
     radius = math.hypot(0.5 * (sxx - syy), sxy)
-    return sum(not tol.is_zero(ev / mean_sq)
+    return sum(not tol.is_zero(ev / sum_sq)
                for ev in (half_trace + radius, half_trace - radius))
 
 

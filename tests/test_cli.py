@@ -256,6 +256,32 @@ def test_oracle_rejects_bad_trials(write_doc, capsys):
     assert "--trials must be positive" in capsys.readouterr().err
 
 
+def test_oracle_rejects_negative_seed(write_doc, capsys):
+    assert cli.main(["oracle", write_doc(ROTATION_DRIFT), "--from", "1,1",
+                     "--trials", "3", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must not be negative, got -1\n"
+
+
+def test_simulate_reports_overflow(write_doc, tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps([[1e200, 1e200]] * 3), encoding="utf-8")
+    assert cli.main(["simulate", write_doc(ROTATION_DRIFT), "--from", "1,1",
+                     "--plan", str(plan_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite vector (")
+
+
+def test_oracle_reports_overflow(write_doc, capsys):
+    assert cli.main(["oracle", write_doc(ROTATION_DRIFT), "--from", "1e307,1e307",
+                     "--trials", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite vector (")
+
+
 def test_env_tolerance_must_be_numeric(write_doc, monkeypatch, capsys):
     monkeypatch.setenv("BILIN2_TOL_ABS", "garbage")
     assert cli.main(["analyze", write_doc(ROTATION_DRIFT)]) == 2

@@ -25,6 +25,7 @@ from bilin2 import (
     rot90,
     solve2,
 )
+from bilin2.mat2 import _vec2s
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -64,6 +65,32 @@ def test_vec2_rejects_non_finite():
         Vec2(float("nan"), 0.0)
     with pytest.raises(ValueError):
         Vec2(0.0, float("inf"))
+
+
+def test_bulk_vectors_equal_constructed_ones():
+    xs, ys = [1.0, -0.0, 2.5e300], [3.0, 5e-324, -7.0]
+    assert _vec2s(xs, ys) == tuple(map(Vec2, xs, ys))
+    assert _vec2s([], []) == ()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_bulk_vectors_reject_non_finite_like_the_constructor(bad, at):
+    for coord in (0, 1):
+        xs, ys = [0.5, 1.0, 1.5, 2.0, 2.5], [-1.0, -2.0, -3.0, -4.0, -5.0]
+        (xs, ys)[coord][at] = bad
+        with pytest.raises(ValueError) as constructed:
+            Vec2(xs[at], ys[at])
+        with pytest.raises(ValueError) as bulk:
+            _vec2s(xs, ys)
+        assert str(bulk.value) == str(constructed.value)
+
+
+def test_bulk_vectors_report_the_first_bad_pair():
+    # A bad y before a bad x: the error names the earlier pair.
+    xs, ys = [0.0, 1.0, math.inf], [0.0, math.nan, 2.0]
+    with pytest.raises(ValueError, match=r"^non-finite vector \(1\.0, nan\)$"):
+        _vec2s(xs, ys)
 
 
 def test_cross_and_rot90():

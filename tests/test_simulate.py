@@ -1,6 +1,9 @@
 """Plan replay, verification, and the Monte-Carlo reachability probe."""
 
+import copy
+import pickle
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -160,6 +163,20 @@ def test_oracle_samples_are_step_replays_bit_for_bit(name):
         lengths.add(len(plan))
         assert _bits(run(sys, xi, plan).final) == _bits(report.samples[t]), t
     assert lengths == {1, 2, 3}
+
+
+def test_oracle_samples_behave_like_constructed_vectors():
+    # The samples are built in bulk, without a constructor call each.
+    samples = reachability_oracle(README, Vec2(0.3, -0.7), 60, seed=5).samples
+    assert type(samples) is tuple and len(samples) == 60
+    for s in samples:
+        assert type(s) is Vec2 and not hasattr(s, "__dict__")
+        built = Vec2(s.x, s.y)
+        assert s == built and hash(s) == hash(built)
+        with pytest.raises(FrozenInstanceError):
+            s.x = 0.0
+        assert copy.deepcopy(s) == s
+        assert pickle.loads(pickle.dumps(s, protocol=0)) == s
 
 
 def test_oracle_cloud_of_fewer_trials_is_a_prefix(shared_line_drift_system):
