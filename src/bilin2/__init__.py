@@ -4,40 +4,28 @@ discrete-time bilinear systems with two to four inputs."""
 from .classify import (
     BilinearSystem,
     InvalidSystem,
-    NotNearlyControllable,
     Reduction,
     SystemKind,
     Verdict,
     VerdictClass,
     analyze,
     apply_reduction,
-    excluded_set,
-    expand_controls,
 )
 from .mat2 import (
     DEFAULT_TOL,
     Direction,
-    EigenKind,
-    EigenReport,
     Mat2,
     SingularMatrix,
     TolerancePolicy,
     Vec2,
     ZeroVector,
-    canonical_direction,
-    cross,
-    is_eigenvector,
-    line_angle,
-    line_gap,
     linearly_independent,
     real_eigen_directions,
-    rot90,
     solve2,
 )
 from .quadform import (
     LineSetKind,
     LineUnion,
-    QuadraticForm,
     form_scale,
     gram_form,
     zero_lines,
@@ -46,7 +34,6 @@ from .simulate import (
     ArityMismatch,
     ControlPlan,
     OracleReport,
-    Trajectory,
     reachability_oracle,
     run,
     step,

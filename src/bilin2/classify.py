@@ -27,22 +27,18 @@ from functools import cached_property
 from typing import Optional
 
 from .mat2 import DEFAULT_TOL, Direction, Mat2, TolerancePolicy, linearly_independent
-from .quadform import LineSetKind, LineUnion, form_scale, gram_form, zero_lines
+from .quadform import LineSetKind, LineUnion, pair_lines
 from .structure import (
     StructureReport,
-    antidiagonalize_pair,
+    _antidiagonal,
+    _triangular,
     combine_inputs,
     common_real_eigenvector,
-    triangularize,
 )
 
 
 class InvalidSystem(ValueError):
     """The matrices do not form a valid system of the studied family."""
-
-
-class NotNearlyControllable(ValueError):
-    """An excluded set was requested for a system whose verdict has none."""
 
 
 class SystemKind(Enum):
@@ -199,10 +195,6 @@ def expand_controls(red: Reduction, m: int, v1: float, v2: float) -> tuple[float
     return tuple(u)
 
 
-def _pair_lines(b1: Mat2, b2: Mat2, tol: TolerancePolicy) -> LineUnion:
-    return zero_lines(gram_form(b1, b2), tol, scale=form_scale(b1, b2))
-
-
 def _verdict_controllable(sys: BilinearSystem) -> Verdict:
     if sys.m == 2:
         red = Reduction()
@@ -223,14 +215,14 @@ def _nearly(lines: LineUnion, report: StructureReport, red: Reduction) -> Verdic
 
 
 def _verdict_with_common_vector(sys: BilinearSystem, common: Direction) -> Verdict:
-    report = triangularize(sys.matrices(), common, sys.tol)
+    report = _triangular(sys.matrices(), common, sys.tol)
     input_forms = report.canonical_forms[1:] if sys.drift is not None else report.canonical_forms
     live = [not sys.tol.is_zero(f.a22, b.frob())
             for f, b in zip(input_forms, sys.inputs)]
     if not any(live):
         return Verdict(VerdictClass.UNCONTROLLABLE, None, common, report, Reduction())
     if sys.m == 2:
-        return _nearly(_pair_lines(*sys.inputs, sys.tol), report, Reduction())
+        return _nearly(pair_lines(*sys.inputs, sys.tol), report, Reduction())
     if sys.kind is SystemKind.WITH_DRIFT:
         # Three independent matrices sharing an eigenvector plus an independent
         # drift cannot exist: triangular 2x2 matrices span a 3-dim space.  Only
@@ -238,7 +230,7 @@ def _verdict_with_common_vector(sys: BilinearSystem, common: Direction) -> Verdi
         raise InvalidSystem("drift system with three inputs sharing an eigenvector "
                             "is inconsistent with linear independence")
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        lu = _pair_lines(sys.inputs[i], sys.inputs[j], sys.tol)
+        lu = pair_lines(sys.inputs[i], sys.inputs[j], sys.tol)
         if lu.kind is not LineSetKind.ALL_OF_PLANE:
             (pinned,) = set(range(3)) - {i, j}
             return _nearly(lu, report, Reduction(pinned_index=pinned, pinned_value=0.0))
@@ -261,19 +253,9 @@ def _classify(sys: BilinearSystem) -> Verdict:
     if common is not None:
         return _verdict_with_common_vector(sys, common)
     if sys.kind is SystemKind.DRIFTLESS and sys.m == 2:
-        report = antidiagonalize_pair(sys.inputs[0], sys.inputs[1], sys.tol)
-        if report is not None:
-            return _nearly(_pair_lines(*sys.inputs, sys.tol), report, Reduction())
+        found = _antidiagonal(*sys.inputs, sys.tol)
+        if found is not None:
+            report, lines = found
+            return _nearly(lines, report, Reduction())
     return _verdict_controllable(sys)
 
-
-def excluded_set(sys: BilinearSystem) -> LineUnion:
-    """Excluded initial lines of a nearly controllable system.
-
-    The terminal excluded set is always empty.  Raises NotNearlyControllable
-    for the other two verdict classes.
-    """
-    verdict = analyze(sys)
-    if verdict.klass is not VerdictClass.NEARLY_CONTROLLABLE:
-        raise NotNearlyControllable(f"verdict is {verdict.klass.value}")
-    return verdict.excluded_initial

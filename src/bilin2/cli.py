@@ -7,10 +7,12 @@ System files are JSON:
      "B": [[[..,..],[..,..]], ...],   # 2 to 4 input matrices
      "tolerance": {"abs": 1e-9, "rel": 1e-9}}   # optional
 
-Exit codes: 0 on success, 2 on parse or validation failure or on a simulated
-state that overflows to a non-finite value, 3 when a steering request is
-refused (uncontrollable verdict, excluded initial state, zero endpoint under a
-controllable verdict).  BILIN2_TOL_ABS / BILIN2_TOL_REL
+Exit codes: 0 on success, 2 on parse or validation failure or on a simulated,
+sampled or replayed state that overflows to a non-finite value, 3 when a
+steering request is refused (uncontrollable verdict, excluded initial state,
+zero endpoint under a controllable verdict, or no plan found: no escape step
+cleared the singular set, no usable two-step construction, or a singular input
+substitution).  BILIN2_TOL_ABS / BILIN2_TOL_REL
 override the tolerance from the environment, taking precedence over the file.
 """
 
@@ -34,9 +36,18 @@ from .classify import (
 from .mat2 import Direction, Mat2, TolerancePolicy, Vec2, cross
 from .quadform import LineUnion
 from .simulate import ControlPlan, line_hits, reachability_oracle, run
-from .steer import InExcludedSet, NotControllablePair, ZeroState, plan_transfer
+from .steer import (
+    EscapeFailed,
+    InExcludedSet,
+    NotCanonicalClass,
+    NotControllablePair,
+    SingularSubstitution,
+    ZeroState,
+    plan_transfer,
+)
 
-REFUSALS = (InExcludedSet, NotControllablePair, ZeroState)
+REFUSALS = (InExcludedSet, NotControllablePair, ZeroState,
+            EscapeFailed, NotCanonicalClass, SingularSubstitution)
 
 
 class SystemFileError(ValueError):
@@ -189,6 +200,8 @@ def cmd_steer(args) -> int:
     except REFUSALS as exc:
         _emit({"reason": str(exc)})
         return 3
+    except ValueError as exc:  # the replay overflowed to inf or nan
+        raise SystemFileError(str(exc)) from exc
     _emit({"steps": [list(u) for u in plan.steps], "residual": plan.residual})
     return 0
 
@@ -218,11 +231,11 @@ def cmd_simulate(args) -> int:
     xi = _parse_state(args.from_state, "--from")
     plan = _load_plan(args.plan, sys.m)
     try:
-        trajectory = run(sys, xi, plan)
+        states = run(sys, xi, plan)
     except ValueError as exc:  # a state overflowed to inf or nan
         raise SystemFileError(str(exc)) from exc
     rows = []
-    for k, state in enumerate(trajectory.states):
+    for k, state in enumerate(states):
         controls = ([repr(c) for c in plan.steps[k]] if k < len(plan)
                     else [""] * sys.m)
         rows.append([str(k), repr(state.x), repr(state.y)] + controls)
@@ -235,7 +248,7 @@ def cmd_simulate(args) -> int:
     finally:
         if args.csv:
             sink.close()
-    final = trajectory.final
+    final = states[-1]
     print(f"terminal state: {final.x!r},{final.y!r}", file=_sys.stderr)
     return 0
 

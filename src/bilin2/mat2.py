@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from itertools import repeat
 from math import isfinite
+from typing import Optional
 
 
 class ZeroVector(ValueError):
@@ -284,31 +284,6 @@ def canonical_direction(v: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Directio
     return Direction(Vec2(s * ux + 0.0, s * uy + 0.0))
 
 
-def line_angle(d1: Direction, d2: Direction) -> float:
-    """Angle in [0, pi/2] between the lines carried by two directions."""
-    return math.asin(min(1.0, abs(cross(d1.vector, d2.vector))))
-
-
-def line_gap(d1: Direction, d2: Direction) -> float:
-    """Distance between canonical representatives, insensitive to a sign flip."""
-    a = (d1.vector - d2.vector).norm()
-    b = (d1.vector + d2.vector).norm()
-    return min(a, b)
-
-
-class EigenKind(Enum):
-    NONE = "none"
-    ONE = "one"
-    TWO = "two"
-    ISOTROPIC = "isotropic"
-
-
-@dataclass(frozen=True)
-class EigenReport:
-    kind: EigenKind
-    directions: tuple[Direction, ...] = ()
-
-
 def _eigvec_for(m: Mat2, lam: float) -> Vec2:
     # Kernel vector of (m - lam*I): orthogonal to either row; both candidates
     # are parallel in exact arithmetic, so take the numerically larger one.
@@ -317,31 +292,31 @@ def _eigvec_for(m: Mat2, lam: float) -> Vec2:
     return vb if vb.norm() > va.norm() else va
 
 
-def real_eigen_directions(m: Mat2, tol: TolerancePolicy = DEFAULT_TOL) -> EigenReport:
-    """Real eigen-directions of m, classified by the characteristic discriminant.
+def real_eigen_directions(m: Mat2,
+                          tol: TolerancePolicy = DEFAULT_TOL) -> Optional[tuple[Direction, ...]]:
+    """Real eigen-directions of m, or None when m is isotropic.
 
     Isotropic (scalar multiple of the identity, every direction invariant) is
-    detected first; then discriminant < 0 within tolerance means no real
-    directions, ~0 one repeated direction, > 0 two.  With two, the direction of
-    the larger eigenvalue (trace + sqrt(disc))/2 comes first.
+    detected first; then the characteristic discriminant decides: < 0 within
+    tolerance gives no real directions, ~0 one repeated direction, > 0 two.
+    With two, the direction of the larger eigenvalue (trace + sqrt(disc))/2
+    comes first.
     """
     scale = m.frob()
     if (tol.is_zero(m.a12, scale) and tol.is_zero(m.a21, scale)
             and tol.is_zero(m.a11 - m.a22, scale)):
-        return EigenReport(EigenKind.ISOTROPIC)
+        return None
     tr = m.trace()
     disc = tr * tr - 4.0 * m.det()
     disc_scale = scale * scale
     if tol.is_zero(disc, disc_scale):
-        lam = 0.5 * tr
-        d = canonical_direction(_eigvec_for(m, lam), tol)
-        return EigenReport(EigenKind.ONE, (d,))
+        return (canonical_direction(_eigvec_for(m, 0.5 * tr), tol),)
     if disc < 0.0:
-        return EigenReport(EigenKind.NONE)
+        return ()
     sq = math.sqrt(disc)
     hi = canonical_direction(_eigvec_for(m, 0.5 * (tr + sq)), tol)
     lo = canonical_direction(_eigvec_for(m, 0.5 * (tr - sq)), tol)
-    return EigenReport(EigenKind.TWO, (hi, lo))
+    return (hi, lo)
 
 
 def is_eigenvector(m: Mat2, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

@@ -136,3 +136,8 @@ def zero_lines(q: QuadraticForm, tol: TolerancePolicy = DEFAULT_TOL,
                 canonical_direction(Vec2(1.0, a / s), tol))
     ordered = tuple(sorted(dirs, key=_angle_key))
     return LineUnion(LineSetKind.TWO_LINES, ordered)
+
+
+def pair_lines(b1: Mat2, b2: Mat2, tol: TolerancePolicy = DEFAULT_TOL) -> LineUnion:
+    """The zero lines of the pair's steering form, tested at its own scale."""
+    return zero_lines(gram_form(b1, b2), tol, scale=form_scale(b1, b2))

@@ -50,16 +50,6 @@ class ControlPlan:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    states: tuple[Vec2, ...]
-    controls: ControlPlan
-
-    @property
-    def final(self) -> Vec2:
-        return self.states[-1]
-
-
 def step(sys: BilinearSystem, x: Vec2, u) -> Vec2:
     """One transition x -> (A + sum u_i B_i) x."""
     u = tuple(u)
@@ -78,12 +68,12 @@ def step(sys: BilinearSystem, x: Vec2, u) -> Vec2:
     return Vec2(a11 * x.x + a12 * x.y, a21 * x.x + a22 * x.y)
 
 
-def run(sys: BilinearSystem, x0: Vec2, plan: ControlPlan) -> Trajectory:
-    """Replay a plan from x0; the trajectory has len(plan) + 1 states."""
+def run(sys: BilinearSystem, x0: Vec2, plan: ControlPlan) -> tuple[Vec2, ...]:
+    """Replay a plan from x0: the len(plan) + 1 states, starting with x0."""
     states = [x0]
     for u in plan.steps:
         states.append(step(sys, states[-1], u))
-    return Trajectory(tuple(states), plan)
+    return tuple(states)
 
 
 _LANDING_TOL = 1e-9
@@ -97,7 +87,7 @@ def verify_plan(sys: BilinearSystem, xi: Vec2, eta: Vec2,
     is the one acceptance rule: ``plan_transfer`` and ``canonical_steer``
     return a plan only when it holds.
     """
-    error = (run(sys, xi, plan).final - eta).norm()
+    error = (run(sys, xi, plan)[-1] - eta).norm()
     return error <= _LANDING_TOL * (1.0 + eta.norm()), error
 
 

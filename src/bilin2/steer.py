@@ -16,15 +16,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .classify import (
-    BilinearSystem,
-    SystemKind,
-    Verdict,
-    VerdictClass,
-    analyze,
-    expand_controls,
-)
-from .mat2 import DEFAULT_TOL, Mat2, SingularMatrix, Vec2, solve2
+from .classify import BilinearSystem, SystemKind, VerdictClass, analyze, expand_controls
+from .mat2 import Mat2, SingularMatrix, Vec2, solve2
 from .quadform import LineSetKind, form_scale, gram_form, zero_lines
 from .simulate import ControlPlan, verify_plan
 from .structure import zero_bottom_row_pair
@@ -51,7 +44,8 @@ class NotCanonicalClass(RuntimeError):
 
 
 class SingularSubstitution(RuntimeError):
-    """The input substitution matrix is singular; the inputs were not independent."""
+    """The input substitution matrix of the two-step construction failed the
+    determinant zero test; badly scaled independent inputs can cause it."""
 
 
 ESCAPE_CANDIDATES_DRIFT = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 3.0))
@@ -110,10 +104,9 @@ class _Steering:
         if self.drift is None:
             raise NotCanonicalClass("the two-step construction needs a drift term")
         b1, b2 = self.inputs
-        found = zero_bottom_row_pair(b1, b2, self.tol)
-        if found is None:
+        p = zero_bottom_row_pair(b1, b2, self.tol)
+        if p is None:
             raise NotCanonicalClass("inputs do not share a left null direction")
-        _, p = found
         p_inv = Mat2(p.a11, p.a21, p.a12, p.a22)  # rotation: inverse is transpose
         a_bar = p @ self.drift @ p_inv
         f1 = p @ b1 @ p_inv

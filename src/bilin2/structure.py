@@ -17,7 +17,6 @@ from typing import Optional
 from .mat2 import (
     DEFAULT_TOL,
     Direction,
-    EigenKind,
     Mat2,
     SingularMatrix,
     TolerancePolicy,
@@ -28,7 +27,7 @@ from .mat2 import (
     real_eigen_directions,
     rot90,
 )
-from .quadform import LineSetKind, form_scale, gram_form, zero_lines
+from .quadform import LineSetKind, LineUnion, pair_lines
 
 
 class NotCommonEigenvector(ValueError):
@@ -71,10 +70,10 @@ def common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL) -> Optional[
     """
     ms = tuple(ms)
     for m in ms:
-        report = real_eigen_directions(m, tol)
-        if report.kind is EigenKind.ISOTROPIC:
+        directions = real_eigen_directions(m, tol)
+        if directions is None:
             continue
-        for d in report.directions:
+        for d in directions:
             if all(is_eigenvector(x, d, tol) for x in ms):
                 return d
         return None
@@ -94,6 +93,11 @@ def triangularize(ms, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> Struc
         if not is_eigenvector(m, d, tol):
             raise NotCommonEigenvector(
                 f"({d.x}, {d.y}) is not an eigenvector of {m.rows()} within tolerance")
+    return _triangular(ms, d, tol)
+
+
+def _triangular(ms: tuple[Mat2, ...], d: Direction, tol: TolerancePolicy) -> StructureReport:
+    """The report of :func:`triangularize` for a direction already certified."""
     beta = rot90(d.vector)
     p_inv = Mat2(d.x, beta.x, d.y, beta.y)
     p = Mat2(d.x, d.y, beta.x, beta.y)
@@ -116,13 +120,14 @@ def _left_kernel(m: Mat2, tol: TolerancePolicy) -> Optional[Vec2]:
 
 
 def zero_bottom_row_pair(b1: Mat2, b2: Mat2,
-                         tol: TolerancePolicy = DEFAULT_TOL) -> Optional[tuple[Direction, Mat2]]:
-    """Common left null direction w of the pair and a P whose second row is w^T.
+                         tol: TolerancePolicy = DEFAULT_TOL) -> Optional[Mat2]:
+    """A P whose second row is the pair's common left null direction w^T.
 
     Both matrices must be singular with proportional left kernels; then
-    P @ bi @ P^-1 has a zero bottom row for both.  P's first row is the unit
-    vector orthogonal to w, so P is a rotation.  Returns None when the pair is
-    not in this class.
+    P @ bi @ P^-1 has a zero bottom row for both.  w is canonical (see
+    ``canonical_direction``), and P's first row is the unit vector orthogonal
+    to it, so P is a rotation.  Returns None when the pair is not in this
+    class.
     """
     w1 = _left_kernel(b1, tol)
     w2 = _left_kernel(b2, tol)
@@ -139,8 +144,7 @@ def zero_bottom_row_pair(b1: Mat2, b2: Mat2,
             return None
         w = w1
     d = canonical_direction(w, tol)
-    p = Mat2(d.y, -d.x, d.x, d.y)
-    return d, p
+    return Mat2(d.y, -d.x, d.x, d.y)
 
 
 def antidiagonalize_pair(b1: Mat2, b2: Mat2,
@@ -153,11 +157,19 @@ def antidiagonalize_pair(b1: Mat2, b2: Mat2,
     form vanishes.  A candidate succeeds when v and b1 @ v span the plane and
     b2 maps b1 @ v back onto the line of v; then P^-1 = [v, b1 @ v] columns.
     """
+    found = _antidiagonal(b1, b2, tol)
+    return found[0] if found else None
+
+
+def _antidiagonal(b1: Mat2, b2: Mat2,
+                  tol: TolerancePolicy) -> Optional[tuple[StructureReport, LineUnion]]:
+    """The report of :func:`antidiagonalize_pair`, with the zero lines it was
+    found on."""
     if not tol.is_zero(b1.trace(), b1.frob()):
         return None
     if not tol.is_zero(b2.trace(), b2.frob()):
         return None
-    lu = zero_lines(gram_form(b1, b2), tol, scale=form_scale(b1, b2))
+    lu = pair_lines(b1, b2, tol)
     if lu.kind not in (LineSetKind.ONE_LINE, LineSetKind.TWO_LINES):
         return None
     for d in lu.lines:
@@ -176,7 +188,7 @@ def antidiagonalize_pair(b1: Mat2, b2: Mat2,
         except SingularMatrix:
             continue
         forms = (p @ b1 @ p_inv, p @ b2 @ p_inv)
-        return StructureReport(FormClass.ANTI_DIAGONAL, p, p_inv, forms, None)
+        return StructureReport(FormClass.ANTI_DIAGONAL, p, p_inv, forms, None), lu
     return None
 
 

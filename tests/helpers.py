@@ -10,15 +10,8 @@ import math
 
 import numpy as np
 
-from bilin2 import (
-    BilinearSystem,
-    Direction,
-    Mat2,
-    SystemKind,
-    Vec2,
-    canonical_direction,
-    line_angle,
-)
+from bilin2 import BilinearSystem, Direction, Mat2, SystemKind, Vec2
+from bilin2.mat2 import canonical_direction, cross
 
 
 def mat(rows) -> Mat2:
@@ -57,6 +50,18 @@ def conjugate_system(sys: BilinearSystem, p: Mat2) -> BilinearSystem:
     drift = p @ sys.drift @ p_inv if sys.drift is not None else None
     return BilinearSystem(sys.kind, drift, tuple(p @ b @ p_inv for b in sys.inputs),
                           sys.tol)
+
+
+def line_angle(d1: Direction, d2: Direction) -> float:
+    """Angle in [0, pi/2] between the lines carried by two directions."""
+    return math.asin(min(1.0, abs(cross(d1.vector, d2.vector))))
+
+
+def line_gap(d1: Direction, d2: Direction) -> float:
+    """Distance between canonical representatives, insensitive to a sign flip."""
+    a = (d1.vector - d2.vector).norm()
+    b = (d1.vector + d2.vector).norm()
+    return min(a, b)
 
 
 def assert_lines_match(lines, expected_vecs, tol_angle=1e-9):

@@ -22,21 +22,18 @@ from bilin2 import (
     Vec2,
     VerdictClass,
     analyze,
-    canonical_direction,
     canonical_steer,
     cli,
-    cross,
     gram_form,
     form_scale,
-    line_gap,
     plan_transfer,
-    run,
     step,
     verify_plan,
     zero_lines,
     ControlPlan,
     DEFAULT_TOL,
 )
+from bilin2.mat2 import canonical_direction, cross
 from helpers import (
     angles_match,
     antidiagonal_system,
@@ -45,6 +42,7 @@ from helpers import (
     direction_angle,
     generic_drift_system,
     generic_driftless_system,
+    line_gap,
     mat,
     random_similarity,
     rand_mat,

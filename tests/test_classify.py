@@ -13,23 +13,21 @@ from bilin2 import (
     InvalidSystem,
     LineSetKind,
     Mat2,
-    NotNearlyControllable,
     Reduction,
     SystemKind,
     Vec2,
     VerdictClass,
     analyze,
     apply_reduction,
-    canonical_direction,
-    excluded_set,
-    expand_controls,
-    line_gap,
     plan_transfer,
 )
+from bilin2.classify import expand_controls
+from bilin2.mat2 import canonical_direction
 from helpers import (
     assert_lines_match,
     conjugate_system,
     generic_drift_system,
+    line_gap,
     mat,
     random_similarity,
     triangular_drift_system,
@@ -203,11 +201,9 @@ def test_apply_reduction_identity_requires_two_inputs(rotation_drift_system):
 def test_excluded_set_only_for_nearly(rotation_drift_system,
                                       shared_line_drift_system,
                                       trapped_triangular_system):
-    assert excluded_set(shared_line_drift_system).kind is LineSetKind.TWO_LINES
-    with pytest.raises(NotNearlyControllable):
-        excluded_set(rotation_drift_system)
-    with pytest.raises(NotNearlyControllable):
-        excluded_set(trapped_triangular_system)
+    assert analyze(shared_line_drift_system).excluded_initial.kind is LineSetKind.TWO_LINES
+    assert analyze(rotation_drift_system).excluded_initial is None
+    assert analyze(trapped_triangular_system).excluded_initial is None
 
 
 def test_verdict_class_is_similarity_invariant():
@@ -235,7 +231,6 @@ def test_verdict_class_is_similarity_invariant():
 def test_analyze_computes_the_verdict_once_per_system(shared_line_drift_system):
     sys = shared_line_drift_system
     assert analyze(sys) is analyze(sys)
-    assert excluded_set(sys) is analyze(sys).excluded_initial
 
 
 def test_equal_systems_get_equal_verdicts(shared_line_drift_system, swap_pair_system,

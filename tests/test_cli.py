@@ -17,6 +17,13 @@ SHARED_LINE = {"kind": "drift", "A": [[5, 3], [-4, -2]],
 SWAP_PAIR = {"kind": "driftless", "B": [[[-1, 0], [3, 1]], [[4, 3], [-6, -4]]]}
 TRAPPED = {"kind": "drift", "A": [[1, 2], [0, 3]],
            "B": [[[1, 1], [0, 0]], [[0, 1], [0, 0]]]}
+# Controllable, with inputs so small that the steering form is zero within the
+# absolute floor: the two-step construction is asked for, without a drift.
+TINY_DRIFTLESS = {"kind": "driftless", "B": [[[0, -1e-5], [1e-5, 0]], [[1e-5, 0], [0, 2e-5]]]}
+# Controllable, with a substitution matrix diag(1e-3, 1e-8) whose determinant
+# falls under the absolute zero floor.
+SINGULAR_SUBSTITUTION = {"kind": "drift", "A": [[0, 0], [1, 0]],
+                         "B": [[[1e-3, 0], [0, 0]], [[0, 1e-8], [0, 0]]]}
 
 ANALYZE_KEYS = {"class", "excluded_initial", "excluded_terminal", "largest_region",
                 "transform", "canonical_forms", "reduction"}
@@ -209,6 +216,25 @@ def test_steer_refuses_zero_endpoint(write_doc, capsys):
     assert cli.main(["steer", write_doc(ROTATION_DRIFT), "--from", "0,0",
                      "--to", "1,1"]) == 3
     assert "nonzero states" in json.loads(capsys.readouterr().out)["reason"]
+
+
+@pytest.mark.parametrize("doc, start, target, reason", [
+    (ROTATION_DRIFT, "1e-5,1e-5", "-11e-5,-7e-5",
+     "no escape candidate cleared the singular-set margin"),
+    (TINY_DRIFTLESS, "1,1", "2,1", "the two-step construction needs a drift term"),
+    (SINGULAR_SUBSTITUTION, "1.3,0.4", "1.7,-0.6", "input substitution matrix is singular"),
+], ids=["EscapeFailed", "NotCanonicalClass", "SingularSubstitution"])
+def test_steer_refuses_when_no_plan_is_found(doc, start, target, reason, write_doc, capsys):
+    assert cli.main(["steer", write_doc(doc), "--from", start, "--to", target]) == 3
+    assert json.loads(capsys.readouterr().out) == {"reason": reason}
+
+
+def test_steer_reports_overflow(write_doc, capsys):
+    assert cli.main(["steer", write_doc(ROTATION_DRIFT), "--from", "1,1",
+                     "--to", "1e308,1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite vector (")
 
 
 def test_negative_components_survive_argparse(write_doc, capsys):

@@ -9,23 +9,17 @@ from hypothesis import strategies as st
 
 from bilin2 import (
     DEFAULT_TOL,
-    EigenKind,
     Mat2,
     SingularMatrix,
     TolerancePolicy,
     Vec2,
     ZeroVector,
-    canonical_direction,
-    cross,
-    is_eigenvector,
-    line_angle,
-    line_gap,
     linearly_independent,
     real_eigen_directions,
-    rot90,
     solve2,
 )
-from bilin2.mat2 import _vec2s
+from bilin2.mat2 import _vec2s, canonical_direction, cross, is_eigenvector, rot90
+from helpers import line_angle, line_gap
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -235,36 +229,28 @@ def test_line_angle_and_gap():
 
 
 def test_real_eigen_directions_rotation_has_none():
-    report = real_eigen_directions(Mat2.from_rows([[0.0, -1.0], [1.0, 0.0]]))
-    assert report.kind is EigenKind.NONE
-    assert report.directions == ()
+    assert real_eigen_directions(Mat2.from_rows([[0.0, -1.0], [1.0, 0.0]])) == ()
 
 
 def test_real_eigen_directions_two_with_larger_eigenvalue_first():
-    report = real_eigen_directions(Mat2.from_rows([[5.0, 3.0], [-4.0, -2.0]]))
-    assert report.kind is EigenKind.TWO
-    first, second = report.directions
+    first, second = real_eigen_directions(Mat2.from_rows([[5.0, 3.0], [-4.0, -2.0]]))
     assert line_gap(first, canonical_direction(Vec2(1.0, -1.0))) <= 1e-12
     assert line_gap(second, canonical_direction(Vec2(3.0, -4.0))) <= 1e-12
 
 
 def test_real_eigen_directions_shear_has_one():
-    report = real_eigen_directions(Mat2.from_rows([[1.0, 1.0], [0.0, 1.0]]))
-    assert report.kind is EigenKind.ONE
-    assert report.directions[0].vector.as_tuple() == (1.0, 0.0)
+    (d,) = real_eigen_directions(Mat2.from_rows([[1.0, 1.0], [0.0, 1.0]]))
+    assert d.vector.as_tuple() == (1.0, 0.0)
 
 
 def test_real_eigen_directions_scalar_is_isotropic():
-    report = real_eigen_directions(3.0 * Mat2.identity())
-    assert report.kind is EigenKind.ISOTROPIC
-    assert report.directions == ()
+    assert real_eigen_directions(3.0 * Mat2.identity()) is None
 
 
 def test_real_eigen_directions_diagonal():
-    report = real_eigen_directions(Mat2.from_rows([[2.0, 0.0], [0.0, 1.0]]))
-    assert report.kind is EigenKind.TWO
-    assert report.directions[0].vector.as_tuple() == (1.0, 0.0)
-    assert report.directions[1].vector.as_tuple() == (0.0, 1.0)
+    first, second = real_eigen_directions(Mat2.from_rows([[2.0, 0.0], [0.0, 1.0]]))
+    assert first.vector.as_tuple() == (1.0, 0.0)
+    assert second.vector.as_tuple() == (0.0, 1.0)
 
 
 def test_is_eigenvector_residual_check():
@@ -279,11 +265,11 @@ def test_eigen_directions_satisfy_residual_test(a, b, c, d):
     m = Mat2(a, b, c, d)
     if m.frob() < 1e-3:
         return
-    report = real_eigen_directions(m)
+    directions = real_eigen_directions(m) or ()
     # A repeated direction comes from a discriminant zeroed within tolerance,
     # so its residual is only square-root small; the split case is exact.
-    check_tol = TolerancePolicy(1e-4, 1e-4) if report.kind is EigenKind.ONE else DEFAULT_TOL
-    for d_ in report.directions:
+    check_tol = TolerancePolicy(1e-4, 1e-4) if len(directions) == 1 else DEFAULT_TOL
+    for d_ in directions:
         assert is_eigenvector(m, d_, check_tol)
 
 

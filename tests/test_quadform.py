@@ -11,14 +11,13 @@ from bilin2 import (
     LineSetKind,
     LineUnion,
     Mat2,
-    QuadraticForm,
     Vec2,
-    canonical_direction,
-    cross,
     form_scale,
     gram_form,
     zero_lines,
 )
+from bilin2.mat2 import canonical_direction, cross
+from bilin2.quadform import QuadraticForm
 from helpers import assert_lines_match, direction_angle, sweep_classify, angles_match
 
 import numpy as np

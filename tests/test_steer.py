@@ -12,6 +12,7 @@ from bilin2 import (
     InExcludedSet,
     NotCanonicalClass,
     NotControllablePair,
+    SingularSubstitution,
     SystemKind,
     Vec2,
     VerdictClass,
@@ -24,7 +25,7 @@ from bilin2 import (
     plan_transfer,
     verify_plan,
 )
-from bilin2 import classify, steer, structure
+from bilin2 import classify, mat2, quadform, steer, structure
 from helpers import generic_drift_system, generic_driftless_system, mat, unit_vec
 
 
@@ -225,6 +226,18 @@ def test_plan_transfer_expands_reduced_controls(rotation_drift_system):
     assert ok and err == 0.0
 
 
+def test_plan_transfer_raises_singular_substitution_on_badly_scaled_inputs():
+    # The family is independent and controllable, and its inputs share the
+    # left null direction e2.  The substitution matrix diag(1e-3, 1e-8) has
+    # determinant 1e-11, which the absolute floor 1e-9 calls singular: a scale
+    # defect, not dependent inputs, reported as the documented exception.
+    sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 0.0], [1.0, 0.0]]),
+                         (mat([[1e-3, 0.0], [0.0, 0.0]]), mat([[0.0, 1e-8], [0.0, 0.0]])))
+    assert analyze(sys).klass is VerdictClass.CONTROLLABLE
+    with pytest.raises(SingularSubstitution):
+        plan_transfer(sys, Vec2(1.3, 0.4), Vec2(1.7, -0.6))
+
+
 def test_plan_transfer_random_controllable_systems():
     rng = np.random.default_rng(41)
     done = 0
@@ -240,16 +253,19 @@ def test_plan_transfer_random_controllable_systems():
         done += 1
 
 
+_MODULES = (classify, mat2, quadform, steer, structure)
+
+
 def _counting(monkeypatch, name: str) -> list:
-    """Count calls of a classify function, under every module's binding of it."""
+    """Count calls of a library function, under every module's binding of it."""
     calls = []
-    original = getattr(classify, name)
+    original = next(getattr(m, name) for m in _MODULES if hasattr(m, name))
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (classify, steer, structure):
+    for module in _MODULES:
         if hasattr(module, name):
             monkeypatch.setattr(module, name, counted)
     return calls
@@ -272,11 +288,12 @@ def test_plan_transfer_reduces_and_finds_zero_lines_once_per_system(name, reques
              "pinned_nearly": _pinned_nearly_system}
     sys = built[name]() if name in built else request.getfixturevalue(name)
     reductions = _counting(monkeypatch, "apply_reduction")
+    line_sets = _counting(monkeypatch, "zero_lines")
     # The verdict comes first and reduces nothing: classifying a
-    # nearly-controllable system builds its excluded lines on its own.
+    # nearly-controllable system builds its excluded lines on its own, once,
+    # and the plans reuse them.
     analyze(sys)
     assert reductions == []
-    line_sets = _counting(monkeypatch, "zero_lines")
     rng = np.random.default_rng(3)
     for k in range(100):
         xi = Vec2(1.0, 1.0) if k % 10 == 0 else unit_vec(rng)
@@ -287,6 +304,19 @@ def test_plan_transfer_reduces_and_finds_zero_lines_once_per_system(name, reques
         assert plan.residual is not None
     assert len(reductions) <= 1
     assert len(line_sets) <= 1
+
+
+@pytest.mark.parametrize("name", ["shared_line_drift_system", "trapped_triangular_system",
+                                  "pinned_nearly"])
+def test_analyze_certifies_each_member_once_per_direction(name, request, monkeypatch):
+    # The triangular forms are built on the direction common_real_eigenvector
+    # has just certified, with no second residual test per member.
+    sys = _pinned_nearly_system() if name == "pinned_nearly" else request.getfixturevalue(name)
+    checks = _counting(monkeypatch, "is_eigenvector")
+    verdict = analyze(sys)
+    assert verdict.structure is not None and verdict.structure.common_eigenvector is not None
+    pairs = [(m, d) for m, d, *_ in checks]
+    assert pairs and len(pairs) == len(set(pairs))
 
 
 def test_plan_residual_is_the_verify_plan_error_and_not_compared(rotation_drift_system):

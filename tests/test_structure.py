@@ -18,17 +18,14 @@ from bilin2 import (
     VerdictClass,
     analyze,
     antidiagonalize_pair,
-    canonical_direction,
     combine_inputs,
     common_real_eigenvector,
-    is_eigenvector,
-    line_gap,
     linearly_independent,
-    rot90,
     triangularize,
     zero_bottom_row_pair,
 )
-from helpers import mat, rotation
+from bilin2.mat2 import canonical_direction, is_eigenvector
+from helpers import line_gap, mat, rotation
 
 
 def test_common_real_eigenvector_found_on_shared_line(shared_line_drift_system):
@@ -109,11 +106,9 @@ def test_triangularize_random_conjugated_families():
 
 
 def test_zero_bottom_row_pair_identity_frame():
-    found = zero_bottom_row_pair(mat([[1.0, 2.0], [0.0, 0.0]]),
-                                 mat([[3.0, -1.0], [0.0, 0.0]]))
-    assert found is not None
-    d, p = found
-    assert d.vector.as_tuple() == (0.0, 1.0)
+    p = zero_bottom_row_pair(mat([[1.0, 2.0], [0.0, 0.0]]),
+                             mat([[3.0, -1.0], [0.0, 0.0]]))
+    assert p is not None
     assert p.rows() == ((1.0, 0.0), (0.0, 1.0))
 
 
@@ -121,10 +116,11 @@ def test_zero_bottom_row_pair_rotated_frame():
     r = rotation(0.6)
     b1 = r @ mat([[1.0, 2.0], [0.0, 0.0]]) @ r.inverse()
     b2 = r @ mat([[3.0, -1.0], [0.0, 0.0]]) @ r.inverse()
-    found = zero_bottom_row_pair(b1, b2)
-    assert found is not None
-    d, p = found
-    assert line_gap(d, canonical_direction(r @ Vec2(0.0, 1.0))) <= 1e-9
+    p = zero_bottom_row_pair(b1, b2)
+    assert p is not None
+    # the second row of P is the canonical common left null direction
+    assert line_gap(canonical_direction(Vec2(p.a21, p.a22)),
+                    canonical_direction(r @ Vec2(0.0, 1.0))) <= 1e-9
     p_inv = Mat2(p.a11, p.a21, p.a12, p.a22)
     for b in (b1, b2):
         f = p @ b @ p_inv
@@ -143,11 +139,10 @@ def test_zero_bottom_row_pair_rejects_crossed_kernels():
 
 
 def test_zero_bottom_row_pair_zero_matrix_defers_to_partner():
-    found = zero_bottom_row_pair(Mat2(0.0, 0.0, 0.0, 0.0),
-                                 mat([[1.0, 2.0], [0.0, 0.0]]))
-    assert found is not None
-    d, _ = found
-    assert d.vector.as_tuple() == (0.0, 1.0)
+    p = zero_bottom_row_pair(Mat2(0.0, 0.0, 0.0, 0.0),
+                             mat([[1.0, 2.0], [0.0, 0.0]]))
+    assert p is not None
+    assert (p.a21, p.a22) == (0.0, 1.0)
 
 
 def test_antidiagonalize_golden(swap_pair_system):
