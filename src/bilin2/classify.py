@@ -31,9 +31,10 @@ from .quadform import LineSetKind, LineUnion, pair_lines
 from .structure import (
     StructureReport,
     _antidiagonal,
+    _candidates,
+    _certified,
+    _combine_inputs,
     _triangular,
-    combine_inputs,
-    common_real_eigenvector,
 )
 
 
@@ -195,16 +196,19 @@ def expand_controls(red: Reduction, m: int, v1: float, v2: float) -> tuple[float
     return tuple(u)
 
 
-def _verdict_controllable(sys: BilinearSystem) -> Verdict:
+def _verdict_controllable(sys: BilinearSystem, first: int,
+                          directions: tuple[Direction, ...]) -> Verdict:
+    """The controllable verdict; ``first`` and ``directions`` are the
+    common-eigenvector candidates of ``sys.matrices()``."""
     if sys.m == 2:
         red = Reduction()
     elif sys.kind is SystemKind.WITH_DRIFT:
-        ca, cb = combine_inputs(sys.drift, sys.inputs[0], sys.inputs[1], sys.inputs[2], sys.tol)
+        ca, cb = _combine_inputs(*sys.matrices(), first, directions, sys.tol)
         red = Reduction(combined_indices=(1, 2), combined_coeffs=(ca, cb))
     elif sys.m == 3:
         red = Reduction(pinned_index=0, pinned_value=1.0)
     else:
-        ca, cb = combine_inputs(sys.inputs[0], sys.inputs[1], sys.inputs[2], sys.inputs[3], sys.tol)
+        ca, cb = _combine_inputs(*sys.inputs, first, directions, sys.tol)
         red = Reduction(pinned_index=0, pinned_value=1.0,
                         combined_indices=(2, 3), combined_coeffs=(ca, cb))
     return Verdict(VerdictClass.CONTROLLABLE, None, None, None, red)
@@ -249,7 +253,9 @@ def analyze(sys: BilinearSystem) -> Verdict:
 
 
 def _classify(sys: BilinearSystem) -> Verdict:
-    common = common_real_eigenvector(sys.matrices(), sys.tol)
+    ms = sys.matrices()
+    first, directions = _candidates(ms, sys.tol)
+    common = _certified(ms, directions, sys.tol)
     if common is not None:
         return _verdict_with_common_vector(sys, common)
     if sys.kind is SystemKind.DRIFTLESS and sys.m == 2:
@@ -257,5 +263,5 @@ def _classify(sys: BilinearSystem) -> Verdict:
         if found is not None:
             report, lines = found
             return _nearly(lines, report, Reduction())
-    return _verdict_controllable(sys)
+    return _verdict_controllable(sys, first, directions)
 

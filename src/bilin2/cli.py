@@ -7,7 +7,8 @@ System files are JSON:
      "B": [[[..,..],[..,..]], ...],   # 2 to 4 input matrices
      "tolerance": {"abs": 1e-9, "rel": 1e-9}}   # optional
 
-Exit codes: 0 on success, 2 on parse or validation failure or on a simulated,
+Exit codes: 0 on success, 2 on parse or validation failure, on a verdict
+whose zero tests cannot be made (such as a ZeroVector), or on a simulated,
 sampled or replayed state that overflows to a non-finite value, 3 when a
 steering request is refused (uncontrollable verdict, excluded initial state,
 zero endpoint under a controllable verdict, or no plan found: no escape step
@@ -31,6 +32,7 @@ from .classify import (
     InvalidSystem,
     Reduction,
     SystemKind,
+    Verdict,
     analyze,
 )
 from .mat2 import Direction, Mat2, TolerancePolicy, Vec2, cross
@@ -174,9 +176,16 @@ def _emit(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
+def _analyze(sys: BilinearSystem) -> Verdict:
+    try:
+        return analyze(sys)
+    except ValueError as exc:  # e.g. ZeroVector: a direction inside the zero band
+        raise SystemFileError(str(exc)) from exc
+
+
 def cmd_analyze(args) -> int:
     sys = load_system(args.file)
-    verdict = analyze(sys)
+    verdict = _analyze(sys)
     structure = verdict.structure
     _emit({
         "class": verdict.klass.value,
@@ -264,7 +273,7 @@ def cmd_oracle(args) -> int:
         report = reachability_oracle(sys, xi, args.trials, seed=args.seed)
     except ValueError as exc:  # a sample overflowed to inf or nan
         raise SystemFileError(str(exc)) from exc
-    verdict = analyze(sys)
+    verdict = _analyze(sys)
     hits = None
     if verdict.excluded_initial is not None:
         hits = line_hits(sys, report.samples, verdict.excluded_initial.lines)

@@ -15,6 +15,14 @@ sends copies and unpickling through it.  The bulk constructor ``_vec2s``
 builds a whole cloud of vectors at once: it checks every coordinate in one
 pass and raises the constructor's own error, so no path builds an unchecked
 value.
+
+The scalar kernels on the classify path (``linearly_independent``,
+``is_eigenvector``, ``real_eigen_directions``, ``canonical_direction`` and
+``_similar``) compute on plain floats and build no intermediate values.  Every
+result that becomes a value type still goes through ``__init__`` or
+``_vec2s``.  Where an intermediate would have come out non-finite, the kernel
+raises ValueError as that value's constructor would have, and it never
+returns a decision made on inf or nan.
 """
 
 from __future__ import annotations
@@ -219,6 +227,20 @@ _set_a11, _set_a12, _set_a21, _set_a22 = (
     Mat2.a11.__set__, Mat2.a12.__set__, Mat2.a21.__set__, Mat2.a22.__set__)
 
 
+def _similar(p: Mat2, m: Mat2, p_inv: Mat2) -> Mat2:
+    """p @ m @ p_inv, by the same float operations, building only the result.
+
+    A non-finite entry of p @ m leaves a non-finite entry in its row of the
+    result, so the result's constructor raises wherever p @ m's would.
+    """
+    t11 = p.a11 * m.a11 + p.a12 * m.a21
+    t12 = p.a11 * m.a12 + p.a12 * m.a22
+    t21 = p.a21 * m.a11 + p.a22 * m.a21
+    t22 = p.a21 * m.a12 + p.a22 * m.a22
+    return Mat2(t11 * p_inv.a11 + t12 * p_inv.a21, t11 * p_inv.a12 + t12 * p_inv.a22,
+                t21 * p_inv.a11 + t22 * p_inv.a21, t21 * p_inv.a12 + t22 * p_inv.a22)
+
+
 def _nonsingular_det(m: Mat2, tol: TolerancePolicy) -> float:
     """det(m), or SingularMatrix when it fails the zero test.
 
@@ -270,10 +292,15 @@ def canonical_direction(v: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Directio
     second component positive.  Raises ZeroVector for vectors with norm inside
     the absolute zero band.
     """
-    n = v.norm()
+    return _direction(v.x, v.y, tol)
+
+
+def _direction(x: float, y: float, tol: TolerancePolicy) -> Direction:
+    """:func:`canonical_direction` of the vector (x, y), given as floats."""
+    n = math.hypot(x, y)
     if tol.is_zero(n):
-        raise ZeroVector(f"cannot orient zero vector ({v.x}, {v.y})")
-    ux, uy = v.x / n, v.y / n
+        raise ZeroVector(f"cannot orient zero vector ({x}, {y})")
+    ux, uy = x / n, y / n
     if ux > tol.abs_eps:
         s = 1.0
     elif ux < -tol.abs_eps:
@@ -284,12 +311,16 @@ def canonical_direction(v: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Directio
     return Direction(Vec2(s * ux + 0.0, s * uy + 0.0))
 
 
-def _eigvec_for(m: Mat2, lam: float) -> Vec2:
+def _eigvec_for(m: Mat2, lam: float, tol: TolerancePolicy) -> Direction:
     # Kernel vector of (m - lam*I): orthogonal to either row; both candidates
     # are parallel in exact arithmetic, so take the numerically larger one.
-    va = Vec2(m.a12, lam - m.a11)
-    vb = Vec2(lam - m.a22, m.a21)
-    return vb if vb.norm() > va.norm() else va
+    ax, ay = m.a12, lam - m.a11
+    bx, by = lam - m.a22, m.a21
+    if not (isfinite(ay) and isfinite(bx)):
+        raise ValueError(f"non-finite eigenvector candidates ({ax}, {ay}), ({bx}, {by})")
+    if math.hypot(bx, by) > math.hypot(ax, ay):
+        return _direction(bx, by, tol)
+    return _direction(ax, ay, tol)
 
 
 def real_eigen_directions(m: Mat2,
@@ -310,21 +341,28 @@ def real_eigen_directions(m: Mat2,
     disc = tr * tr - 4.0 * m.det()
     disc_scale = scale * scale
     if tol.is_zero(disc, disc_scale):
-        return (canonical_direction(_eigvec_for(m, 0.5 * tr), tol),)
+        return (_eigvec_for(m, 0.5 * tr, tol),)
     if disc < 0.0:
         return ()
     sq = math.sqrt(disc)
-    hi = canonical_direction(_eigvec_for(m, 0.5 * (tr + sq)), tol)
-    lo = canonical_direction(_eigvec_for(m, 0.5 * (tr - sq)), tol)
+    hi = _eigvec_for(m, 0.5 * (tr + sq), tol)
+    lo = _eigvec_for(m, 0.5 * (tr - sq), tol)
     return (hi, lo)
 
 
 def is_eigenvector(m: Mat2, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Residual test: does m map the line of d into itself within tolerance?"""
-    image = m @ d.vector
-    lam = d.vector.dot(image)
-    residual = (image - lam * d.vector).norm()
-    return tol.is_zero(residual, m.frob())
+    x, y = d.vector.x, d.vector.y
+    ix = m.a11 * x + m.a12 * y
+    iy = m.a21 * x + m.a22 * y
+    lam = x * ix + y * iy
+    rx = ix - x * lam
+    ry = iy - y * lam
+    # A non-finite image or eigenvalue always leaves a non-finite residual
+    # component, so this one test stands for a check on every intermediate.
+    if not (isfinite(rx) and isfinite(ry)):
+        raise ValueError(f"non-finite eigenvector residual ({rx}, {ry})")
+    return tol.is_zero(math.hypot(rx, ry), m.frob())
 
 
 def linearly_independent(ms, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -332,21 +370,30 @@ def linearly_independent(ms, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
 
     Gaussian elimination with full pivoting; every pivot test is scaled by the
     largest original row norm, which keeps the decision invariant under
-    permutations of the input list.
+    permutations of the input list.  Pivot ties go to the first entry in row
+    then column order.
     """
     ms = list(ms)
     if not 1 <= len(ms) <= 4:
         raise ValueError(f"expected between 1 and 4 matrices, got {len(ms)}")
     rows = [[m.a11, m.a12, m.a21, m.a22] for m in ms]
-    scale = max(math.sqrt(sum(e * e for e in row)) for row in rows)
+    floor = tol.threshold(max(math.sqrt(sum(e * e for e in row)) for row in rows))
     live = list(range(len(rows)))
     cols = [0, 1, 2, 3]
     rank = 0
     while live and cols:
-        pi, pj = max(((i, j) for i in live for j in cols),
-                     key=lambda ij: abs(rows[ij[0]][ij[1]]))
+        pi = live[0]
+        pj = cols[0]
+        best = abs(rows[pi][pj])
+        for i in live:
+            row = rows[i]
+            for j in cols:
+                if abs(row[j]) > best:
+                    best = abs(row[j])
+                    pi = i
+                    pj = j
         pivot = rows[pi][pj]
-        if tol.is_zero(pivot, scale):
+        if abs(pivot) <= floor:
             break
         rank += 1
         live.remove(pi)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .mat2 import DEFAULT_TOL, Direction, Mat2, TolerancePolicy, Vec2, canonical_direction, cross
+from .mat2 import DEFAULT_TOL, Direction, Mat2, TolerancePolicy, Vec2, _direction
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,14 @@ def gram_form(b1: Mat2, b2: Mat2) -> QuadraticForm:
     Writing ai, bi for the columns of bi: a = det[a1 a2],
     b = det[a1 b2] + det[b1 a2], c = det[b1 b2].
     """
-    a1, b1c = b1.col1(), b1.col2()
-    a2, b2c = b2.col1(), b2.col2()
-    return QuadraticForm(cross(a1, a2),
-                         cross(a1, b2c) + cross(b1c, a2),
-                         cross(b1c, b2c))
+    return QuadraticForm(*_gram(b1, b2))
+
+
+def _gram(b1: Mat2, b2: Mat2) -> tuple[float, float, float]:
+    """The coefficients of :func:`gram_form`, as floats."""
+    return (b1.a11 * b2.a21 - b1.a21 * b2.a11,
+            (b1.a11 * b2.a22 - b1.a21 * b2.a12) + (b1.a12 * b2.a21 - b1.a22 * b2.a11),
+            b1.a12 * b2.a22 - b1.a22 * b2.a12)
 
 
 def form_scale(b1: Mat2, b2: Mat2) -> float:
@@ -97,25 +100,28 @@ def zero_lines(q: QuadraticForm, tol: TolerancePolicy = DEFAULT_TOL,
     quadratic coefficient large, so near-axis lines come out without
     cancellation or overflow.
     """
-    a, b, c = q.a, q.b, q.c
+    return _zero_lines(q.a, q.b, q.c, tol, scale)
+
+
+def _zero_lines(a: float, b: float, c: float, tol: TolerancePolicy, scale: float) -> LineUnion:
+    """:func:`zero_lines` of the form with finite coefficients a, b, c."""
     if tol.is_zero(a, scale) and tol.is_zero(b, scale) and tol.is_zero(c, scale):
         return LineUnion(LineSetKind.ALL_OF_PLANE)
     if a == 0.0 and c == 0.0:
         # Exactly b*z1*z2: the two coordinate axes.  Decided before the
         # discriminant test, whose absolute floor can swallow b^2 when b is
         # tiny, and whose root extraction would divide by the zero ends.
-        dirs = (canonical_direction(Vec2(1.0, 0.0), tol),
-                canonical_direction(Vec2(0.0, 1.0), tol))
+        dirs = (_direction(1.0, 0.0, tol), _direction(0.0, 1.0, tol))
         return LineUnion(LineSetKind.TWO_LINES, tuple(sorted(dirs, key=_angle_key)))
-    disc = q.discriminant()
-    disc_scale = q.coeff_scale_sq()
+    disc = b * b - 4.0 * a * c
+    disc_scale = a * a + b * b + c * c
     if tol.is_zero(disc, disc_scale):
         # One repeated line; at least one end coefficient is exactly nonzero
         # here, and the dominant one carries the root without cancellation.
         if abs(a) >= abs(c):
-            d = canonical_direction(Vec2(-b / (2.0 * a), 1.0), tol)
+            d = _direction(-b / (2.0 * a), 1.0, tol)
         else:
-            d = canonical_direction(Vec2(1.0, -b / (2.0 * c)), tol)
+            d = _direction(1.0, -b / (2.0 * c), tol)
         return LineUnion(LineSetKind.ONE_LINE, (d,))
     if disc < 0.0:
         return LineUnion(LineSetKind.POINT_ONLY)
@@ -127,17 +133,20 @@ def zero_lines(q: QuadraticForm, tol: TolerancePolicy = DEFAULT_TOL,
     if abs(a) >= abs(c):
         # roots of a t^2 + b t + c in t = z1/z2
         t = s / a
-        dirs = (canonical_direction(Vec2(t, 1.0) if math.isfinite(t) else Vec2(1.0, 0.0), tol),
-                canonical_direction(Vec2(c / s, 1.0), tol))
+        dirs = (_direction(t, 1.0, tol) if math.isfinite(t) else _direction(1.0, 0.0, tol),
+                _direction(c / s, 1.0, tol))
     else:
         # roots of c t^2 + b t + a in t = z2/z1
         t = s / c
-        dirs = (canonical_direction(Vec2(1.0, t) if math.isfinite(t) else Vec2(0.0, 1.0), tol),
-                canonical_direction(Vec2(1.0, a / s), tol))
+        dirs = (_direction(1.0, t, tol) if math.isfinite(t) else _direction(0.0, 1.0, tol),
+                _direction(1.0, a / s, tol))
     ordered = tuple(sorted(dirs, key=_angle_key))
     return LineUnion(LineSetKind.TWO_LINES, ordered)
 
 
 def pair_lines(b1: Mat2, b2: Mat2, tol: TolerancePolicy = DEFAULT_TOL) -> LineUnion:
     """The zero lines of the pair's steering form, tested at its own scale."""
-    return zero_lines(gram_form(b1, b2), tol, scale=form_scale(b1, b2))
+    a, b, c = _gram(b1, b2)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise ValueError(f"non-finite steering form coefficients ({a}, {b}, {c})")
+    return _zero_lines(a, b, c, tol, form_scale(b1, b2))

@@ -21,6 +21,7 @@ from .mat2 import (
     SingularMatrix,
     TolerancePolicy,
     Vec2,
+    _similar,
     canonical_direction,
     cross,
     is_eigenvector,
@@ -69,15 +70,27 @@ def common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL) -> Optional[
     Raises AllIsotropic when no member constrains the answer at all.
     """
     ms = tuple(ms)
-    for m in ms:
+    _, directions = _candidates(ms, tol)
+    return _certified(ms, directions, tol)
+
+
+def _candidates(ms: tuple[Mat2, ...], tol: TolerancePolicy) -> tuple[int, tuple[Direction, ...]]:
+    """The index of the first non-isotropic member of ms and its real
+    eigen-directions: the only candidates for a common eigenvector."""
+    for i, m in enumerate(ms):
         directions = real_eigen_directions(m, tol)
-        if directions is None:
-            continue
-        for d in directions:
-            if all(is_eigenvector(x, d, tol) for x in ms):
-                return d
-        return None
+        if directions is not None:
+            return i, directions
     raise AllIsotropic("every matrix is scalar; any direction is invariant")
+
+
+def _certified(ms: tuple[Mat2, ...], directions: tuple[Direction, ...],
+               tol: TolerancePolicy) -> Optional[Direction]:
+    """The first candidate direction invariant under every member, or None."""
+    for d in directions:
+        if all(is_eigenvector(x, d, tol) for x in ms):
+            return d
+    return None
 
 
 def triangularize(ms, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> StructureReport:
@@ -98,10 +111,10 @@ def triangularize(ms, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> Struc
 
 def _triangular(ms: tuple[Mat2, ...], d: Direction, tol: TolerancePolicy) -> StructureReport:
     """The report of :func:`triangularize` for a direction already certified."""
-    beta = rot90(d.vector)
-    p_inv = Mat2(d.x, beta.x, d.y, beta.y)
-    p = Mat2(d.x, d.y, beta.x, beta.y)
-    forms = tuple(p @ m @ p_inv for m in ms)
+    x, y = d.x, d.y
+    p_inv = Mat2(x, -y, y, x)
+    p = Mat2(x, y, -y, x)
+    forms = tuple(_similar(p, m, p_inv) for m in ms)
     zero_bottom = all(tol.is_zero(f.a22, m.frob()) for f, m in zip(forms, ms))
     klass = FormClass.ZERO_BOTTOM_ROW if zero_bottom else FormClass.UPPER_TRIANGULAR
     return StructureReport(klass, p, p_inv, forms, d)
@@ -187,9 +200,13 @@ def _antidiagonal(b1: Mat2, b2: Mat2,
             p = p_inv.inverse(tol)
         except SingularMatrix:
             continue
-        forms = (p @ b1 @ p_inv, p @ b2 @ p_inv)
+        forms = (_similar(p, b1, p_inv), _similar(p, b2, p_inv))
         return StructureReport(FormClass.ANTI_DIAGONAL, p, p_inv, forms, None), lu
     return None
+
+
+_COMBINATIONS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+_NO_COMBINATION = "no tested combination of the last two inputs removed the shared eigenvector"
 
 
 def combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
@@ -206,12 +223,30 @@ def combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
     d too.  Two lines cannot hold three pairwise non-parallel pairs.  Raises
     NoCombinationFound when all four matrices share a direction.
     """
-    for ca, cb in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+    for ca, cb in _COMBINATIONS:
         combined = ca * b2 + cb * b3
         try:
             if common_real_eigenvector([a, b1, combined], tol) is None:
                 return ca, cb
         except AllIsotropic:
             continue
-    raise NoCombinationFound(
-        "no tested combination of the last two inputs removed the shared eigenvector")
+    raise NoCombinationFound(_NO_COMBINATION)
+
+
+def _combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2, first: int,
+                    directions: tuple[Direction, ...],
+                    tol: TolerancePolicy) -> tuple[float, float]:
+    """:func:`combine_inputs`, given the :func:`_candidates` of (a, b1, b2, b3).
+
+    When a or b1 is not isotropic, it is also the first constraining member of
+    each {a, b1, combined}, with the same directions; those invariant under
+    both a and b1 are the only ones a combination has to break.
+    """
+    if first >= 2:
+        return combine_inputs(a, b1, b2, b3, tol)
+    shared = [d for d in directions if is_eigenvector(a, d, tol) and is_eigenvector(b1, d, tol)]
+    for ca, cb in _COMBINATIONS:
+        combined = ca * b2 + cb * b3
+        if not any(is_eigenvector(combined, d, tol) for d in shared):
+            return ca, cb
+    raise NoCombinationFound(_NO_COMBINATION)

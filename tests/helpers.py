@@ -10,8 +10,22 @@ import math
 
 import numpy as np
 
-from bilin2 import BilinearSystem, Direction, Mat2, SystemKind, Vec2
+from bilin2 import (
+    DEFAULT_TOL,
+    AllIsotropic,
+    BilinearSystem,
+    Direction,
+    LineSetKind,
+    LineUnion,
+    Mat2,
+    NoCombinationFound,
+    SystemKind,
+    TolerancePolicy,
+    Vec2,
+    ZeroVector,
+)
 from bilin2.mat2 import canonical_direction, cross
+from bilin2.quadform import QuadraticForm
 
 
 def mat(rows) -> Mat2:
@@ -236,3 +250,164 @@ def zero_bottom_drift_system(rng, canonical=False) -> BilinearSystem:
             return BilinearSystem(SystemKind.WITH_DRIFT, a, (b1, b2))
         except ValueError:
             continue
+
+
+# --- reference kernels on value types -----------------------------------------
+#
+# The mat2, quadform and structure kernels written with Vec2/Mat2 temporaries,
+# so every intermediate passes the constructors' finiteness check where it is
+# built.  Only the names carry a ref_ prefix; the float operations and their
+# order are those of the library, which computes on plain floats, so the
+# differential tests in test_reference.py demand equal results and the same
+# exception types.
+
+
+def ref_canonical_direction(v: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Direction:
+    n = v.norm()
+    if tol.is_zero(n):
+        raise ZeroVector(f"cannot orient zero vector ({v.x}, {v.y})")
+    ux, uy = v.x / n, v.y / n
+    if ux > tol.abs_eps:
+        s = 1.0
+    elif ux < -tol.abs_eps:
+        s = -1.0
+    else:
+        s = 1.0 if uy > 0.0 else -1.0
+    # + 0.0 turns a signed zero into plain 0.0 so representatives print cleanly
+    return Direction(Vec2(s * ux + 0.0, s * uy + 0.0))
+
+
+def _ref_eigvec_for(m: Mat2, lam: float) -> Vec2:
+    # Kernel vector of (m - lam*I): orthogonal to either row; both candidates
+    # are parallel in exact arithmetic, so take the numerically larger one.
+    va = Vec2(m.a12, lam - m.a11)
+    vb = Vec2(lam - m.a22, m.a21)
+    return vb if vb.norm() > va.norm() else va
+
+
+def ref_real_eigen_directions(m: Mat2, tol: TolerancePolicy = DEFAULT_TOL):
+    scale = m.frob()
+    if (tol.is_zero(m.a12, scale) and tol.is_zero(m.a21, scale)
+            and tol.is_zero(m.a11 - m.a22, scale)):
+        return None
+    tr = m.trace()
+    disc = tr * tr - 4.0 * m.det()
+    disc_scale = scale * scale
+    if tol.is_zero(disc, disc_scale):
+        return (ref_canonical_direction(_ref_eigvec_for(m, 0.5 * tr), tol),)
+    if disc < 0.0:
+        return ()
+    sq = math.sqrt(disc)
+    hi = ref_canonical_direction(_ref_eigvec_for(m, 0.5 * (tr + sq)), tol)
+    lo = ref_canonical_direction(_ref_eigvec_for(m, 0.5 * (tr - sq)), tol)
+    return (hi, lo)
+
+
+def ref_is_eigenvector(m: Mat2, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    image = m @ d.vector
+    lam = d.vector.dot(image)
+    residual = (image - lam * d.vector).norm()
+    return tol.is_zero(residual, m.frob())
+
+
+def ref_linearly_independent(ms, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    ms = list(ms)
+    if not 1 <= len(ms) <= 4:
+        raise ValueError(f"expected between 1 and 4 matrices, got {len(ms)}")
+    rows = [[m.a11, m.a12, m.a21, m.a22] for m in ms]
+    scale = max(math.sqrt(sum(e * e for e in row)) for row in rows)
+    live = list(range(len(rows)))
+    cols = [0, 1, 2, 3]
+    rank = 0
+    while live and cols:
+        pi, pj = max(((i, j) for i in live for j in cols),
+                     key=lambda ij: abs(rows[ij[0]][ij[1]]))
+        pivot = rows[pi][pj]
+        if tol.is_zero(pivot, scale):
+            break
+        rank += 1
+        live.remove(pi)
+        cols.remove(pj)
+        for i in live:
+            factor = rows[i][pj] / pivot
+            for j in cols:
+                rows[i][j] -= factor * rows[pi][j]
+            rows[i][pj] = 0.0
+    return rank == len(ms)
+
+
+def ref_common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL):
+    ms = tuple(ms)
+    for m in ms:
+        directions = ref_real_eigen_directions(m, tol)
+        if directions is None:
+            continue
+        for d in directions:
+            if all(ref_is_eigenvector(x, d, tol) for x in ms):
+                return d
+        return None
+    raise AllIsotropic("every matrix is scalar; any direction is invariant")
+
+
+def ref_combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
+                       tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, float]:
+    for ca, cb in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+        combined = ca * b2 + cb * b3
+        try:
+            if ref_common_real_eigenvector([a, b1, combined], tol) is None:
+                return ca, cb
+        except AllIsotropic:
+            continue
+    raise NoCombinationFound(
+        "no tested combination of the last two inputs removed the shared eigenvector")
+
+
+def ref_gram_form(b1: Mat2, b2: Mat2) -> QuadraticForm:
+    a1, b1c = b1.col1(), b1.col2()
+    a2, b2c = b2.col1(), b2.col2()
+    return QuadraticForm(cross(a1, a2),
+                         cross(a1, b2c) + cross(b1c, a2),
+                         cross(b1c, b2c))
+
+
+def _ref_angle_key(d: Direction) -> float:
+    return math.atan2(d.y, d.x)
+
+
+def ref_zero_lines(q: QuadraticForm, tol: TolerancePolicy = DEFAULT_TOL,
+                   scale: float = 0.0) -> LineUnion:
+    a, b, c = q.a, q.b, q.c
+    if tol.is_zero(a, scale) and tol.is_zero(b, scale) and tol.is_zero(c, scale):
+        return LineUnion(LineSetKind.ALL_OF_PLANE)
+    if a == 0.0 and c == 0.0:
+        dirs = (ref_canonical_direction(Vec2(1.0, 0.0), tol),
+                ref_canonical_direction(Vec2(0.0, 1.0), tol))
+        return LineUnion(LineSetKind.TWO_LINES, tuple(sorted(dirs, key=_ref_angle_key)))
+    disc = q.discriminant()
+    disc_scale = q.coeff_scale_sq()
+    if tol.is_zero(disc, disc_scale):
+        if abs(a) >= abs(c):
+            d = ref_canonical_direction(Vec2(-b / (2.0 * a), 1.0), tol)
+        else:
+            d = ref_canonical_direction(Vec2(1.0, -b / (2.0 * c)), tol)
+        return LineUnion(LineSetKind.ONE_LINE, (d,))
+    if disc < 0.0:
+        return LineUnion(LineSetKind.POINT_ONLY)
+    sq = math.sqrt(disc)
+    s = -0.5 * (b + math.copysign(sq, b))
+    if abs(a) >= abs(c):
+        t = s / a
+        dirs = (ref_canonical_direction(Vec2(t, 1.0) if math.isfinite(t) else Vec2(1.0, 0.0),
+                                        tol),
+                ref_canonical_direction(Vec2(c / s, 1.0), tol))
+    else:
+        t = s / c
+        dirs = (ref_canonical_direction(Vec2(1.0, t) if math.isfinite(t) else Vec2(0.0, 1.0),
+                                        tol),
+                ref_canonical_direction(Vec2(1.0, a / s), tol))
+    ordered = tuple(sorted(dirs, key=_ref_angle_key))
+    return LineUnion(LineSetKind.TWO_LINES, ordered)
+
+
+def ref_pair_lines(b1: Mat2, b2: Mat2, tol: TolerancePolicy = DEFAULT_TOL) -> LineUnion:
+    return ref_zero_lines(ref_gram_form(b1, b2), tol, scale=b1.frob() * b2.frob())

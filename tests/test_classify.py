@@ -21,6 +21,7 @@ from bilin2 import (
     apply_reduction,
     plan_transfer,
 )
+from bilin2 import mat2, structure
 from bilin2.classify import expand_controls
 from bilin2.mat2 import canonical_direction
 from helpers import (
@@ -231,6 +232,31 @@ def test_verdict_class_is_similarity_invariant():
 def test_analyze_computes_the_verdict_once_per_system(shared_line_drift_system):
     sys = shared_line_drift_system
     assert analyze(sys) is analyze(sys)
+
+
+@pytest.mark.parametrize("kind", [SystemKind.WITH_DRIFT, SystemKind.DRIFTLESS])
+def test_analyze_computes_eigen_directions_once(kind, monkeypatch):
+    # a and b1 share both axes; b2 keeps the first and b3 the second, so the
+    # combination has to try all three coefficient pairs.
+    a, b1 = mat([[1.0, 0.0], [0.0, 2.0]]), mat([[0.0, 0.0], [0.0, 1.0]])
+    b2, b3 = mat([[1.0, 1.0], [0.0, 0.0]]), mat([[0.0, 0.0], [1.0, 0.0]])
+    if kind is SystemKind.WITH_DRIFT:
+        sys = BilinearSystem(kind, a, (b1, b2, b3))
+    else:
+        sys = BilinearSystem(kind, None, (a, b1, b2, b3))
+    calls = []
+    original = mat2.real_eigen_directions
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (mat2, structure):
+        monkeypatch.setattr(module, "real_eigen_directions", counted)
+    verdict = analyze(sys)
+    assert verdict.klass is VerdictClass.CONTROLLABLE
+    assert verdict.reduction.combined_coeffs == (1.0, 1.0)
+    assert calls == [(a, sys.tol)]
 
 
 def test_equal_systems_get_equal_verdicts(shared_line_drift_system, swap_pair_system,

@@ -24,6 +24,9 @@ TINY_DRIFTLESS = {"kind": "driftless", "B": [[[0, -1e-5], [1e-5, 0]], [[1e-5, 0]
 # falls under the absolute zero floor.
 SINGULAR_SUBSTITUTION = {"kind": "drift", "A": [[0, 0], [1, 0]],
                          "B": [[[1e-3, 0], [0, 0]], [[0, 1e-8], [0, 0]]]}
+# Independent inputs whose first non-isotropic member has an eigenvector
+# candidate inside the absolute zero band: analyze raises ZeroVector.
+ZERO_BAND_MEMBER = {"kind": "driftless", "B": [[[1e-8, 0], [0, 1.15e-8]], [[1, 2], [0.5, 3]]]}
 
 ANALYZE_KEYS = {"class", "excluded_initial", "excluded_terminal", "largest_region",
                 "transform", "canonical_forms", "reduction"}
@@ -306,6 +309,18 @@ def test_oracle_reports_overflow(write_doc, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: non-finite vector (")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("analyze", []),
+    ("oracle", ["--from", "1,1", "--trials", "2"]),
+    ("steer", ["--from", "1,1", "--to", "2,1"]),
+])
+def test_unorientable_candidate_is_reported(command, extra, write_doc, capsys):
+    assert cli.main([command, write_doc(ZERO_BAND_MEMBER)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot orient zero vector (")
 
 
 def test_env_tolerance_must_be_numeric(write_doc, monkeypatch, capsys):

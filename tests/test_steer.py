@@ -288,7 +288,7 @@ def test_plan_transfer_reduces_and_finds_zero_lines_once_per_system(name, reques
              "pinned_nearly": _pinned_nearly_system}
     sys = built[name]() if name in built else request.getfixturevalue(name)
     reductions = _counting(monkeypatch, "apply_reduction")
-    line_sets = _counting(monkeypatch, "zero_lines")
+    line_sets = _counting(monkeypatch, "_zero_lines")
     # The verdict comes first and reduces nothing: classifying a
     # nearly-controllable system builds its excluded lines on its own, once,
     # and the plans reuse them.
