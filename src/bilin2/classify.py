@@ -196,19 +196,20 @@ def expand_controls(red: Reduction, m: int, v1: float, v2: float) -> tuple[float
     return tuple(u)
 
 
-def _verdict_controllable(sys: BilinearSystem, first: int,
-                          directions: tuple[Direction, ...]) -> Verdict:
+def _verdict_controllable(sys: BilinearSystem, first: int, directions: tuple[Direction, ...],
+                          failed_at: list[int]) -> Verdict:
     """The controllable verdict; ``first`` and ``directions`` are the
-    common-eigenvector candidates of ``sys.matrices()``."""
+    common-eigenvector candidates of ``sys.matrices()``, and ``failed_at``
+    what ``_certified`` found for them."""
     if sys.m == 2:
         red = Reduction()
     elif sys.kind is SystemKind.WITH_DRIFT:
-        ca, cb = _combine_inputs(*sys.matrices(), first, directions, sys.tol)
+        ca, cb = _combine_inputs(*sys.matrices(), first, directions, failed_at, sys.tol)
         red = Reduction(combined_indices=(1, 2), combined_coeffs=(ca, cb))
     elif sys.m == 3:
         red = Reduction(pinned_index=0, pinned_value=1.0)
     else:
-        ca, cb = _combine_inputs(*sys.inputs, first, directions, sys.tol)
+        ca, cb = _combine_inputs(*sys.inputs, first, directions, failed_at, sys.tol)
         red = Reduction(pinned_index=0, pinned_value=1.0,
                         combined_indices=(2, 3), combined_coeffs=(ca, cb))
     return Verdict(VerdictClass.CONTROLLABLE, None, None, None, red)
@@ -255,7 +256,7 @@ def analyze(sys: BilinearSystem) -> Verdict:
 def _classify(sys: BilinearSystem) -> Verdict:
     ms = sys.matrices()
     first, directions = _candidates(ms, sys.tol)
-    common = _certified(ms, directions, sys.tol)
+    common, failed_at = _certified(ms, directions, sys.tol)
     if common is not None:
         return _verdict_with_common_vector(sys, common)
     if sys.kind is SystemKind.DRIFTLESS and sys.m == 2:
@@ -263,5 +264,5 @@ def _classify(sys: BilinearSystem) -> Verdict:
         if found is not None:
             report, lines = found
             return _nearly(lines, report, Reduction())
-    return _verdict_controllable(sys, first, directions)
+    return _verdict_controllable(sys, first, directions, failed_at)
 

@@ -16,13 +16,17 @@ builds a whole cloud of vectors at once: it checks every coordinate in one
 pass and raises the constructor's own error, so no path builds an unchecked
 value.
 
-The scalar kernels on the classify path (``linearly_independent``,
-``is_eigenvector``, ``real_eigen_directions``, ``canonical_direction`` and
-``_similar``) compute on plain floats and build no intermediate values.  Every
-result that becomes a value type still goes through ``__init__`` or
-``_vec2s``.  Where an intermediate would have come out non-finite, the kernel
-raises ValueError as that value's constructor would have, and it never
-returns a decision made on inf or nan.
+The scalar kernels compute on plain floats and build no intermediate values:
+on the classify path ``linearly_independent``, ``is_eigenvector``,
+``real_eigen_directions``, ``canonical_direction`` and ``_similar``; on the
+plan path ``_solve2`` here, ``steer._one_step``, ``steer._landings``,
+``steer._escape``, ``steer._escape_moves`` and ``steer._canonical_steps``,
+and the one replay kernel ``simulate._replay``.  A singular 2x2 system is a
+zero test in ``_det2`` that answers None, so the plan path raises no
+``SingularMatrix`` to catch.  Every result that becomes a value type still
+goes through ``__init__`` or ``_vec2s``.  Where an intermediate would have
+come out non-finite, the kernel raises ValueError as that value's
+constructor would have, and it never returns a decision made on inf or nan.
 """
 
 from __future__ import annotations
@@ -219,7 +223,9 @@ class Mat2:
         return NotImplemented
 
     def inverse(self, tol: TolerancePolicy = DEFAULT_TOL) -> "Mat2":
-        d = _nonsingular_det(self, tol)
+        d = _det2(self.a11, self.a12, self.a21, self.a22, tol)
+        if d is None:
+            raise SingularMatrix(f"matrix {self.rows()} is singular within tolerance")
         return Mat2(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
 
 
@@ -241,23 +247,39 @@ def _similar(p: Mat2, m: Mat2, p_inv: Mat2) -> Mat2:
                 t21 * p_inv.a11 + t22 * p_inv.a21, t21 * p_inv.a12 + t22 * p_inv.a22)
 
 
-def _nonsingular_det(m: Mat2, tol: TolerancePolicy) -> float:
-    """det(m), or SingularMatrix when it fails the zero test.
+def _det2(a11: float, a12: float, a21: float, a22: float,
+          tol: TolerancePolicy) -> Optional[float]:
+    """det [[a11, a12], [a21, a22]], or None when it fails the zero test.
 
     The test is scaled by the product of the row norms, so a uniformly scaled
     matrix makes the same singular/nonsingular decision.
     """
-    d = m.det()
-    if tol.is_zero(d, math.hypot(m.a11, m.a12) * math.hypot(m.a21, m.a22)):
-        raise SingularMatrix(f"matrix {m.rows()} is singular within tolerance")
+    d = a11 * a22 - a12 * a21
+    if tol.is_zero(d, math.hypot(a11, a12) * math.hypot(a21, a22)):
+        return None
     return d
+
+
+def _solve2(a11: float, a12: float, a21: float, a22: float, y1: float, y2: float,
+            tol: TolerancePolicy) -> Optional[tuple[float, float]]:
+    """:func:`solve2` on floats: the solution as a pair, or None where solve2
+    raises SingularMatrix; ValueError where its result would be non-finite."""
+    d = _det2(a11, a12, a21, a22, tol)
+    if d is None:
+        return None
+    x1 = (y1 * a22 - a12 * y2) / d
+    x2 = (a11 * y2 - y1 * a21) / d
+    if not (isfinite(x1) and isfinite(x2)):
+        raise ValueError(f"non-finite vector ({x1}, {x2})")
+    return x1, x2
 
 
 def solve2(m: Mat2, y: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Vec2:
     """Solve m @ x = y by Cramer's rule; SingularMatrix when det(m) tests zero."""
-    d = _nonsingular_det(m, tol)
-    return Vec2((y.x * m.a22 - m.a12 * y.y) / d,
-                (m.a11 * y.y - y.x * m.a21) / d)
+    x = _solve2(m.a11, m.a12, m.a21, m.a22, y.x, y.y, tol)
+    if x is None:
+        raise SingularMatrix(f"matrix {m.rows()} is singular within tolerance")
+    return Vec2(*x)
 
 
 @dataclass(frozen=True)

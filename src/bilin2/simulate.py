@@ -2,20 +2,24 @@
 
 The step map accumulates A + sum u_i B_i entry by entry in input order, so a
 zero control contributes exactly nothing and structurally zero entries stay
-exactly zero along the whole trajectory.  Plan verification replays plans
-through ``step``.  The sampling oracle advances all its trials at once as
-numpy arrays, with the same arithmetic in the same order, so each sample is
-bit for bit the ``step`` replay of its plan: there is no second integrator to
-drift out of agreement.  Its random plans come from one generator keyed by
-the seed, one row of uniforms per trial; the final states are built into
-``Vec2`` samples in bulk, with one finiteness pass over the cloud, and their
-spread is summarized by a closed-form, scale-free covariance rank.
+exactly zero along the whole trajectory.  ``step``, ``run`` and
+``verify_plan`` share one replay kernel, ``_replay``: it computes on plain
+floats, builds no intermediate ``Vec2``, and raises ValueError where such a
+state would have come out non-finite.  The sampling oracle advances all its
+trials at once as numpy arrays, with the same arithmetic in the same order,
+so each sample is bit for bit the ``step`` replay of its plan: there is no
+second integrator to drift out of agreement.  Its random plans come from one
+generator keyed by the seed, one row of uniforms per trial; the final states
+are built into ``Vec2`` samples in bulk, with one finiteness pass over the
+cloud, and their spread is summarized by a closed-form, scale-free
+covariance rank.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Optional
 
 from .classify import BilinearSystem
@@ -26,54 +30,81 @@ class ArityMismatch(ValueError):
     """A control vector whose length differs from the system's input count."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ControlPlan:
     """A finite open-loop plan: one control tuple per step.
 
     ``residual`` is the landing error |x_end - eta| that ``verify_plan``
     measured when ``plan_transfer`` or ``canonical_steer`` accepted the plan,
     and None on a plan built elsewhere.  It is not part of equality or hashing.
+    Like ``Vec2``, the plan is checked once, in its hand-written ``__init__``:
+    every control is coerced to float and must be finite.
     """
 
     steps: tuple[tuple[float, ...], ...]
     residual: Optional[float] = field(default=None, compare=False)
 
-    def __post_init__(self):
-        steps = tuple(tuple(float(c) for c in step) for step in self.steps)
-        object.__setattr__(self, "steps", steps)
+    def __init__(self, steps, residual: Optional[float] = None):
+        steps = tuple(tuple(map(float, step)) for step in steps)
         for step in steps:
-            for c in step:
-                if not math.isfinite(c):
-                    raise ValueError(f"non-finite control value {c}")
+            if not all(map(isfinite, step)):
+                bad = next(c for c in step if not isfinite(c))
+                raise ValueError(f"non-finite control value {bad}")
+        _set_steps(self, steps)
+        _set_residual(self, residual)
+
+    def __reduce__(self):
+        return (ControlPlan, (self.steps, self.residual))
 
     def __len__(self) -> int:
         return len(self.steps)
 
 
+_set_steps, _set_residual = ControlPlan.steps.__set__, ControlPlan.residual.__set__
+
+
+def _replay(sys: BilinearSystem, x: float, y: float, steps) -> list:
+    """The states of a plan replayed from (x, y), as floats x0, y0, x1, y1, ...
+
+    Each step accumulates A + sum u_i B_i entry by entry in input order and
+    applies it.  A control vector of the wrong length raises ArityMismatch,
+    and a non-finite state the ValueError its ``Vec2`` would raise, each at
+    the step where it happens.
+    """
+    drift = sys.drift
+    inputs = sys.inputs
+    m = len(inputs)
+    states = [x, y]
+    for u in steps:
+        u = tuple(u)
+        if len(u) != m:
+            raise ArityMismatch(f"expected {m} controls, got {len(u)}")
+        if drift is not None:
+            a11, a12, a21, a22 = drift.a11, drift.a12, drift.a21, drift.a22
+        else:
+            a11 = a12 = a21 = a22 = 0.0
+        for ui, b in zip(u, inputs):
+            a11 += ui * b.a11
+            a12 += ui * b.a12
+            a21 += ui * b.a21
+            a22 += ui * b.a22
+        x, y = a11 * x + a12 * y, a21 * x + a22 * y
+        if not (isfinite(x) and isfinite(y)):
+            raise ValueError(f"non-finite vector ({x}, {y})")
+        states += (x, y)
+    return states
+
+
 def step(sys: BilinearSystem, x: Vec2, u) -> Vec2:
     """One transition x -> (A + sum u_i B_i) x."""
-    u = tuple(u)
-    if len(u) != sys.m:
-        raise ArityMismatch(f"expected {sys.m} controls, got {len(u)}")
-    if sys.drift is not None:
-        a11, a12 = sys.drift.a11, sys.drift.a12
-        a21, a22 = sys.drift.a21, sys.drift.a22
-    else:
-        a11 = a12 = a21 = a22 = 0.0
-    for ui, b in zip(u, sys.inputs):
-        a11 += ui * b.a11
-        a12 += ui * b.a12
-        a21 += ui * b.a21
-        a22 += ui * b.a22
-    return Vec2(a11 * x.x + a12 * x.y, a21 * x.x + a22 * x.y)
+    states = _replay(sys, x.x, x.y, (u,))
+    return Vec2(states[2], states[3])
 
 
 def run(sys: BilinearSystem, x0: Vec2, plan: ControlPlan) -> tuple[Vec2, ...]:
     """Replay a plan from x0: the len(plan) + 1 states, starting with x0."""
-    states = [x0]
-    for u in plan.steps:
-        states.append(step(sys, states[-1], u))
-    return tuple(states)
+    states = _replay(sys, x0.x, x0.y, plan.steps)
+    return (x0,) + tuple(map(Vec2, states[2::2], states[3::2]))
 
 
 _LANDING_TOL = 1e-9
@@ -87,8 +118,19 @@ def verify_plan(sys: BilinearSystem, xi: Vec2, eta: Vec2,
     is the one acceptance rule: ``plan_transfer`` and ``canonical_steer``
     return a plan only when it holds.
     """
-    error = (run(sys, xi, plan)[-1] - eta).norm()
-    return error <= _LANDING_TOL * (1.0 + eta.norm()), error
+    return _verify(sys, xi.x, xi.y, eta.x, eta.y, plan.steps)
+
+
+def _verify(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
+            steps) -> tuple[bool, float]:
+    """:func:`verify_plan` of the plan ``steps`` from (x, y) to (ex, ey)."""
+    states = _replay(sys, x, y, steps)
+    dx = states[-2] - ex
+    dy = states[-1] - ey
+    if not (isfinite(dx) and isfinite(dy)):
+        raise ValueError(f"non-finite vector ({dx}, {dy})")
+    error = math.hypot(dx, dy)
+    return error <= _LANDING_TOL * (1.0 + math.hypot(ex, ey)), error
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from .mat2 import (
     DEFAULT_TOL,
@@ -71,7 +71,7 @@ def common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL) -> Optional[
     """
     ms = tuple(ms)
     _, directions = _candidates(ms, tol)
-    return _certified(ms, directions, tol)
+    return _certified(ms, directions, tol)[0]
 
 
 def _candidates(ms: tuple[Mat2, ...], tol: TolerancePolicy) -> tuple[int, tuple[Direction, ...]]:
@@ -85,12 +85,20 @@ def _candidates(ms: tuple[Mat2, ...], tol: TolerancePolicy) -> tuple[int, tuple[
 
 
 def _certified(ms: tuple[Mat2, ...], directions: tuple[Direction, ...],
-               tol: TolerancePolicy) -> Optional[Direction]:
-    """The first candidate direction invariant under every member, or None."""
+               tol: TolerancePolicy) -> tuple[Optional[Direction], list[int]]:
+    """The first candidate direction invariant under every member, or None;
+    and, for each candidate before it, the index of the first member it
+    failed.  Members are tested in order, so a candidate was tested against
+    exactly the members up to that index."""
+    failed_at = []
     for d in directions:
-        if all(is_eigenvector(x, d, tol) for x in ms):
-            return d
-    return None
+        for i, x in enumerate(ms):
+            if not is_eigenvector(x, d, tol):
+                failed_at.append(i)
+                break
+        else:
+            return d, failed_at
+    return None, failed_at
 
 
 def triangularize(ms, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> StructureReport:
@@ -234,19 +242,33 @@ def combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
 
 
 def _combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2, first: int,
-                    directions: tuple[Direction, ...],
+                    directions: tuple[Direction, ...], failed_at: Sequence[int],
                     tol: TolerancePolicy) -> tuple[float, float]:
-    """:func:`combine_inputs`, given the :func:`_candidates` of (a, b1, b2, b3).
+    """:func:`combine_inputs`, given the :func:`_candidates` of (a, b1, b2, b3)
+    and, as ``failed_at``, what :func:`_certified` found for them.
 
     When a or b1 is not isotropic, it is also the first constraining member of
     each {a, b1, combined}, with the same directions; those invariant under
-    both a and b1 are the only ones a combination has to break.
+    both a and b1 are the only ones a combination has to break.  The (1, 0)
+    and (0, 1) combinations are b2 and b3 up to the signs of zero entries,
+    which no residual test sees, so they are tested as b2 and b3.  No residual
+    test that ``_certified`` ran is run again.
     """
     if first >= 2:
         return combine_inputs(a, b1, b2, b3, tol)
-    shared = [d for d in directions if is_eigenvector(a, d, tol) and is_eigenvector(b1, d, tol)]
-    for ca, cb in _COMBINATIONS:
-        combined = ca * b2 + cb * b3
-        if not any(is_eigenvector(combined, d, tol) for d in shared):
-            return ca, cb
+    members = (a, b1, b2, b3)
+
+    def invariant(k: int, i: int) -> bool:
+        if k < len(failed_at) and i <= failed_at[k]:
+            return i < failed_at[k]
+        return is_eigenvector(members[i], directions[k], tol)
+
+    shared = [k for k in range(len(directions)) if invariant(k, 0) and invariant(k, 1)]
+    if not any(invariant(k, 2) for k in shared):
+        return 1.0, 0.0
+    if not any(invariant(k, 3) for k in shared):
+        return 0.0, 1.0
+    combined = b2 + b3
+    if not any(is_eigenvector(combined, directions[k], tol) for k in shared):
+        return 1.0, 1.0
     raise NoCombinationFound(_NO_COMBINATION)

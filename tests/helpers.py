@@ -13,19 +13,41 @@ import numpy as np
 from bilin2 import (
     DEFAULT_TOL,
     AllIsotropic,
+    ArityMismatch,
     BilinearSystem,
+    ControlPlan,
     Direction,
+    EscapeFailed,
+    InExcludedSet,
     LineSetKind,
     LineUnion,
     Mat2,
     NoCombinationFound,
+    NotCanonicalClass,
+    NotControllablePair,
+    SingularMatrix,
+    SingularSubstitution,
     SystemKind,
     TolerancePolicy,
     Vec2,
+    VerdictClass,
+    ZeroState,
     ZeroVector,
+    analyze,
+    apply_reduction,
+    form_scale,
+    gram_form,
+    zero_bottom_row_pair,
+    zero_lines,
 )
+from bilin2.classify import expand_controls
 from bilin2.mat2 import canonical_direction, cross
 from bilin2.quadform import QuadraticForm
+from bilin2.steer import (
+    ESCAPE_CANDIDATES_DRIFT,
+    ESCAPE_CANDIDATES_DRIFTLESS,
+    ESCAPE_MARGIN_FACTOR,
+)
 
 
 def mat(rows) -> Mat2:
@@ -411,3 +433,197 @@ def ref_zero_lines(q: QuadraticForm, tol: TolerancePolicy = DEFAULT_TOL,
 
 def ref_pair_lines(b1: Mat2, b2: Mat2, tol: TolerancePolicy = DEFAULT_TOL) -> LineUnion:
     return ref_zero_lines(ref_gram_form(b1, b2), tol, scale=b1.frob() * b2.frob())
+
+
+# --- reference plan path on value types ----------------------------------------
+#
+# The steer and simulate kernels written with Vec2/Mat2 temporaries, a
+# SingularMatrix raised and caught for a singular one-step system, and the
+# state-independent steering data rebuilt on every call.  The library's plan
+# path computes on plain floats with the same operations in the same order.
+
+
+def ref_solve2(m: Mat2, y: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Vec2:
+    d = m.det()
+    if tol.is_zero(d, math.hypot(m.a11, m.a12) * math.hypot(m.a21, m.a22)):
+        raise SingularMatrix(f"matrix {m.rows()} is singular within tolerance")
+    return Vec2((y.x * m.a22 - m.a12 * y.y) / d,
+                (m.a11 * y.y - y.x * m.a21) / d)
+
+
+def ref_step(sys: BilinearSystem, x: Vec2, u) -> Vec2:
+    u = tuple(u)
+    if len(u) != sys.m:
+        raise ArityMismatch(f"expected {sys.m} controls, got {len(u)}")
+    if sys.drift is not None:
+        a11, a12 = sys.drift.a11, sys.drift.a12
+        a21, a22 = sys.drift.a21, sys.drift.a22
+    else:
+        a11 = a12 = a21 = a22 = 0.0
+    for ui, b in zip(u, sys.inputs):
+        a11 += ui * b.a11
+        a12 += ui * b.a12
+        a21 += ui * b.a21
+        a22 += ui * b.a22
+    return Vec2(a11 * x.x + a12 * x.y, a21 * x.x + a22 * x.y)
+
+
+def ref_run(sys: BilinearSystem, x0: Vec2, plan: ControlPlan) -> tuple:
+    states = [x0]
+    for u in plan.steps:
+        states.append(ref_step(sys, states[-1], u))
+    return tuple(states)
+
+
+def ref_verify_plan(sys: BilinearSystem, xi: Vec2, eta: Vec2, plan: ControlPlan):
+    error = (ref_run(sys, xi, plan)[-1] - eta).norm()
+    return error <= 1e-9 * (1.0 + eta.norm()), error
+
+
+def ref_one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):
+    b1, b2 = sys.inputs
+    c1 = b1 @ xi
+    c2 = b2 @ xi
+    rhs = eta - (sys.drift @ xi) if sys.drift is not None else eta
+    try:
+        u = ref_solve2(Mat2(c1.x, c2.x, c1.y, c2.y), rhs, sys.tol)
+    except SingularMatrix:
+        return None
+    return (u.x, u.y)
+
+
+def _ref_steering(sys: BilinearSystem):
+    """(form, its scale, its zero lines, candidate (u, step matrix) pairs),
+    built in the order the library builds them, once per system."""
+    b1, b2 = sys.inputs
+    q = gram_form(b1, b2)
+    fscale = form_scale(b1, b2)
+    lines = zero_lines(q, sys.tol, scale=fscale)
+    candidates = (ESCAPE_CANDIDATES_DRIFT if sys.kind is SystemKind.WITH_DRIFT
+                  else ESCAPE_CANDIDATES_DRIFTLESS)
+    steps = []
+    for u in candidates:
+        m = u[0] * b1 + u[1] * b2
+        if sys.drift is not None:
+            m = sys.drift + m
+        steps.append((u, m))
+    return q, fscale, lines, steps
+
+
+def _ref_landings(sys: BilinearSystem, xi: Vec2):
+    for u, m in _ref_steering(sys)[3]:
+        x = m @ xi
+        if x.x * x.x + x.y * x.y != 0.0:
+            yield u, x
+
+
+def ref_escape_step(sys: BilinearSystem, xi: Vec2):
+    q, fscale, _, _ = _ref_steering(sys)
+    best, best_score = None, 0.0
+    for u, x in _ref_landings(sys, xi):
+        nrm2 = x.x * x.x + x.y * x.y
+        value = abs(q.evaluate(x))
+        margin = ESCAPE_MARGIN_FACTOR * sys.tol.threshold(fscale * nrm2)
+        if value >= margin and value / nrm2 > best_score:
+            best, best_score = (u, x), value / nrm2
+    if best is None:
+        raise EscapeFailed("no escape candidate cleared the singular-set margin")
+    return best
+
+
+def ref_escape_moves(sys: BilinearSystem, xi: Vec2) -> list:
+    try:
+        return [ref_escape_step(sys, xi)]
+    except EscapeFailed:
+        move = next(_ref_landings(sys, xi), None)
+        if move is None:
+            raise
+        return [move, ref_escape_step(sys, move[1])]
+
+
+def _ref_canonical(sys: BilinearSystem):
+    if sys.drift is None:
+        raise NotCanonicalClass("the two-step construction needs a drift term")
+    b1, b2 = sys.inputs
+    p = zero_bottom_row_pair(b1, b2, sys.tol)
+    if p is None:
+        raise NotCanonicalClass("inputs do not share a left null direction")
+    p_inv = Mat2(p.a11, p.a21, p.a12, p.a22)
+    a_bar = p @ sys.drift @ p_inv
+    f1 = p @ b1 @ p_inv
+    f2 = p @ b2 @ p_inv
+    m_sub = Mat2(f1.a11, f2.a11, f1.a12, f2.a12)
+    offset = Vec2(a_bar.a11, a_bar.a12)
+    a_scale = a_bar.frob()
+    if sys.tol.is_zero(a_bar.a21, a_scale):
+        raise NotCanonicalClass("drift has no coupling into the decoupled coordinate")
+    return p, m_sub, offset, a_bar.a21, a_bar.a22, a_scale
+
+
+def ref_canonical_steps(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> list:
+    tol = sys.tol
+    _ref_steering(sys)
+    p, m_sub, offset, a21, a22, a_scale = _ref_canonical(sys)
+    x = p @ xi
+    target = p @ eta
+    state_scale = x.norm()
+    if tol.is_zero(state_scale):
+        raise ZeroState("cannot steer from the zero state")
+    bar_steps = []
+    if tol.is_zero(x.x, state_scale) or tol.is_zero(a21 * x.x + a22 * x.y, a_scale * state_scale):
+        c = next((cc for cc in (1.0, 2.0)
+                  if not tol.is_zero(cc * a21 + a22 * a22, abs(a21) + a22 * a22)), 2.0)
+        bar_steps.append(Vec2(0.0, c))
+        x = Vec2(c * x.y, a21 * x.x + a22 * x.y)
+    s = a21 * x.x + a22 * x.y
+    if tol.is_zero(x.x, x.norm()) or tol.is_zero(s, a_scale * x.norm()):
+        raise EscapeFailed("pre-step failed to clear the degenerate coordinates")
+    t = target.y - a22 * s
+    if not tol.is_zero(t, abs(target.y) + abs(a22 * s)):
+        bar_steps.append(Vec2(t / (a21 * x.x), 0.0))
+        bar_steps.append(Vec2(a21 * target.x / t, 0.0))
+    else:
+        bar_steps.append(Vec2(0.0, 0.0))
+        bar_steps.append(Vec2(0.0, target.x / s))
+    try:
+        return [ref_solve2(m_sub, vb - offset, tol).as_tuple() for vb in bar_steps]
+    except SingularMatrix as exc:
+        raise SingularSubstitution("input substitution matrix is singular") from exc
+
+
+def _ref_verified(sys: BilinearSystem, xi: Vec2, eta: Vec2, steps) -> ControlPlan:
+    plan = ControlPlan(tuple(steps))
+    ok, error = ref_verify_plan(sys, xi, eta, plan)
+    if not ok:
+        raise RuntimeError(f"synthesized plan misses the target by {error}; "
+                           "this is a bug, not a property of the system")
+    return ControlPlan(plan.steps, error)
+
+
+def ref_plan_transfer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
+    verdict = analyze(sys)
+    if verdict.klass is VerdictClass.UNCONTROLLABLE:
+        raise NotControllablePair("system is uncontrollable; no transfers are synthesized")
+    eff = apply_reduction(sys, verdict.reduction)
+
+    def expand(u):
+        return expand_controls(verdict.reduction, sys.m, u[0], u[1])
+
+    if verdict.klass is VerdictClass.NEARLY_CONTROLLABLE:
+        u = ref_one_step(eff, xi, eta)
+        if u is None:
+            raise InExcludedSet("initial state in excluded set")
+        return _ref_verified(sys, xi, eta, [expand(u)])
+    if sys.tol.is_zero(xi.norm()) or sys.tol.is_zero(eta.norm()):
+        raise ZeroState("controllable transfers connect nonzero states only")
+    if _ref_steering(eff)[2].kind is LineSetKind.ALL_OF_PLANE:
+        return _ref_verified(sys, xi, eta,
+                             [expand(u) for u in ref_canonical_steps(eff, xi, eta)])
+    u = ref_one_step(eff, xi, eta)
+    if u is not None:
+        return _ref_verified(sys, xi, eta, [expand(u)])
+    moves = ref_escape_moves(eff, xi)
+    u = ref_one_step(eff, moves[-1][1], eta)
+    if u is None:
+        raise EscapeFailed("escape landed back on the singular set")
+    return _ref_verified(sys, xi, eta, [expand(v) for v, _ in moves] + [expand(u)])

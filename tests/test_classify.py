@@ -251,12 +251,24 @@ def test_analyze_computes_eigen_directions_once(kind, monkeypatch):
         calls.append(args)
         return original(*args)
 
+    tested = []
+    residual_test = structure.is_eigenvector
+
+    def counted_test(m, d, tol):
+        tested.append((m, d))
+        return residual_test(m, d, tol)
+
     for module in (mat2, structure):
         monkeypatch.setattr(module, "real_eigen_directions", counted)
+    monkeypatch.setattr(structure, "is_eigenvector", counted_test)
     verdict = analyze(sys)
     assert verdict.klass is VerdictClass.CONTROLLABLE
     assert verdict.reduction.combined_coeffs == (1.0, 1.0)
     assert calls == [(a, sys.tol)]
+    # No (matrix, direction) residual test runs twice; b2 + b3 is the only
+    # combination tested as a matrix of its own.
+    assert len(tested) == len(set(tested))
+    assert {m for m, _ in tested} == {a, b1, b2, b3, b2 + b3}
 
 
 def test_equal_systems_get_equal_verdicts(shared_line_drift_system, swap_pair_system,

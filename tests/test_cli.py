@@ -74,13 +74,13 @@ def test_oracle_stdout_is_pinned(name, start, write_doc, capsys):
 
 def test_steer_replays_its_plan_once(write_doc, monkeypatch, capsys):
     calls = []
-    replay = simulate.run
+    replay = simulate._replay
 
-    def counting_run(*args):
+    def counting_replay(*args):
         calls.append(args)
         return replay(*args)
 
-    monkeypatch.setattr(simulate, "run", counting_run)
+    monkeypatch.setattr(simulate, "_replay", counting_replay)
     assert cli.main(["steer", write_doc(ROTATION_DRIFT), "--from", "1,1", "--to", "-11,-7"]) == 0
     assert json.loads(capsys.readouterr().out)["residual"] == 0.0
     assert len(calls) == 1

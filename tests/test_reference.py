@@ -5,15 +5,36 @@ raise an exception of the same type.  The families cover the places where a
 zero test or an overflow decides: entries scaled by 2^k (exact, so only the
 tolerance floors see the scale) and by log-uniform factors, near-isotropic
 members, repeated eigenvalues, near-dependent families, and entries large
-enough that intermediates overflow.
+enough that intermediates overflow.  The plan-path kernels (steer and
+simulate) run on the golden systems and on random two-input systems, from
+states scaled by 2^k over the whole exponent range, so landings overflow and
+states go subnormal.
 """
 
 import math
 
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from bilin2 import DEFAULT_TOL, Mat2, Vec2, combine_inputs, common_real_eigenvector
+from bilin2 import (
+    DEFAULT_TOL,
+    BilinearSystem,
+    ControlPlan,
+    Mat2,
+    SystemKind,
+    Vec2,
+    VerdictClass,
+    analyze,
+    apply_reduction,
+    combine_inputs,
+    common_real_eigenvector,
+    escape_step,
+    one_step,
+    plan_transfer,
+    run,
+    step,
+    verify_plan,
+)
 from bilin2.mat2 import (
     _similar,
     canonical_direction,
@@ -22,15 +43,24 @@ from bilin2.mat2 import (
     real_eigen_directions,
 )
 from bilin2.quadform import pair_lines
+from bilin2.steer import _canonical_steps, _escape_moves
 from bilin2.structure import _candidates, _certified, _combine_inputs
 from helpers import (
     ref_canonical_direction,
+    ref_canonical_steps,
     ref_combine_inputs,
     ref_common_real_eigenvector,
+    ref_escape_moves,
+    ref_escape_step,
     ref_is_eigenvector,
     ref_linearly_independent,
+    ref_one_step,
     ref_pair_lines,
+    ref_plan_transfer,
     ref_real_eigen_directions,
+    ref_run,
+    ref_step,
+    ref_verify_plan,
 )
 
 
@@ -161,8 +191,9 @@ def test_common_real_eigenvector_matches_reference(ms):
 
 
 def _combine_from_candidates(a, b1, b2, b3):
-    return _combine_inputs(a, b1, b2, b3, *_candidates((a, b1, b2, b3), DEFAULT_TOL),
-                           DEFAULT_TOL)
+    first, directions = _candidates((a, b1, b2, b3), DEFAULT_TOL)
+    _, failed_at = _certified((a, b1, b2, b3), directions, DEFAULT_TOL)
+    return _combine_inputs(a, b1, b2, b3, first, directions, failed_at, DEFAULT_TOL)
 
 
 @given(families(4, 4))
@@ -200,3 +231,179 @@ def test_pair_lines_matches_reference(b1, b2):
 @example(Mat2(1.0, 1.0, 0.0, 1.0), Mat2(1.7e308, 0.0, 1.7e308, 0.0), Mat2(1.0, 0.0, 0.0, 1.0))
 def test_similar_matches_matmul(p, m, q):
     assert outcome(_similar, p, m, q) == outcome(lambda: p @ m @ q)
+
+
+# --- the plan path --------------------------------------------------------------
+
+
+def _system(drift, *inputs) -> BilinearSystem:
+    kind = SystemKind.WITH_DRIFT if drift is not None else SystemKind.DRIFTLESS
+    return BilinearSystem(kind, None if drift is None else Mat2(*drift),
+                          tuple(Mat2(*b) for b in inputs))
+
+
+# The conftest and test_steer fixtures, and the three- and four-input and
+# zero-bottom-row systems of the benchmark's plan stream.
+ROTATION = _system((0.0, -1.0, 1.0, 0.0), (1.0, -1.0, 0.0, 2.0), (0.0, 0.0, 1.0, 0.0))
+SHARED = _system((5.0, 3.0, -4.0, -2.0), (0.0, -1.0, 2.0, 3.0), (7.0, 1.0, -1.0, 5.0))
+SWAP = _system(None, (-1.0, 0.0, 3.0, 1.0), (4.0, 3.0, -6.0, -4.0))
+TRAPPED = _system((1.0, 2.0, 0.0, 3.0), (1.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
+COUPLED_SHIFT = _system((0.0, 0.0, 1.0, 2.0), (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
+DRIFT3 = _system((1.0, -2.0, 1.0, 0.0), (1.0, 0.0, 0.0, -1.0), (0.0, 1.0, -1.0, 0.0),
+                 (1.0, 1.0, 0.0, 1.0))
+DRIFTLESS4 = _system(None, (0.0, -1.0, 1.0, 0.0), (1.0, 0.0, 0.0, -1.0), (1.0, 1.0, 0.0, 0.0),
+                     (0.0, 0.0, 1.0, 0.0))
+ZERO_BOTTOM = _system((1.0, 2.0, 1.0, -1.0), (1.0, 2.0, 0.0, 0.0), (3.0, -1.0, 0.0, 0.0))
+# Inputs whose rows share the left null direction (2, -1): the zero-bottom-row
+# basis is a rotation with irrational entries.
+TILTED = _system((1.0, 2.0, 1.0, -1.0), (1.0, 2.0, 2.0, 4.0), (3.0, -1.0, 6.0, -2.0))
+GOLDEN = (ROTATION, SHARED, SWAP, TRAPPED, COUPLED_SHIFT, DRIFT3, DRIFTLESS4, ZERO_BOTTOM,
+          TILTED)
+
+entry = st.one_of(unit, small_int)
+
+
+@st.composite
+def two_input_systems(draw, zero_bottom=st.booleans()):
+    """A random two-input system; with drift, the inputs' bottom rows are
+    zero when ``zero_bottom`` draws true, so the steering form vanishes and
+    the two-step construction steers."""
+    drift = draw(st.booleans())
+    zero_bottom = drift and draw(zero_bottom)
+    scale = draw(scale_factor())
+
+    def member(bottom_zero=False):
+        e = [draw(entry) for _ in range(4)]
+        if bottom_zero:
+            e[2] = e[3] = 0.0
+        return _scaled(e, scale)
+
+    a = member() if drift else None
+    try:
+        return BilinearSystem(SystemKind.WITH_DRIFT if drift else SystemKind.DRIFTLESS, a,
+                              (member(zero_bottom), member(zero_bottom)))
+    except ValueError:
+        assume(False)
+
+
+systems = st.one_of(st.sampled_from(GOLDEN), two_input_systems())
+canonical_systems = st.one_of(st.sampled_from(GOLDEN), two_input_systems(st.just(True)),
+                              st.sampled_from([COUPLED_SHIFT, ZERO_BOTTOM, TILTED]))
+
+
+def _clamped(v: float) -> float:
+    return max(-1.7e308, min(1.7e308, v))
+
+
+@st.composite
+def states(draw):
+    """A state of unit-range or integer coordinates times 2^k, k in
+    [-1074, 1023]; k is 0, or near 0, or anywhere in the range, in equal
+    shares, so that plans are found as well as refused."""
+    f = 2.0 ** draw(st.one_of(st.just(0), st.integers(-60, 60), st.integers(-1074, 1023)))
+    return Vec2(_clamped(draw(entry) * f), _clamped(draw(entry) * f))
+
+
+def _pair(sys):
+    """The two-input system the verdict's reduction leaves (sys itself for a
+    pair), or None when the verdict refuses to steer."""
+    if sys.m == 2:
+        return sys
+    verdict = analyze(sys)
+    if verdict.klass is VerdictClass.UNCONTROLLABLE:
+        return None
+    return apply_reduction(sys, verdict.reduction)
+
+
+def _placed(pair, xi, on_line):
+    """xi, or with on_line its first coordinate times a zero line of the pair."""
+    if on_line:
+        lines = pair_lines(*pair.inputs, pair.tol).lines
+        if lines:
+            return Vec2(lines[0].x * xi.x, lines[0].y * xi.x)
+    return xi
+
+
+@given(systems, states(), states(), st.booleans())
+@example(ROTATION, Vec2(-1.0, 1.0), Vec2(-11.0, -7.0), False)         # one step
+@example(ROTATION, Vec2(1.0, 1.0), Vec2(3.0, 4.0), False)             # singular: None
+@example(ROTATION, Vec2(1e308, -1e308), Vec2(1.0, 1.0), False)        # B xi overflows
+@example(ROTATION, Vec2(-1.0, 1.0), Vec2(-1.7e308, 1.0), False)       # eta - A xi overflows
+@example(SWAP, Vec2(5e-324, 0.0), Vec2(1.0, 1.0), False)              # subnormal state
+@example(_system(None, (2.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)),
+         Vec2(1e308, 1.0), Vec2(1.0, 1.0), False)     # B1 xi overflows to an infinite det
+def test_one_step_matches_reference(sys, xi, eta, on_line):
+    pair = _pair(sys)
+    assume(pair is not None)
+    xi = _placed(pair, xi, on_line)
+    assert outcome(one_step, pair, xi, eta) == outcome(ref_one_step, pair, xi, eta)
+
+
+@given(systems, states(), st.booleans())
+@example(ROTATION, Vec2(1.0, 1.0), False)                 # the drift alone escapes
+@example(DRIFT3, Vec2(1.0, 1.0), False)                   # escape + escape
+@example(ROTATION, Vec2(1.7e308, 1.7e308), False)         # a landing overflows
+@example(COUPLED_SHIFT, Vec2(1.0, 0.0), False)            # the form vanishes: no escape
+def test_escape_matches_reference(sys, xi, on_line):
+    pair = _pair(sys)
+    assume(pair is not None)
+    xi = _placed(pair, xi, on_line)
+    assert outcome(escape_step, pair, xi) == outcome(ref_escape_step, pair, xi)
+    kernel = outcome(_escape_moves, pair, xi.x, xi.y)
+    assert kernel == outcome(lambda: [(u, x.x, x.y) for u, x in ref_escape_moves(pair, xi)])
+
+
+@given(canonical_systems, states(), states())
+@example(TILTED, Vec2(1.3, 0.4), Vec2(1.7, -0.6))           # a rotated basis
+@example(COUPLED_SHIFT, Vec2(1.0, 1.0), Vec2(4.0, 9.0))     # second coordinate first
+@example(COUPLED_SHIFT, Vec2(0.0, 1e308), Vec2(4.0, 9.0))   # the pre-step overflows
+@example(COUPLED_SHIFT, Vec2(1.0, 1.0), Vec2(5.0, 6.0))     # degenerate target branch
+@example(COUPLED_SHIFT, Vec2(0.0, 1.0), Vec2(4.0, 9.0))     # pre-step
+@example(ZERO_BOTTOM, Vec2(1e308, 1e308), Vec2(1.0, 1.0))   # the rotated state overflows
+@example(ROTATION, Vec2(1.0, 1.0), Vec2(4.0, 9.0))          # no zero-bottom-row basis
+def test_canonical_steps_match_reference(sys, xi, eta):
+    pair = _pair(sys)
+    assume(pair is not None)
+    kernel = outcome(_canonical_steps, pair, xi.x, xi.y, eta.x, eta.y)
+    assert kernel == outcome(ref_canonical_steps, pair, xi, eta)
+
+
+control = st.one_of(unit, small_int, unit, small_int, huge)
+
+
+@given(systems, states(), states(), st.lists(st.tuples(*[control] * 5), max_size=3),
+       st.sampled_from([0] * 6 + [1, -1]))
+@example(ROTATION, Vec2(1.0, 1.0), Vec2(-11.0, -7.0), [(0.0,) * 5, (5.0, 16.0, 0.0, 0.0, 0.0)], 0)
+@example(ROTATION, Vec2(1.0, 1.0), Vec2(0.0, 0.0), [(1e308,) * 5] * 2, 0)     # states overflow
+@example(ROTATION, Vec2(1.0, 1.0), Vec2(0.0, 0.0), [(1.0,) * 5], 1)           # arity
+@example(ROTATION, Vec2(1.7e308, 0.0), Vec2(-1.7e308, 0.0), [], 0)   # x_end - eta overflows
+@example(ROTATION, Vec2(1.0, 1.0), Vec2(0.0, 0.0), [(1e308,) * 5, (1.0,) * 5], 1)  # overflow first
+def test_replay_matches_reference(sys, xi, eta, controls, arity_slip):
+    # arity_slip makes the last control vector one too long or too short
+    m = sys.m
+    plan = ControlPlan(tuple(u[:m] for u in controls[:-1])
+                       + tuple(u[:m + arity_slip] for u in controls[-1:]))
+    for u in plan.steps[:1]:
+        assert outcome(step, sys, xi, u) == outcome(ref_step, sys, xi, u)
+    assert outcome(run, sys, xi, plan) == outcome(ref_run, sys, xi, plan)
+    assert outcome(verify_plan, sys, xi, eta, plan) == outcome(ref_verify_plan, sys, xi, eta,
+                                                               plan)
+
+
+@given(systems, states(), states(), st.booleans())
+@example(ROTATION, Vec2(-1.0, 1.0), Vec2(-11.0, -7.0), False)         # one step
+@example(ROTATION, Vec2(1.0, 1.0), Vec2(-11.0, -7.0), False)          # escape + one step
+@example(DRIFT3, Vec2(1.0, 1.0), Vec2(1.7, -0.6), False)              # escape twice
+@example(DRIFTLESS4, Vec2(1.3, 0.4), Vec2(1.7, -0.6), False)          # pinned and combined
+@example(ZERO_BOTTOM, Vec2(1.3, 0.4), Vec2(1.7, -0.6), False)         # two-step construction
+@example(SHARED, Vec2(1.3, 0.4), Vec2(0.0, 0.0), False)               # nearly, to zero
+@example(SHARED, Vec2(1.0, -1.0), Vec2(1.7, -0.6), False)             # excluded initial state
+@example(TRAPPED, Vec2(1.3, 0.4), Vec2(1.7, -0.6), False)             # uncontrollable
+@example(ROTATION, Vec2(0.0, 0.0), Vec2(1.7, -0.6), False)            # zero state
+@example(ROTATION, Vec2(1.7e308, 1.7e308), Vec2(1.0, 1.0), False)     # a landing overflows
+@example(ROTATION, Vec2(1e200, 1e200), Vec2(1.0, 1.0), False)         # no candidate clears
+def test_plan_transfer_matches_reference(sys, xi, eta, on_line):
+    pair = _pair(sys)
+    if pair is not None:
+        xi = _placed(pair, xi, on_line)
+    assert outcome(plan_transfer, sys, xi, eta) == outcome(ref_plan_transfer, sys, xi, eta)

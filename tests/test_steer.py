@@ -326,3 +326,32 @@ def test_plan_residual_is_the_verify_plan_error_and_not_compared(rotation_drift_
     bare = type(plan)(plan.steps)
     assert bare.residual is None
     assert bare == plan and hash(bare) == hash(plan)
+
+
+@pytest.mark.parametrize("fixture, xi, eta, expected", [
+    ("shared_line_drift_system", Vec2(1.0, -1.0), Vec2(1.7, -0.6), InExcludedSet),
+    ("rotation_drift_system", Vec2(1.0, 1.0), Vec2(-11.0, -7.0), 2),
+    ("rotation_drift_system", Vec2(-1.0, 1.0), Vec2(-11.0, -7.0), 1),
+])
+def test_plan_transfer_builds_no_singular_matrix(fixture, xi, eta, expected, request,
+                                                 monkeypatch):
+    # A singular one-step system is a zero test that answers None: the
+    # excluded-set refusal and the escape route raise and catch nothing.
+    sys = request.getfixturevalue(fixture)
+    analyze(sys)
+    made = []
+
+    def counting_init(self, *args):
+        made.append(args)
+        ValueError.__init__(self, *args)
+
+    monkeypatch.setattr(mat2.SingularMatrix, "__init__", counting_init)
+    if isinstance(expected, int):
+        assert len(plan_transfer(sys, xi, eta)) == expected
+    else:
+        with pytest.raises(expected):
+            plan_transfer(sys, xi, eta)
+    assert made == []
+    with pytest.raises(mat2.SingularMatrix):   # the counter sees the ones that are built
+        mat2.solve2(mat2.Mat2(1.0, 2.0, 2.0, 4.0), Vec2(1.0, 1.0))
+    assert len(made) == 1
