@@ -7,14 +7,16 @@ System files are JSON:
      "B": [[[..,..],[..,..]], ...],   # 2 to 4 input matrices
      "tolerance": {"abs": 1e-9, "rel": 1e-9}}   # optional
 
-Exit codes: 0 on success, 2 on parse or validation failure, on a verdict
-whose zero tests cannot be made (such as a ZeroVector), or on a simulated,
-sampled or replayed state that overflows to a non-finite value, 3 when a
-steering request is refused (uncontrollable verdict, excluded initial state,
-zero endpoint under a controllable verdict, or no plan found: no escape step
-cleared the singular set, no usable two-step construction, or a singular input
-substitution).  BILIN2_TOL_ABS / BILIN2_TOL_REL
-override the tolerance from the environment, taking precedence over the file.
+``steer`` prints the plan and the replay residual it was accepted on, within
+``verify_plan``'s bound 1e-8 * max(|eta|, max_k |M_k|_F |x_k|, 2^-1042).  Exit
+codes: 0 on success, 2 on parse or validation failure, on a verdict whose zero
+tests cannot be made (such as a ZeroVector), or on a simulated, sampled or
+replayed state that overflows to a non-finite value, 3 when a steering request
+is refused (uncontrollable verdict, excluded initial state, zero endpoint
+under a controllable verdict, or no plan found: no closed-form escape step
+cleared the singular set or left a one-step solve, no usable two-step
+construction, or a singular input substitution).  BILIN2_TOL_ABS /
+BILIN2_TOL_REL override the tolerance from the environment, over the file.
 """
 
 from __future__ import annotations

@@ -19,13 +19,13 @@ value.
 The scalar kernels compute on plain floats and build no intermediate values:
 on the classify path ``linearly_independent``, ``is_eigenvector``,
 ``real_eigen_directions``, ``canonical_direction`` and ``_similar``; on the
-plan path ``_solve2`` here, ``steer._one_step``, ``steer._landings``,
-``steer._escape``, ``steer._escape_moves`` and ``steer._canonical_steps``,
-and the one replay kernel ``simulate._replay``.  A singular 2x2 system is a
-zero test in ``_det2`` that answers None, so the plan path raises no
-``SingularMatrix`` to catch.  Every result that becomes a value type still
-goes through ``__init__`` or ``_vec2s``.  Where an intermediate would have
-come out non-finite, the kernel raises ValueError as that value's
+plan path ``_solve2`` here, the ``steer`` kernels (among them the closed-form
+escape and its scale-free clearance test) and the replay kernel
+``simulate._replay``, which also gathers ``verify_plan``'s bound.  A singular
+2x2 system is a zero test in ``_det2`` that answers None, so the plan path
+raises no ``SingularMatrix`` to catch.  Every result that becomes a value type
+still goes through ``__init__`` or ``_vec2s``.  Where an intermediate would
+have come out non-finite, the kernel raises ValueError as that value's
 constructor would have, and it never returns a decision made on inf or nan.
 """
 
@@ -249,13 +249,13 @@ def _similar(p: Mat2, m: Mat2, p_inv: Mat2) -> Mat2:
 
 def _det2(a11: float, a12: float, a21: float, a22: float,
           tol: TolerancePolicy) -> Optional[float]:
-    """det [[a11, a12], [a21, a22]], or None when it fails the zero test.
-
-    The test is scaled by the product of the row norms, so a uniformly scaled
-    matrix makes the same singular/nonsingular decision.
+    """det [[a11, a12], [a21, a22]], or None when it is zero or fails the zero
+    test.  The test is scaled by the product of the row norms, so a uniformly
+    scaled matrix makes the same singular/nonsingular decision; that product
+    is nan for an infinite row norm times a zero one, hence the exact check.
     """
     d = a11 * a22 - a12 * a21
-    if tol.is_zero(d, math.hypot(a11, a12) * math.hypot(a21, a22)):
+    if d == 0.0 or tol.is_zero(d, math.hypot(a11, a12) * math.hypot(a21, a22)):
         return None
     return d
 

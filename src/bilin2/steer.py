@@ -2,21 +2,15 @@
 
 The basic move is a one-step solve: the step lands on eta exactly when
 [B1 xi, B2 xi] u = eta - A xi has a solution, which fails only on the zero
-lines of the pair's steering form.  Off-line states steer in one step; on-line
-states under a controllable verdict first take an escape step chosen from a
-fixed candidate list.  When every candidate lands back on the zero lines, a
-candidate move and a second escape step come first (escape + escape + one
-step).  Pairs whose steering form vanishes identically are handled by a
-dedicated two-step construction in a zero-bottom-row basis.  Every returned
-plan is replayed once, by ``simulate``'s replay kernel under the
-``verify_plan`` bound, and accepted only when it holds.
-
-``plan_transfer`` solves, escapes and replays on plain floats: the kernels
-``_one_step``, ``_landings``/``_escape``, ``_escape_moves`` and
-``_canonical_steps`` take and return floats, and the plan is the only value
-built.  A singular one-step system is a zero test that answers None.  The
-public ``one_step``, ``escape_step`` and ``canonical_steer`` are thin
-wrappers over the same kernels.
+lines of the pair's steering form q.  Off-line states steer in one step.  From
+an on-line state every landing lies on one line, and the escape step takes its
+best point in closed form: the drift alone when it clears, else the crossing
+with q's principal axis.  Only when q vanishes on that whole line does a
+second escape step come first.  Pairs whose q vanishes identically take a
+two-step construction in a zero-bottom-row basis.  Every plan is replayed
+once and returned only when it passes the ``verify_plan`` bound.  The float
+kernels ``_one_step``, ``_escape``, ``_escape_moves`` and ``_canonical_steps``
+are wrapped by ``one_step``, ``escape_step`` and ``canonical_steer``.
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ import math
 from functools import cached_property
 from math import isfinite
 
-from .classify import BilinearSystem, SystemKind, VerdictClass, analyze, expand_controls
+from .classify import BilinearSystem, VerdictClass, analyze, expand_controls
 from .mat2 import Mat2, Vec2, _solve2
 from .quadform import LineSetKind, form_scale, gram_form, zero_lines
 from .simulate import ControlPlan, _verify
@@ -45,7 +39,8 @@ class ZeroState(ValueError):
 
 
 class EscapeFailed(RuntimeError):
-    """No candidate escape control left the singular set with enough margin."""
+    """No escape step left the singular set: no landing cleared the zero test,
+    or the one step after it, or the canonical pre-step, found none."""
 
 
 class NotCanonicalClass(RuntimeError):
@@ -57,15 +52,16 @@ class SingularSubstitution(RuntimeError):
     determinant zero test; badly scaled independent inputs can cause it."""
 
 
-ESCAPE_CANDIDATES_DRIFT = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 3.0))
-ESCAPE_CANDIDATES_DRIFTLESS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 3.0), (1.0, -1.0))
-ESCAPE_MARGIN_FACTOR = 1e3
-
-
 def _require_pair(sys: BilinearSystem) -> None:
     if sys.m != 2:
         raise ValueError(f"expected a two-input system, got {sys.m} inputs; "
                          "apply the verdict's reduction first")
+
+
+def _finite(*values: float) -> None:
+    """ValueError, as ``Vec2`` raises it, unless all the floats are finite."""
+    if not all(map(isfinite, values)):
+        raise ValueError(f"non-finite vector {values}")
 
 
 def one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):
@@ -90,36 +86,38 @@ def _one_step(sys: BilinearSystem, x: float, y: float, ex: float, ey: float):
     else:
         rx, ry = ex, ey
     # A non-finite drift image leaves a non-finite right-hand side.
-    if not (isfinite(c1x) and isfinite(c1y) and isfinite(c2x) and isfinite(c2y)
-            and isfinite(rx) and isfinite(ry)):
-        raise ValueError(f"non-finite one-step system ({c1x}, {c2x}, {c1y}, {c2y}), "
-                         f"({rx}, {ry})")
+    _finite(c1x, c2x, c1y, c2y, rx, ry)
     return _solve2(c1x, c2x, c1y, c2y, rx, ry, sys.tol)
 
 
 class _Steering:
-    """What escape_step and the two-step construction know of a two-input
-    system before any state is given: the steering form, its zero lines and
-    the candidate controls with the entries of their step matrices, and on
-    first use the zero-bottom-row frame.
-    Built once per system, through ``BilinearSystem._steering``, and kept on
-    it; it holds no reference back to the system."""
+    """What the escape step and the two-step construction know of a two-input
+    system before any state is given: the drift's entries (zeros without
+    drift), the steering form, its scale, zero lines and principal axis, and
+    on first use the zero-bottom-row frame.  Built once per system, through
+    ``BilinearSystem._steering``; it holds no reference back to the system."""
 
     def __init__(self, sys: BilinearSystem):
-        self.drift, self.inputs, self.tol = sys.drift, sys.inputs, sys.tol
-        b1, b2 = sys.inputs
-        self.form = gram_form(b1, b2)
+        a, (b1, b2) = sys.drift, sys.inputs
+        self.drift, self.inputs, self.tol = a, sys.inputs, sys.tol
+        self.drift_entries = (a.a11, a.a12, a.a21, a.a22) if a is not None else (0.0,) * 4
+        self.drift_norm = math.hypot(*self.drift_entries)
+        self.form = q = gram_form(b1, b2)
         self.form_scale = form_scale(b1, b2)
-        self.lines = zero_lines(self.form, sys.tol, scale=self.form_scale)
-        candidates = (ESCAPE_CANDIDATES_DRIFT if sys.kind is SystemKind.WITH_DRIFT
-                      else ESCAPE_CANDIDATES_DRIFTLESS)
-        steps = []
-        for u in candidates:
-            m = u[0] * b1 + u[1] * b2
-            if sys.drift is not None:
-                m = sys.drift + m
-            steps.append((u, m.a11, m.a12, m.a21, m.a22))
-        self.candidate_steps = tuple(steps)
+        self.lines = zero_lines(q, sys.tol, scale=self.form_scale)
+        # The eigenvector of [[a, b/2], [b/2, c]] whose eigenvalue has the
+        # larger magnitude: the direction of largest |q(z)| / |z|^2.
+        theta = 0.5 * (math.atan2(q.b, q.a - q.c) + (math.pi if q.a + q.c < 0.0 else 0.0))
+        self.axis = (math.cos(theta), math.sin(theta))
+
+    def clears(self, x: float, y: float) -> bool:
+        """Whether the clearance |q(l)| / (form_scale * |l|^2) of the finite
+        l = (x, y) != 0 is not zero under the tolerance; taken on l / |l|_inf,
+        so it cannot overflow and does not depend on the scale of l."""
+        s, q = max(abs(x), abs(y)), self.form
+        x, y = x / s, y / s
+        return not self.tol.is_zero((q.a * x * x + q.b * x * y + q.c * y * y)
+                                    / (self.form_scale * (x * x + y * y)))
 
     @cached_property
     def canonical(self) -> tuple:
@@ -143,71 +141,74 @@ class _Steering:
                 (a_bar.a11, a_bar.a12), a_bar.a21, a_bar.a22, a_scale)
 
 
-_NO_ESCAPE = "no escape candidate cleared the singular-set margin"
+_NO_ESCAPE = "no escape step cleared the singular set"
 
 
 def escape_step(sys: BilinearSystem, xi: Vec2) -> tuple[tuple[float, float], Vec2]:
-    """One control moving xi off the steering form's zero set.
+    """One control moving xi, a state on the steering form's zero set, off it.
 
-    Candidates are a fixed list that no single line (or affine line, with
-    drift) can swallow.  A candidate survives when the form's magnitude at the
-    landed state clears ESCAPE_MARGIN_FACTOR times the zero threshold at that
-    state's scale; among survivors the largest normalized magnitude
-    |q(x)| / |x|^2 wins, so the choice is insensitive to the landing's size.
-    """
+    There B1 xi and B2 xi are parallel, so every landing is p + t c, with
+    p = A xi (zero without drift), c the longer of B1 xi and B2 xi, and u = t
+    in c's slot.  The drift alone (u = 0) is taken when it clears, else the
+    landing on the form's principal axis, of largest clearance |q(x)| /
+    (form_scale |x|^2).  A landing clears when neither it, next to |M|_F |xi|
+    for its step M, nor its clearance is zero under the tolerance."""
     _require_pair(sys)
-    best = _escape(sys, _landings(sys._steering, xi.x, xi.y))
-    if best is None:
+    move = _escape(sys, xi.x, xi.y)
+    if not move[3]:
         raise EscapeFailed(_NO_ESCAPE)
-    u, lx, ly = best
-    return u, Vec2(lx, ly)
+    return move[0], Vec2(move[1], move[2])
 
 
-def _landings(steering: _Steering, x: float, y: float) -> list:
-    """(u, lx, ly) for each escape candidate u whose step from (x, y) lands
-    on a nonzero (lx, ly); ValueError at the first non-finite landing."""
-    out = []
-    for u, m11, m12, m21, m22 in steering.candidate_steps:
-        lx = m11 * x + m12 * y
-        ly = m21 * x + m22 * y
-        if not (isfinite(lx) and isfinite(ly)):
-            raise ValueError(f"non-finite escape landing ({lx}, {ly})")
-        if lx * lx + ly * ly != 0.0:
-            out.append((u, lx, ly))
-    return out
-
-
-def _escape(sys: BilinearSystem, landings: list):
-    """The landing :func:`escape_step` picks, or None when none survives."""
-    steering = sys._steering
-    q, fscale, tol = steering.form, steering.form_scale, sys.tol
-    a, b, c = q.a, q.b, q.c
-    best, best_score = None, 0.0
-    for landing in landings:
-        _, x, y = landing
-        nrm2 = x * x + y * y
-        value = abs(a * x * x + b * x * y + c * y * y)
-        margin = ESCAPE_MARGIN_FACTOR * tol.threshold(fscale * nrm2)
-        if value >= margin and value / nrm2 > best_score:
-            best, best_score = landing, value / nrm2
-    return best
+def _escape(sys: BilinearSystem, x: float, y: float):
+    """The landing :func:`escape_step` picks from (x, y), as (u, lx, ly,
+    clears), computed as the replay computes it; one that does not clear is p,
+    or c when p is zero.  ValueError when an image or the landing overflows."""
+    steering, tol = sys._steering, sys.tol
+    (b1, b2), (a11, a12, a21, a22) = steering.inputs, steering.drift_entries
+    px, py = a11 * x + a12 * y, a21 * x + a22 * y
+    c1x, c1y = b1.a11 * x + b1.a12 * y, b1.a21 * x + b1.a22 * y
+    c2x, c2y = b2.a11 * x + b2.a12 * y, b2.a21 * x + b2.a22 * y
+    _finite(px, py, c1x, c1y, c2x, c2y)
+    xn, pn = math.hypot(x, y), math.hypot(px, py)
+    if pn != 0.0 and tol.is_zero(pn / steering.drift_norm / xn):
+        pn = 0.0   # p is lost next to |A|_F |x|: escape as without drift
+    if pn != 0.0 and steering.clears(px, py):
+        return (0.0, 0.0), px, py, True
+    n1, n2 = math.hypot(c1x, c1y), math.hypot(c2x, c2y)
+    k, b, cx, cy, cn = (0, b1, c1x, c1y, n1) if n1 >= n2 else (1, b2, c2x, c2y, n2)
+    if cn == 0.0:
+        return (0.0, 0.0), px, py, False
+    # Where p + t c crosses the axis (any t != 0 when p = 0; with p on c's
+    # line, the origin, lost in round-off).  When c nearly lies on the axis
+    # the crossing is far out, and the landing stops 2^-9 rad short.
+    ex, ey = steering.axis
+    cp, cc = px * ey - py * ex, cx * ey - cy * ex
+    if pn == 0.0:
+        t = 1.0
+    elif abs(cp) / pn < 1024.0 * abs(cc) / cn:
+        t = -cp / cc
+    else:
+        t = math.copysign(1024.0 * pn / cn, -cp * cc)
+    m11, m12, m21, m22 = a11 + t * b.a11, a12 + t * b.a12, a21 + t * b.a21, a22 + t * b.a22
+    lx, ly = m11 * x + m12 * y, m21 * x + m22 * y
+    _finite(lx, ly)
+    cleared = ((lx != 0.0 or ly != 0.0) and steering.clears(lx, ly) and not tol.is_zero(
+        math.hypot(lx, ly) / math.hypot(m11, m12, m21, m22) / xn))
+    if cleared or pn == 0.0:
+        return ((t, 0.0) if k == 0 else (0.0, t)), lx, ly, cleared
+    return (0.0, 0.0), px, py, False
 
 
 def _escape_moves(sys: BilinearSystem, x: float, y: float) -> list:
-    """One escape step from (x, y), as (u, lx, ly); or, when every candidate
-    lands back on the zero lines (on some pairs each image of one zero line
-    lies on the other), the first candidate's move followed by an escape step
-    from where it landed."""
-    steering = sys._steering
-    landings = _landings(steering, x, y)
-    best = _escape(sys, landings)
-    if best is not None:
-        return [best]
-    if landings:
-        move = landings[0]
-        best = _escape(sys, _landings(steering, move[1], move[2]))
-        if best is not None:
-            return [move, best]
+    """The escape steps from (x, y), as (u, lx, ly): one, or two when no
+    landing of the first clears, as when A and B map one zero line onto the other."""
+    moves = []
+    while len(moves) < 2:
+        u, x, y, cleared = _escape(sys, x, y)
+        moves.append((u, x, y))
+        if cleared:
+            return moves
     raise EscapeFailed(_NO_ESCAPE)
 
 
@@ -241,12 +242,6 @@ def canonical_steer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
     return _verified(sys, x, y, ex, ey, _canonical_steps(sys, x, y, ex, ey))
 
 
-def _finite(x: float, y: float) -> None:
-    """ValueError, as ``Vec2`` raises it, unless both floats are finite."""
-    if not (isfinite(x) and isfinite(y)):
-        raise ValueError(f"non-finite vector ({x}, {y})")
-
-
 def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: float) -> list:
     """The controls of :func:`canonical_steer` from (x, y) to (ex, ey), not
     yet replayed.  Every state and bar step is a pair of floats, checked
@@ -255,18 +250,17 @@ def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: flo
     (p11, p12, p21, p22), m_sub, (o1, o2), a21, a22, a_scale = sys._steering.canonical
 
     x, y = p11 * x + p12 * y, p21 * x + p22 * y
-    _finite(x, y)
     tx, ty = p11 * ex + p12 * ey, p21 * ex + p22 * ey
-    _finite(tx, ty)
+    _finite(x, y, tx, ty)
     state_scale = math.hypot(x, y)
     if tol.is_zero(state_scale):
         raise ZeroState("cannot steer from the zero state")
     bar_steps = []
     if tol.is_zero(x, state_scale) or tol.is_zero(a21 * x + a22 * y, a_scale * state_scale):
-        # x2 is nonzero in both degenerate cases, so (0, c) restores them;
-        # c must avoid turning the new A21 x1 + A22 x2 into zero again.
-        c = next((cc for cc in (1.0, 2.0)
-                  if not tol.is_zero(cc * a21 + a22 * a22, abs(a21) + a22 * a22)), 2.0)
+        # x2 is nonzero in both degenerate cases, so (0, c) restores them; c,
+        # of the drift's size, must not turn the new A21 x1 + A22 x2 into zero.
+        c = next((cc for cc in (a_scale, 2.0 * a_scale) if not tol.is_zero(
+            (cc * a21 + a22 * a22) / (a_scale * abs(a21) + a22 * a22))), 2.0 * a_scale)
         bar_steps.append((0.0, c))
         x, y = c * y, a21 * x + a22 * y
         _finite(x, y)
@@ -274,19 +268,17 @@ def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: flo
     n = math.hypot(x, y)
     if tol.is_zero(x, n) or tol.is_zero(s, a_scale * n):
         raise EscapeFailed("pre-step failed to clear the degenerate coordinates")
-    t = ty - a22 * s
-    if not tol.is_zero(t, abs(ty) + abs(a22 * s)):
-        v = t / (a21 * x)
-        _finite(v, 0.0)
-        bar_steps.append((v, 0.0))
-        v = a21 * tx / t
-        _finite(v, 0.0)
-        bar_steps.append((v, 0.0))
+    w = a22 * s
+    t = ty - w
+    # t is zero exactly when ty and w are, so the ratio is defined.
+    if t != 0.0 and not tol.is_zero(t / (abs(ty) + abs(w))):
+        v1, v2 = t / (a21 * x), a21 * tx / t
+        _finite(v1, v2)
+        bar_steps += [(v1, 0.0), (v2, 0.0)]
     else:
-        bar_steps.append((0.0, 0.0))
         v = tx / s
-        _finite(0.0, v)
-        bar_steps.append((0.0, v))
+        _finite(v)
+        bar_steps += [(0.0, 0.0), (0.0, v)]
     steps = []
     for v1, v2 in bar_steps:
         r1, r2 = v1 - o1, v2 - o2
@@ -301,13 +293,12 @@ def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: flo
 def plan_transfer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
     """Plan of at most three steps from xi to eta, honoring the verdict.
 
-    Controllable: both endpoints must be nonzero; steering is one step, or an
-    escape step plus one step, or two escape steps plus one step when every
-    image of xi lands back on the singular set, or the two-step zero-bottom-row
-    construction.  Nearly controllable: one step from any state off the
-    excluded lines, to any target including zero.  Uncontrollable: refused
-    outright.  A returned plan has been replayed once and passed
-    ``verify_plan``; ``plan.residual`` is that replay's landing error.
+    Controllable: both endpoints must be nonzero; steering is one step, an
+    escape step plus one step, two escape steps plus one step when no landing
+    of the first clears, or the two-step zero-bottom-row construction.  Nearly
+    controllable: one step from any state off the excluded lines, to any
+    target including zero.  Uncontrollable: refused outright.  A returned plan
+    has passed ``verify_plan`` once; ``plan.residual`` is its landing error.
     """
     verdict = analyze(sys)
     if verdict.klass is VerdictClass.UNCONTROLLABLE:

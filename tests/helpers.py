@@ -43,11 +43,6 @@ from bilin2 import (
 from bilin2.classify import expand_controls
 from bilin2.mat2 import canonical_direction, cross
 from bilin2.quadform import QuadraticForm
-from bilin2.steer import (
-    ESCAPE_CANDIDATES_DRIFT,
-    ESCAPE_CANDIDATES_DRIFTLESS,
-    ESCAPE_MARGIN_FACTOR,
-)
 
 
 def mat(rows) -> Mat2:
@@ -445,13 +440,13 @@ def ref_pair_lines(b1: Mat2, b2: Mat2, tol: TolerancePolicy = DEFAULT_TOL) -> Li
 
 def ref_solve2(m: Mat2, y: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Vec2:
     d = m.det()
-    if tol.is_zero(d, math.hypot(m.a11, m.a12) * math.hypot(m.a21, m.a22)):
+    if d == 0.0 or tol.is_zero(d, math.hypot(m.a11, m.a12) * math.hypot(m.a21, m.a22)):
         raise SingularMatrix(f"matrix {m.rows()} is singular within tolerance")
     return Vec2((y.x * m.a22 - m.a12 * y.y) / d,
                 (m.a11 * y.y - y.x * m.a21) / d)
 
 
-def ref_step(sys: BilinearSystem, x: Vec2, u) -> Vec2:
+def ref_step_matrix(sys: BilinearSystem, u) -> tuple:
     u = tuple(u)
     if len(u) != sys.m:
         raise ArityMismatch(f"expected {sys.m} controls, got {len(u)}")
@@ -465,6 +460,11 @@ def ref_step(sys: BilinearSystem, x: Vec2, u) -> Vec2:
         a12 += ui * b.a12
         a21 += ui * b.a21
         a22 += ui * b.a22
+    return a11, a12, a21, a22
+
+
+def ref_step(sys: BilinearSystem, x: Vec2, u) -> Vec2:
+    a11, a12, a21, a22 = ref_step_matrix(sys, u)
     return Vec2(a11 * x.x + a12 * x.y, a21 * x.x + a22 * x.y)
 
 
@@ -476,8 +476,14 @@ def ref_run(sys: BilinearSystem, x0: Vec2, plan: ControlPlan) -> tuple:
 
 
 def ref_verify_plan(sys: BilinearSystem, xi: Vec2, eta: Vec2, plan: ControlPlan):
-    error = (ref_run(sys, xi, plan)[-1] - eta).norm()
-    return error <= 1e-9 * (1.0 + eta.norm()), error
+    """The one acceptance rule: a finite error within
+    1e-8 * max(|eta|, max_k |M_k|_F |x_k|, 2^-1042)."""
+    x, reach = xi, 0.0
+    for u in plan.steps:
+        reach = max(reach, math.hypot(*ref_step_matrix(sys, u)) * x.norm())
+        x = ref_step(sys, x, u)
+    error = (x - eta).norm()
+    return math.isfinite(error) and error <= 1e-8 * max(reach, eta.norm(), 2.0 ** -1042), error
 
 
 def ref_one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):
@@ -490,6 +496,16 @@ def ref_one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):
     except SingularMatrix:
         return None
     return (u.x, u.y)
+
+
+# The escape step of earlier versions: the best of a fixed list of candidate
+# controls, each kept only when the form at its landing cleared a margin of
+# ESCAPE_MARGIN_FACTOR times the zero threshold.  The library now escapes in
+# closed form; these copies are the comparator its escapes must not fall
+# behind, not its specification.
+ESCAPE_CANDIDATES_DRIFT = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 3.0))
+ESCAPE_CANDIDATES_DRIFTLESS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 3.0), (1.0, -1.0))
+ESCAPE_MARGIN_FACTOR = 1e3
 
 
 def _ref_steering(sys: BilinearSystem):
@@ -571,15 +587,15 @@ def ref_canonical_steps(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> list:
         raise ZeroState("cannot steer from the zero state")
     bar_steps = []
     if tol.is_zero(x.x, state_scale) or tol.is_zero(a21 * x.x + a22 * x.y, a_scale * state_scale):
-        c = next((cc for cc in (1.0, 2.0)
-                  if not tol.is_zero(cc * a21 + a22 * a22, abs(a21) + a22 * a22)), 2.0)
+        c = next((cc for cc in (a_scale, 2.0 * a_scale) if not tol.is_zero(
+            (cc * a21 + a22 * a22) / (a_scale * abs(a21) + a22 * a22))), 2.0 * a_scale)
         bar_steps.append(Vec2(0.0, c))
         x = Vec2(c * x.y, a21 * x.x + a22 * x.y)
     s = a21 * x.x + a22 * x.y
     if tol.is_zero(x.x, x.norm()) or tol.is_zero(s, a_scale * x.norm()):
         raise EscapeFailed("pre-step failed to clear the degenerate coordinates")
     t = target.y - a22 * s
-    if not tol.is_zero(t, abs(target.y) + abs(a22 * s)):
+    if t != 0.0 and not tol.is_zero(t / (abs(target.y) + abs(a22 * s))):
         bar_steps.append(Vec2(t / (a21 * x.x), 0.0))
         bar_steps.append(Vec2(a21 * target.x / t, 0.0))
     else:

@@ -175,6 +175,13 @@ def test_solve2_singular_decision_survives_uniform_scaling():
         solve2(k * good, y)
 
 
+def test_solve2_zero_determinant_is_singular_when_the_row_scale_is_nan():
+    # An infinite row norm times a zero one makes the zero test's scale nan;
+    # a zero determinant must still be singular, not divide by zero.
+    with pytest.raises(SingularMatrix):
+        solve2(Mat2.from_rows([[1.7e308, 1.7e308], [0.0, 0.0]]), Vec2(1.0, 1.0))
+
+
 @given(finite, finite, finite, finite, finite, finite)
 @example(1e-9, 0.0, 1.0, 2.0, 1.0, 1.0)
 def test_solve2_residual_is_small(a, b, c, d, y1, y2):

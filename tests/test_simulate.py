@@ -1,6 +1,7 @@
 """Plan replay, verification, and the Monte-Carlo reachability probe."""
 
 import copy
+import math
 import pickle
 import warnings
 from dataclasses import FrozenInstanceError
@@ -101,6 +102,23 @@ def test_verify_plan_flags_a_miss(rotation_drift_system):
     ok, err = verify_plan(rotation_drift_system, Vec2(1.0, 1.0), Vec2(-11.0, -7.0), plan)
     assert not ok
     assert err == pytest.approx(0.1)
+
+
+def test_verify_plan_rejects_a_miss_that_overflows(rotation_drift_system):
+    plan = ControlPlan(((0.0, 0.0),))
+    ok, err = verify_plan(rotation_drift_system, Vec2(1.0, 1.0), Vec2(1.7e308, 1.7e308), plan)
+    assert (ok, err) == (False, math.inf)
+
+
+@pytest.mark.parametrize("k", [-60, -20, 0, 20, 60])
+def test_verify_plan_bound_scales_with_the_states(rotation_drift_system, k):
+    # The bound is 1e-8 * max(|eta|, |M|_F |x|): a relative miss of 1e-7 is
+    # rejected and one of 1e-9 accepted at every scale.
+    f = 2.0 ** k
+    xi, plan = Vec2(f, f), ControlPlan(((0.0, 0.0), (5.0, 16.0)))
+    for rel, accepted in ((1e-7, False), (1e-9, True)):
+        eta = Vec2(-11.0 * f * (1.0 + rel), -7.0 * f)
+        assert verify_plan(rotation_drift_system, xi, eta, plan)[0] is accepted
 
 
 def test_verify_plan_empty_plan(rotation_drift_system):

@@ -26,6 +26,7 @@ from bilin2 import (
     verify_plan,
 )
 from bilin2 import classify, mat2, quadform, steer, structure
+from exact import lands_within, share_left_null_direction
 from helpers import generic_drift_system, generic_driftless_system, mat, unit_vec
 
 
@@ -59,12 +60,64 @@ def test_escape_step_prefers_the_drift_alone(rotation_drift_system):
     assert mid.as_tuple() == (-1.0, 1.0)
 
 
-def test_escape_step_raises_when_every_candidate_stays_trapped():
+def test_escape_step_is_scale_free(rotation_drift_system):
+    # The clearance test is dimensionless: the drift alone escapes at 2^-17
+    # as it does at scale 1.
+    f = 2.0 ** -17
+    u, mid = escape_step(rotation_drift_system, Vec2(f, f))
+    assert u == (0.0, 0.0)
+    assert mid.as_tuple() == (-f, f)
+
+
+def test_escape_step_raises_when_no_landing_clears():
+    # B2 xi = 0, so every landing t * B1 xi stays on the zero line x2 = 0.
     sys = BilinearSystem(SystemKind.DRIFTLESS, None,
                          (mat([[1.0, 0.0], [0.0, 0.0]]),
                           mat([[0.0, 0.0], [0.0, 1.0]])))
     with pytest.raises(EscapeFailed):
         escape_step(sys, Vec2(1.0, 0.0))
+
+
+def test_escape_step_rejects_a_round_off_landing(shared_line_drift_system):
+    # Every image of a state on the excluded line (1, -1) stays on it, so no
+    # landing clears; the axis crossing of its landing line is the origin,
+    # which the replay reaches only up to round-off, and that does not count.
+    with pytest.raises(EscapeFailed):
+        escape_step(shared_line_drift_system, Vec2(193.55578438376392, -193.55578438376392))
+
+
+def test_plan_transfer_escapes_as_without_drift_when_the_drift_image_is_lost():
+    # A xi = (0, 2.7e-59) clears the zero set, but it is zero next to
+    # |A|_F |xi|: the one step after it would meet the determinant floor.
+    sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 1.0], [2.705506379799038e-59, 0.0]]),
+                         (mat([[0.0, 0.0], [0.0, 1.0]]), mat([[0.0, 1.0], [1.0, 0.0]])))
+    xi, eta = Vec2(1.0, 0.0), Vec2(0.0, 1.0)
+    plan = plan_transfer(sys, xi, eta)
+    assert plan.steps[0] == (0.0, 1.0)
+    assert verify_plan(sys, xi, eta, plan)[0]
+
+
+def test_escape_step_lands_on_the_principal_axis():
+    # q(z) = z1^2 - z1 z2 is largest next to |z|^2, at (1 + sqrt(2)) / 2, on
+    # its principal axis.  From xi = (1, 1) the drift alone lands on the
+    # zero line x1 = x2, and every landing is A xi + t B1 xi = (1, 1 + 2t).
+    sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[1.0, 0.0], [1.0, 0.0]]),
+                         (mat([[1.0, -1.0], [0.0, 2.0]]), mat([[0.0, 0.0], [1.0, 0.0]])))
+    u, mid = escape_step(sys, Vec2(1.0, 1.0))
+    q = mid.x * mid.x - mid.x * mid.y
+    assert u[1] == 0.0 and q / (mid.x ** 2 + mid.y ** 2) == pytest.approx((1 + math.sqrt(2)) / 2)
+
+
+def test_escape_step_stops_short_of_a_far_axis_crossing():
+    # q(z) = z1 z2 has its principal axis on (1, 1), and from xi = (1, 0) the
+    # input image c = B1 xi = (1, 1) lies on it: the crossing of A xi + t c
+    # with the axis is at infinity.  The landing stops at |t| = 2^10 |A xi| / |c|.
+    sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 0.0], [1.0, 0.0]]),
+                         (mat([[1.0, 0.0], [1.0, 0.0]]), mat([[0.0, 0.0], [0.0, 1.0]])))
+    (t, u2), mid = escape_step(sys, Vec2(1.0, 0.0))
+    assert u2 == 0.0 and abs(t) == pytest.approx(1024.0 / math.sqrt(2.0))
+    clearance = mid.x * mid.y / (mid.x ** 2 + mid.y ** 2) / math.sqrt(2.0)
+    assert clearance >= (1.0 - 2.0 ** -16) * 0.5 / math.sqrt(2.0)
 
 
 def test_canonical_steer_places_second_coordinate_first(coupled_shift_system):
@@ -121,6 +174,21 @@ def test_canonical_steer_rejects_uncoupled_drift():
 def test_canonical_steer_rejects_zero_start(coupled_shift_system):
     with pytest.raises(ZeroState):
         canonical_steer(coupled_shift_system, Vec2(0.0, 0.0), Vec2(1.0, 1.0))
+
+
+@pytest.mark.parametrize("k", [0, 24, 48])
+def test_canonical_prestep_scales_with_the_drift(k):
+    # From x1 = 0 the pre-step (0, c) is needed.  With c of the drift's size
+    # the plan for (A, B) * 2^k is as well conditioned as for (A, B); with a
+    # fixed c = 1 the replayed landing was lost in round-off at k = 24.
+    f = 2.0 ** k
+    sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 0.0], [f, f]]),
+                         (mat([[1.875 * f, -5.0 * f], [0.0, 0.0]]),
+                          mat([[f, -3.0 * f], [0.0, 0.0]])))
+    xi, eta = Vec2(0.0, 1.0), Vec2(0.0, 1.0)
+    plan = canonical_steer(sys, xi, eta)
+    assert len(plan) == 3
+    assert lands_within(sys, xi, eta, plan.steps, 1e-8)
 
 
 @pytest.mark.parametrize("steer_fn", [plan_transfer, canonical_steer])
@@ -199,8 +267,8 @@ def test_plan_transfer_driftless_escape():
 
 def _escape_twice_system() -> BilinearSystem:
     # The effective pair diag(1, -1), [[0, 1], [-1, 0]] has the zero lines
-    # x1 = x2 and x1 = -x2, and every escape candidate maps the first onto
-    # the second: one escape step cannot leave the singular set.
+    # x1 = x2 and x1 = -x2, and the drift and both inputs map the first onto
+    # the second: no landing of one escape step leaves the singular set.
     return BilinearSystem(SystemKind.WITH_DRIFT, mat([[1.0, -2.0], [1.0, 0.0]]),
                           (mat([[1.0, 0.0], [0.0, -1.0]]), mat([[0.0, 1.0], [-1.0, 0.0]]),
                            mat([[1.0, 1.0], [0.0, 1.0]])))
@@ -215,6 +283,35 @@ def test_plan_transfer_escapes_twice_when_every_image_stays_singular():
     assert len(plan) == 3
     ok, err = verify_plan(sys, xi, eta, plan)
     assert ok, err
+
+
+@pytest.mark.xfail(strict=True, raises=EscapeFailed,
+                   reason="the one-step determinant test has an absolute floor, 1e-9, "
+                          "which a clearing escape landing of size 7e-7 falls under")
+def test_plan_transfer_after_a_small_escape_landing():
+    # The drift is small next to the inputs, so the escape lands on the
+    # principal axis at (-5e-7, 5e-7), where det[B1 l, B2 l] = 2.5e-13.
+    sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 0.0], [0.0, 1e-6]]),
+                         (mat([[0.0, 1.0], [0.0, 1.0]]), mat([[0.0, 0.0], [-1.0, 0.0]])))
+    xi, eta = Vec2(0.0, 1.0), Vec2(0.0, 1.0)
+    assert escape_step(sys, xi)[1].as_tuple() == pytest.approx((-5e-7, 5e-7))
+    plan = plan_transfer(sys, xi, eta)
+    assert verify_plan(sys, xi, eta, plan)[0]
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="absolute floors in the steering-form and shared-null-direction "
+                          "zero tests call this pair of small inputs canonical")
+def test_plan_transfer_on_small_inputs_that_share_no_null_direction():
+    sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 0.0], [2.0 ** -18, 0.0]]),
+                         (mat([[0.0, 2.0 ** -15], [0.0, 7.0 * 2.0 ** -18]]),
+                          mat([[-3.0 * 2.0 ** -17, 0.0], [-3.0 * 2.0 ** -18, 0.0]])))
+    assert not share_left_null_direction(*sys.inputs)
+    try:
+        plan = plan_transfer(sys, Vec2(1.0, 0.0), Vec2(0.0, 1.0))
+    except NotCanonicalClass:
+        return
+    assert verify_plan(sys, Vec2(1.0, 0.0), Vec2(0.0, 1.0), plan)[0]
 
 
 def test_plan_transfer_expands_reduced_controls(rotation_drift_system):
