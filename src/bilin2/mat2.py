@@ -249,10 +249,11 @@ def _similar(p: Mat2, m: Mat2, p_inv: Mat2) -> Mat2:
 
 def _det2(a11: float, a12: float, a21: float, a22: float,
           tol: TolerancePolicy) -> Optional[float]:
-    """det [[a11, a12], [a21, a22]], or None when it is zero or fails the zero
-    test.  The test is scaled by the product of the row norms, so a uniformly
-    scaled matrix makes the same singular/nonsingular decision; that product
-    is nan for an infinite row norm times a zero one, hence the exact check.
+    """det [[a11, a12], [a21, a22]], or None when it is zero or fails the zero test.
+
+    The test is scaled by the product of the row norms, so a uniformly scaled
+    matrix makes the same singular/nonsingular decision.  That product is nan
+    for an infinite row norm times a zero one, hence the exact check first.
     """
     d = a11 * a22 - a12 * a21
     if d == 0.0 or tol.is_zero(d, math.hypot(a11, a12) * math.hypot(a21, a22)):

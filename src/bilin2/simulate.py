@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import isfinite
+from sys import float_info
 from typing import Optional
 
 from .classify import BilinearSystem
@@ -65,10 +66,13 @@ _set_steps, _set_residual = ControlPlan.steps.__set__, ControlPlan.residual.__se
 
 def _replay(sys: BilinearSystem, x: float, y: float, steps) -> tuple[list, float]:
     """The states of a plan replayed from (x, y), as floats x0, y0, x1, y1, ...,
-    and its reach max_k |M_k|_F |x_k|, where step k accumulates M_k = A + sum
-    u_i B_i entry by entry in input order and applies it to x_k.  A control
-    vector of the wrong length raises ArityMismatch, and a non-finite state
-    the ValueError its ``Vec2`` would raise, each at the step where it happens."""
+    and its reach max_k |M_k|_F |x_k|.
+
+    Each step accumulates M_k = A + sum u_i B_i entry by entry in input order
+    and applies it to x_k.  A control vector of the wrong length raises
+    ArityMismatch, and a non-finite state the ValueError its ``Vec2`` would
+    raise, each at the step where it happens.
+    """
     drift = sys.drift
     inputs = sys.inputs
     m = len(inputs)
@@ -120,9 +124,10 @@ def verify_plan(sys: BilinearSystem, xi: Vec2, eta: Vec2,
 
     Returns (ok, error) with ok true when the error is finite and at most
     1e-8 * max(|eta|, max_k |M_k|_F |x_k|, 2^-1042), for step k's matrix M_k
-    and the state x_k it applies to: homogeneous in states and system above
-    the subnormal range.  This is the one acceptance rule: ``plan_transfer``
-    and ``canonical_steer`` return a plan only when it holds.
+    and the state x_k it applies to, with the max capped at the largest
+    float: homogeneous in states and system above the subnormal range.  This
+    is the one acceptance rule: ``plan_transfer`` and ``canonical_steer``
+    return a plan only when it holds.
     """
     return _verify(sys, xi.x, xi.y, eta.x, eta.y, plan.steps)
 
@@ -131,12 +136,15 @@ def _verify(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
             steps) -> tuple[bool, float]:
     """:func:`verify_plan` of the plan ``steps`` from (x, y) to (ex, ey)."""
     states, reach = _replay(sys, x, y, steps)
-    dx, dy = states[-2] - ex, states[-1] - ey
+    dx = states[-2] - ex
+    dy = states[-1] - ey
     if not (isfinite(dx) and isfinite(dy)):
         raise ValueError(f"non-finite vector ({dx}, {dy})")
     error = math.hypot(dx, dy)
-    scale = max(reach, math.hypot(ex, ey), 2.0 ** -1042)
-    return isfinite(error) and error <= _LANDING_TOL * scale, error
+    # A reach or |eta| that overflows is capped at the largest float, so the
+    # bound stays finite: it can only tighten, and an infinite error fails it.
+    scale = min(max(reach, math.hypot(ex, ey), 2.0 ** -1042), float_info.max)
+    return error <= _LANDING_TOL * scale, error
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,15 @@ an on-line state every landing lies on one line, and the escape step takes its
 best point in closed form: the drift alone when it clears, else the crossing
 with q's principal axis.  Only when q vanishes on that whole line does a
 second escape step come first.  Pairs whose q vanishes identically take a
-two-step construction in a zero-bottom-row basis.  Every plan is replayed
-once and returned only when it passes the ``verify_plan`` bound.  The float
-kernels ``_one_step``, ``_escape``, ``_escape_moves`` and ``_canonical_steps``
-are wrapped by ``one_step``, ``escape_step`` and ``canonical_steer``.
+two-step construction in a zero-bottom-row basis.  Every returned plan is
+replayed once, by ``simulate``'s replay kernel under the ``verify_plan``
+bound, and accepted only when it holds.
+
+``plan_transfer`` solves, escapes and replays on plain floats: the kernels
+``_one_step``, ``_escape``, ``_escape_moves`` and ``_canonical_steps`` take and
+return floats, and the plan is the only value built.  A singular one-step
+system is a zero test that answers None.  The public ``one_step``,
+``escape_step`` and ``canonical_steer`` are thin wrappers over the same kernels.
 """
 
 from __future__ import annotations
@@ -58,12 +63,6 @@ def _require_pair(sys: BilinearSystem) -> None:
                          "apply the verdict's reduction first")
 
 
-def _finite(*values: float) -> None:
-    """ValueError, as ``Vec2`` raises it, unless all the floats are finite."""
-    if not all(map(isfinite, values)):
-        raise ValueError(f"non-finite vector {values}")
-
-
 def one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):
     """Single-step control (u1, u2) landing on eta, or None when xi sits on
     the steering form's zero set."""
@@ -86,7 +85,10 @@ def _one_step(sys: BilinearSystem, x: float, y: float, ex: float, ey: float):
     else:
         rx, ry = ex, ey
     # A non-finite drift image leaves a non-finite right-hand side.
-    _finite(c1x, c2x, c1y, c2y, rx, ry)
+    if not (isfinite(c1x) and isfinite(c1y) and isfinite(c2x) and isfinite(c2y)
+            and isfinite(rx) and isfinite(ry)):
+        raise ValueError(f"non-finite one-step system ({c1x}, {c2x}, {c1y}, {c2y}), "
+                         f"({rx}, {ry})")
     return _solve2(c1x, c2x, c1y, c2y, rx, ry, sys.tol)
 
 
@@ -114,6 +116,8 @@ class _Steering:
         """Whether the clearance |q(l)| / (form_scale * |l|^2) of the finite
         l = (x, y) != 0 is not zero under the tolerance; taken on l / |l|_inf,
         so it cannot overflow and does not depend on the scale of l."""
+        if self.form_scale == 0.0:
+            return False   # |B1|_F |B2|_F underflows: so does every coefficient of q
         s, q = max(abs(x), abs(y)), self.form
         x, y = x / s, y / s
         return not self.tol.is_zero((q.a * x * x + q.b * x * y + q.c * y * y)
@@ -242,6 +246,12 @@ def canonical_steer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
     return _verified(sys, x, y, ex, ey, _canonical_steps(sys, x, y, ex, ey))
 
 
+def _finite(*values: float) -> None:
+    """ValueError, as ``Vec2`` raises it, unless all the floats are finite."""
+    if not all(map(isfinite, values)):
+        raise ValueError(f"non-finite vector {values}")
+
+
 def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: float) -> list:
     """The controls of :func:`canonical_steer` from (x, y) to (ex, ey), not
     yet replayed.  Every state and bar step is a pair of floats, checked
@@ -250,8 +260,9 @@ def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: flo
     (p11, p12, p21, p22), m_sub, (o1, o2), a21, a22, a_scale = sys._steering.canonical
 
     x, y = p11 * x + p12 * y, p21 * x + p22 * y
+    _finite(x, y)
     tx, ty = p11 * ex + p12 * ey, p21 * ex + p22 * ey
-    _finite(x, y, tx, ty)
+    _finite(tx, ty)
     state_scale = math.hypot(x, y)
     if tol.is_zero(state_scale):
         raise ZeroState("cannot steer from the zero state")
@@ -268,17 +279,20 @@ def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: flo
     n = math.hypot(x, y)
     if tol.is_zero(x, n) or tol.is_zero(s, a_scale * n):
         raise EscapeFailed("pre-step failed to clear the degenerate coordinates")
-    w = a22 * s
-    t = ty - w
-    # t is zero exactly when ty and w are, so the ratio is defined.
-    if t != 0.0 and not tol.is_zero(t / (abs(ty) + abs(w))):
-        v1, v2 = t / (a21 * x), a21 * tx / t
-        _finite(v1, v2)
-        bar_steps += [(v1, 0.0), (v2, 0.0)]
+    t = ty - a22 * s
+    # t is zero exactly when ty and a22 * s are, so the ratio is defined.
+    if t != 0.0 and not tol.is_zero(t / (abs(ty) + abs(a22 * s))):
+        v = t / (a21 * x)
+        _finite(v, 0.0)
+        bar_steps.append((v, 0.0))
+        v = a21 * tx / t
+        _finite(v, 0.0)
+        bar_steps.append((v, 0.0))
     else:
+        bar_steps.append((0.0, 0.0))
         v = tx / s
-        _finite(v)
-        bar_steps += [(0.0, 0.0), (0.0, v)]
+        _finite(0.0, v)
+        bar_steps.append((0.0, v))
     steps = []
     for v1, v2 in bar_steps:
         r1, r2 = v1 - o1, v2 - o2
@@ -293,12 +307,13 @@ def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: flo
 def plan_transfer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
     """Plan of at most three steps from xi to eta, honoring the verdict.
 
-    Controllable: both endpoints must be nonzero; steering is one step, an
-    escape step plus one step, two escape steps plus one step when no landing
-    of the first clears, or the two-step zero-bottom-row construction.  Nearly
-    controllable: one step from any state off the excluded lines, to any
-    target including zero.  Uncontrollable: refused outright.  A returned plan
-    has passed ``verify_plan`` once; ``plan.residual`` is its landing error.
+    Controllable: both endpoints must be nonzero; steering is one step, or an
+    escape step plus one step, or two escape steps plus one step when no
+    landing of the first escape step clears, or the two-step zero-bottom-row
+    construction.  Nearly controllable: one step from any state off the
+    excluded lines, to any target including zero.  Uncontrollable: refused
+    outright.  A returned plan has been replayed once and passed
+    ``verify_plan``; ``plan.residual`` is that replay's landing error.
     """
     verdict = analyze(sys)
     if verdict.klass is VerdictClass.UNCONTROLLABLE:
@@ -331,7 +346,13 @@ def _pair_steps(sys: BilinearSystem, klass: VerdictClass, x: float, y: float,
         return [u]
     moves = _escape_moves(eff, x, y)
     _, lx, ly = moves[-1]
-    u = _one_step(eff, lx, ly, ex, ey)
+    # The landing cleared |q(l)| / (form_scale |l|^2) > tol.  Scaled by the
+    # power of two f with f^2 form_scale |l|_inf^2 in [1, 4), the target alike,
+    # its one-step determinant q(f l) is at least that clearance, so the zero
+    # test's absolute floor agrees with the escape; the controls are unchanged.
+    e = math.frexp(math.sqrt(eff._steering.form_scale) * max(abs(lx), abs(ly)))[1]
+    f = math.ldexp(1.0, max(-1022, min(1 - e, 1023)))
+    u = _one_step(eff, lx * f, ly * f, ex * f, ey * f)
     if u is None:
         raise EscapeFailed("escape landed back on the singular set")
     return [v for v, _, _ in moves] + [u]

@@ -7,6 +7,7 @@ then hide the structure behind a random change of basis.
 """
 
 import math
+from sys import float_info
 
 import numpy as np
 
@@ -477,13 +478,15 @@ def ref_run(sys: BilinearSystem, x0: Vec2, plan: ControlPlan) -> tuple:
 
 def ref_verify_plan(sys: BilinearSystem, xi: Vec2, eta: Vec2, plan: ControlPlan):
     """The one acceptance rule: a finite error within
-    1e-8 * max(|eta|, max_k |M_k|_F |x_k|, 2^-1042)."""
+    1e-8 * max(|eta|, max_k |M_k|_F |x_k|, 2^-1042), the max capped at the
+    largest float."""
     x, reach = xi, 0.0
     for u in plan.steps:
         reach = max(reach, math.hypot(*ref_step_matrix(sys, u)) * x.norm())
         x = ref_step(sys, x, u)
     error = (x - eta).norm()
-    return math.isfinite(error) and error <= 1e-8 * max(reach, eta.norm(), 2.0 ** -1042), error
+    scale = min(max(reach, eta.norm(), 2.0 ** -1042), float_info.max)
+    return math.isfinite(error) and error <= 1e-8 * scale, error
 
 
 def ref_one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):

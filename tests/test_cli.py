@@ -222,9 +222,10 @@ def test_steer_refuses_zero_endpoint(write_doc, capsys):
 
 
 @pytest.mark.parametrize("doc, start, target, reason", [
-    # The escape lands off the zero set, but the one-step determinant there,
-    # of order 1e-10, falls under the absolute zero floor.
-    (ROTATION_DRIFT, "1e-5,1e-5", "-11e-5,-7e-5", "escape landed back on the singular set"),
+    # Under a zero threshold of 0.5 no landing's clearance |q(l)| /
+    # (form_scale |l|^2), at most 0.49 for this form, counts as nonzero.
+    (dict(ROTATION_DRIFT, tolerance={"abs": 0.5, "rel": 1e-9}), "10,10", "-110,-70",
+     "no escape step cleared the singular set"),
     (TINY_DRIFTLESS, "1,1", "2,1", "the two-step construction needs a drift term"),
     (SINGULAR_SUBSTITUTION, "1.3,0.4", "1.7,-0.6", "input substitution matrix is singular"),
 ], ids=["EscapeFailed", "NotCanonicalClass", "SingularSubstitution"])

@@ -110,6 +110,17 @@ def test_verify_plan_rejects_a_miss_that_overflows(rotation_drift_system):
     assert (ok, err) == (False, math.inf)
 
 
+def test_verify_plan_bound_stays_finite_when_the_reach_overflows():
+    # The step 1e10 * [[1, 1], [1, 1]] maps xi = (1e298, -1e298) to 0 exactly,
+    # while |M|_F |xi| = 2.8e308 overflows.  The bound is capped at 1e-8 times
+    # the largest float: a miss of 1.4 passes, one of 1e305 does not.
+    sys = BilinearSystem(SystemKind.DRIFTLESS, None,
+                         (Mat2(1.0, 1.0, 1.0, 1.0), Mat2(1.0, 0.0, 0.0, -1.0)))
+    xi, plan = Vec2(1e298, -1e298), ControlPlan(((1e10, 0.0),))
+    assert verify_plan(sys, xi, Vec2(1.0, 1.0), plan) == (True, math.sqrt(2.0))
+    assert verify_plan(sys, xi, Vec2(1e305, 0.0), plan) == (False, 1e305)
+
+
 @pytest.mark.parametrize("k", [-60, -20, 0, 20, 60])
 def test_verify_plan_bound_scales_with_the_states(rotation_drift_system, k):
     # The bound is 1e-8 * max(|eta|, |M|_F |x|): a relative miss of 1e-7 is

@@ -14,6 +14,7 @@ from bilin2 import (
     NotControllablePair,
     SingularSubstitution,
     SystemKind,
+    TolerancePolicy,
     Vec2,
     VerdictClass,
     ZeroState,
@@ -74,6 +75,17 @@ def test_escape_step_raises_when_no_landing_clears():
     sys = BilinearSystem(SystemKind.DRIFTLESS, None,
                          (mat([[1.0, 0.0], [0.0, 0.0]]),
                           mat([[0.0, 0.0], [0.0, 1.0]])))
+    with pytest.raises(EscapeFailed):
+        escape_step(sys, Vec2(1.0, 0.0))
+
+
+def test_escape_step_raises_when_the_form_scale_underflows():
+    # |B1|_F |B2|_F = 1e-340 is zero in floats, and so is every coefficient
+    # of the steering form: no landing clears, and none divides by zero.
+    sys = BilinearSystem(SystemKind.DRIFTLESS, None,
+                         (mat([[1e-170, 0.0], [0.0, 0.0]]), mat([[0.0, 0.0], [1e-170, 0.0]])),
+                         tol=TolerancePolicy(1e-320, 1e-9))
+    assert sys._steering.form_scale == 0.0
     with pytest.raises(EscapeFailed):
         escape_step(sys, Vec2(1.0, 0.0))
 
@@ -285,18 +297,21 @@ def test_plan_transfer_escapes_twice_when_every_image_stays_singular():
     assert ok, err
 
 
-@pytest.mark.xfail(strict=True, raises=EscapeFailed,
-                   reason="the one-step determinant test has an absolute floor, 1e-9, "
-                          "which a clearing escape landing of size 7e-7 falls under")
 def test_plan_transfer_after_a_small_escape_landing():
     # The drift is small next to the inputs, so the escape lands on the
-    # principal axis at (-5e-7, 5e-7), where det[B1 l, B2 l] = 2.5e-13.
+    # principal axis at (-5e-7, 5e-7), where det[B1 l, B2 l] = 2.5e-13 is
+    # under the absolute floor 1e-9; the one step after it is solved from
+    # the landing scaled until that determinant is at least its clearance.
     sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 0.0], [0.0, 1e-6]]),
                          (mat([[0.0, 1.0], [0.0, 1.0]]), mat([[0.0, 0.0], [-1.0, 0.0]])))
     xi, eta = Vec2(0.0, 1.0), Vec2(0.0, 1.0)
-    assert escape_step(sys, xi)[1].as_tuple() == pytest.approx((-5e-7, 5e-7))
+    u, landing = escape_step(sys, xi)
+    assert landing.as_tuple() == pytest.approx((-5e-7, 5e-7))
+    assert one_step(sys, landing, eta) is None
     plan = plan_transfer(sys, xi, eta)
-    assert verify_plan(sys, xi, eta, plan)[0]
+    assert plan.steps[0] == u and len(plan) == 2
+    assert verify_plan(sys, xi, eta, plan) == (True, plan.residual)
+    assert lands_within(sys, xi, eta, plan.steps, 1e-8)
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeError,
