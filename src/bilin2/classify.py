@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from .mat2 import DEFAULT_TOL, Direction, Mat2, TolerancePolicy, linearly_independent
@@ -107,6 +108,11 @@ class BilinearSystem:
 
         return _Steering(self)
 
+    @cached_property
+    def _control_layout(self) -> tuple:
+        """:func:`expand_controls`' layout of the verdict's reduction."""
+        return _reduction_layout(self._verdict.reduction, self.m)
+
 
 @dataclass(frozen=True)
 class Reduction:
@@ -176,24 +182,28 @@ def apply_reduction(sys: BilinearSystem, red: Reduction) -> BilinearSystem:
 
 def expand_controls(red: Reduction, m: int, v1: float, v2: float) -> tuple[float, ...]:
     """Map effective pair controls (v1, v2) back to a full m-tuple."""
-    u = [0.0] * m
-    remaining = list(range(m))
-    if red.pinned_index is not None:
-        u[red.pinned_index] = red.pinned_value
-        remaining.remove(red.pinned_index)
+    return _expand(_reduction_layout(red, m), v1, v2)
+
+
+def _reduction_layout(red: Reduction, m: int) -> tuple:
+    """Where :func:`expand_controls` puts what: a getter of the m controls from
+    (v1, v2, ca * v2, cb * v2, pinned value), the pinned value and (ca, cb)."""
+    remaining = [k for k in range(m) if k != red.pinned_index]
+    slots, coeffs = {red.pinned_index: 4}, red.combined_coeffs or (0.0, 0.0)
     if red.combined_indices is not None:
         i, j = red.combined_indices
-        ca, cb = red.combined_coeffs
-        remaining = [k for k in remaining if k not in (i, j)]
-        u[i] = ca * v2
-        u[j] = cb * v2
-        (plain,) = remaining
-        u[plain] = v1
+        (plain,) = [k for k in remaining if k not in (i, j)]
+        slots.update({plain: 0, i: 2, j: 3})
     else:
         first, second = remaining
-        u[first] = v1
-        u[second] = v2
-    return tuple(u)
+        slots.update({first: 0, second: 1})
+    return itemgetter(*(slots[k] for k in range(m))), red.pinned_value, coeffs
+
+
+def _expand(layout: tuple, v1: float, v2: float) -> tuple[float, ...]:
+    """The m controls of (v1, v2) under a :func:`_reduction_layout`."""
+    pick, pinned, (ca, cb) = layout
+    return pick((v1, v2, ca * v2, cb * v2, pinned))
 
 
 def _verdict_controllable(sys: BilinearSystem, first: int, directions: tuple[Direction, ...],

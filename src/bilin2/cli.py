@@ -58,12 +58,20 @@ class SystemFileError(ValueError):
     """A system file that does not parse or validate."""
 
 
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_mat(node, where: str) -> Mat2:
+    error = SystemFileError(f"{where} must be a 2x2 array of finite numbers")
     try:
         (a, b), (c, d) = node
-        return Mat2(a, b, c, d)
-    except (TypeError, ValueError) as exc:
-        raise SystemFileError(f"{where} must be a 2x2 array of finite numbers") from exc
+        if all(map(_is_number, (a, b, c, d))):
+            return Mat2(a, b, c, d)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error from exc
+    raise error
 
 
 def _resolve_tolerance(node) -> TolerancePolicy:
@@ -71,6 +79,8 @@ def _resolve_tolerance(node) -> TolerancePolicy:
         raise SystemFileError("tolerance must be an object with keys 'abs' and 'rel'")
     eps = {key: (node or {}).get(key, 1e-9) for key in ("abs", "rel")}
     for key in eps:
+        if not _is_number(eps[key]):
+            raise SystemFileError(f"tolerance.{key} must be a number, got {eps[key]!r}")
         env = f"BILIN2_TOL_{key.upper()}"
         raw = os.environ.get(env)
         if raw is None:
@@ -81,7 +91,7 @@ def _resolve_tolerance(node) -> TolerancePolicy:
             raise SystemFileError(f"{env} must be a number, got {raw!r}") from exc
     try:
         return TolerancePolicy(eps["abs"], eps["rel"])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SystemFileError(str(exc)) from exc
 
 
@@ -223,17 +233,14 @@ def _load_plan(path: str, m: int) -> ControlPlan:
     if not isinstance(steps, list):
         raise SystemFileError(f"{path}: plan must be a list of control tuples "
                               "or an object with key 'steps'")
-    out = []
     for i, step_node in enumerate(steps):
         if not isinstance(step_node, list) or len(step_node) != m:
             raise SystemFileError(f"{path}: steps[{i}] must list {m} control values")
-        try:
-            out.append(tuple(float(c) for c in step_node))
-        except (TypeError, ValueError) as exc:
-            raise SystemFileError(f"{path}: steps[{i}] must be numeric") from exc
+        if not all(map(_is_number, step_node)):
+            raise SystemFileError(f"{path}: steps[{i}] must be numeric")
     try:
-        return ControlPlan(tuple(out))
-    except ValueError as exc:
+        return ControlPlan(steps)
+    except (ValueError, OverflowError) as exc:
         raise SystemFileError(f"{path}: {exc}") from exc
 
 
@@ -251,7 +258,10 @@ def cmd_simulate(args) -> int:
                     else [""] * sys.m)
         rows.append([str(k), repr(state.x), repr(state.y)] + controls)
     header = ["k", "x1", "x2"] + [f"u{i + 1}" for i in range(sys.m)]
-    sink = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else _sys.stdout
+    try:
+        sink = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else _sys.stdout
+    except OSError as exc:
+        raise SystemFileError(f"cannot write {args.csv}: {exc}") from exc
     try:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(header)

@@ -21,12 +21,14 @@ on the classify path ``linearly_independent``, ``is_eigenvector``,
 ``real_eigen_directions``, ``canonical_direction`` and ``_similar``; on the
 plan path ``_solve2`` here, the ``steer`` kernels (among them the closed-form
 escape and its scale-free clearance test) and the replay kernel
-``simulate._replay``, which also gathers ``verify_plan``'s bound.  A singular
-2x2 system is a zero test in ``_det2`` that answers None, so the plan path
-raises no ``SingularMatrix`` to catch.  Every result that becomes a value type
-still goes through ``__init__`` or ``_vec2s``.  Where an intermediate would
-have come out non-finite, the kernel raises ValueError as that value's
-constructor would have, and it never returns a decision made on inf or nan.
+``simulate._replay``, whose step matrices give ``verify_plan``'s bound its
+reach when |eta| does not decide.  A singular 2x2 system is a zero test in
+``_det2`` that answers None, so the plan path raises no ``SingularMatrix`` to
+catch.  Every ``Vec2`` and ``Mat2`` result still goes through ``__init__`` or
+``_vec2s`` (a replayed plan through ``simulate._control_plan``).  Where an
+intermediate would have come out non-finite, the kernel raises ValueError as
+that value's constructor would have, and it never returns a decision made on
+inf or nan.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class TolerancePolicy:
         return self.abs_eps + self.rel_eps * abs(scale)
 
     def is_zero(self, x: float, scale: float = 0.0) -> bool:
-        return abs(x) <= self.threshold(scale)
+        return abs(x) <= self.abs_eps + self.rel_eps * abs(scale)
 
 
 DEFAULT_TOL = TolerancePolicy()

@@ -38,8 +38,9 @@ class ControlPlan:
     ``residual`` is the landing error |x_end - eta| that ``verify_plan``
     measured when ``plan_transfer`` or ``canonical_steer`` accepted the plan,
     and None on a plan built elsewhere.  It is not part of equality or hashing.
-    Like ``Vec2``, the plan is checked once, in its hand-written ``__init__``:
-    every control is coerced to float and must be finite.
+    Like ``Vec2``, it has two constructors: ``__init__`` (callers, plan files,
+    copies) coerces every control to float and requires it finite, and
+    ``_control_plan`` builds a plan ``steer`` has just replayed, unchecked.
     """
 
     steps: tuple[tuple[float, ...], ...]
@@ -64,9 +65,17 @@ class ControlPlan:
 _set_steps, _set_residual = ControlPlan.steps.__set__, ControlPlan.residual.__set__
 
 
-def _replay(sys: BilinearSystem, x: float, y: float, steps) -> tuple[list, float]:
+def _control_plan(steps: tuple, residual: float) -> ControlPlan:
+    """The plan of ``steps``, a tuple of tuples of finite floats, unchecked."""
+    plan = object.__new__(ControlPlan)
+    _set_steps(plan, steps)
+    _set_residual(plan, residual)
+    return plan
+
+
+def _replay(sys: BilinearSystem, x: float, y: float, steps) -> tuple[list, list]:
     """The states of a plan replayed from (x, y), as floats x0, y0, x1, y1, ...,
-    and its reach max_k |M_k|_F |x_k|.
+    and the step matrices it applied, as m11, m12, m21, m22 of each in turn.
 
     Each step accumulates M_k = A + sum u_i B_i entry by entry in input order
     and applies it to x_k.  A control vector of the wrong length raises
@@ -77,7 +86,7 @@ def _replay(sys: BilinearSystem, x: float, y: float, steps) -> tuple[list, float
     inputs = sys.inputs
     m = len(inputs)
     states = [x, y]
-    reach = 0.0
+    matrices = []
     for u in steps:
         u = tuple(u)
         if len(u) != m:
@@ -91,23 +100,23 @@ def _replay(sys: BilinearSystem, x: float, y: float, steps) -> tuple[list, float
             a12 += ui * b.a12
             a21 += ui * b.a21
             a22 += ui * b.a22
-        reach = max(reach, math.hypot(a11, a12, a21, a22) * math.hypot(x, y))
         x, y = a11 * x + a12 * y, a21 * x + a22 * y
         if not (isfinite(x) and isfinite(y)):
             raise ValueError(f"non-finite vector ({x}, {y})")
         states += (x, y)
-    return states, reach
+        matrices += (a11, a12, a21, a22)
+    return states, matrices
 
 
 def step(sys: BilinearSystem, x: Vec2, u) -> Vec2:
     """One transition x -> (A + sum u_i B_i) x."""
-    states, _ = _replay(sys, x.x, x.y, (u,))
+    states = _replay(sys, x.x, x.y, (u,))[0]
     return Vec2(states[2], states[3])
 
 
 def run(sys: BilinearSystem, x0: Vec2, plan: ControlPlan) -> tuple[Vec2, ...]:
     """Replay a plan from x0: the len(plan) + 1 states, starting with x0."""
-    states, _ = _replay(sys, x0.x, x0.y, plan.steps)
+    states = _replay(sys, x0.x, x0.y, plan.steps)[0]
     return (x0,) + tuple(map(Vec2, states[2::2], states[3::2]))
 
 
@@ -134,8 +143,10 @@ def verify_plan(sys: BilinearSystem, xi: Vec2, eta: Vec2,
 
 def _verify(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
             steps) -> tuple[bool, float]:
-    """:func:`verify_plan` of the plan ``steps`` from (x, y) to (ex, ey)."""
-    states, reach = _replay(sys, x, y, steps)
+    """:func:`verify_plan` of the plan ``steps`` from (x, y) to (ex, ey).  The
+    bound without the reach can only be narrower, so an error within it passes
+    at once; only a miss takes the reach from the replayed steps."""
+    states, matrices = _replay(sys, x, y, steps)
     dx = states[-2] - ex
     dy = states[-1] - ey
     if not (isfinite(dx) and isfinite(dy)):
@@ -143,8 +154,13 @@ def _verify(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
     error = math.hypot(dx, dy)
     # A reach or |eta| that overflows is capped at the largest float, so the
     # bound stays finite: it can only tighten, and an infinite error fails it.
-    scale = min(max(reach, math.hypot(ex, ey), 2.0 ** -1042), float_info.max)
-    return error <= _LANDING_TOL * scale, error
+    scale = max(math.hypot(ex, ey), 2.0 ** -1042)
+    if error <= _LANDING_TOL * min(scale, float_info.max):
+        return True, error
+    for k in range(0, len(matrices), 4):
+        scale = max(scale, math.hypot(*matrices[k:k + 4])
+                    * math.hypot(states[k // 2], states[k // 2 + 1]))
+    return error <= _LANDING_TOL * min(scale, float_info.max), error
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ import math
 from functools import cached_property
 from math import isfinite
 
-from .classify import BilinearSystem, VerdictClass, analyze, expand_controls
+from .classify import BilinearSystem, VerdictClass, _expand, analyze
 from .mat2 import Mat2, Vec2, _solve2
 from .quadform import LineSetKind, form_scale, gram_form, zero_lines
-from .simulate import ControlPlan, _verify
+from .simulate import ControlPlan, _control_plan, _verify
 from .structure import zero_bottom_row_pair
 
 
@@ -219,12 +219,13 @@ def _escape_moves(sys: BilinearSystem, x: float, y: float) -> list:
 def _verified(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
               steps: list) -> ControlPlan:
     """The plan of ``steps`` from (x, y) to (ex, ey), replayed once and
-    accepted under ``verify_plan``'s rule."""
+    accepted under ``verify_plan``'s rule; its float controls, finite or the
+    replay would have raised, need none of ``ControlPlan``'s checks."""
     ok, error = _verify(sys, x, y, ex, ey, steps)
     if not ok:
         raise RuntimeError(f"synthesized plan misses the target by {error}; "
                            "this is a bug, not a property of the system")
-    return ControlPlan(tuple(steps), error)
+    return _control_plan(tuple(steps), error)
 
 
 def canonical_steer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
@@ -320,9 +321,8 @@ def plan_transfer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
         raise NotControllablePair("system is uncontrollable; no transfers are synthesized")
     x, y, ex, ey = xi.x, xi.y, eta.x, eta.y
     steps = _pair_steps(sys, verdict.klass, x, y, ex, ey)
-    red = verdict.reduction
-    if not red.is_identity():
-        steps = [expand_controls(red, sys.m, v1, v2) for v1, v2 in steps]
+    if not verdict.reduction.is_identity():
+        steps = [_expand(sys._control_layout, v1, v2) for v1, v2 in steps]
     return _verified(sys, x, y, ex, ey, steps)
 
 

@@ -6,8 +6,12 @@ of (1, -1), and a trace-free driftless pair that anti-diagonalizes.
 """
 
 import pytest
+from hypothesis import settings
 
 from bilin2 import BilinearSystem, Mat2, SystemKind
+
+# A deterministic deep run of every property: pytest --hypothesis-profile=deep.
+settings.register_profile("deep", max_examples=1000, derandomize=True)
 
 
 def _m(rows) -> Mat2:

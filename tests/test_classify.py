@@ -21,7 +21,7 @@ from bilin2 import (
     apply_reduction,
     plan_transfer,
 )
-from bilin2 import mat2, structure
+from bilin2 import classify, mat2, structure
 from bilin2.classify import expand_controls
 from bilin2.mat2 import canonical_direction
 from helpers import (
@@ -190,6 +190,47 @@ def test_driftless_three_input_nearly_pins_at_zero():
     assert_lines_match(verdict.excluded_initial.lines, [(1.0, 0.0), (3.0, -2.0)],
                        tol_angle=1e-9)
     assert expand_controls(red, 3, 4.0, 9.0) == (4.0, 9.0, 0.0)
+
+
+# One system per reduction shape, each with the reduction analyze gives it and
+# where v1 and v2 go: "v1", "v2", a pinned value, or "ca"/"cb" times v2.
+_ROTATION_PAIR = (mat([[1.0, -1.0], [0.0, 2.0]]), mat([[0.0, 0.0], [1.0, 0.0]]))
+LAYOUT_SYSTEMS = {
+    "identity": (BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, -1.0], [1.0, 0.0]]),
+                                _ROTATION_PAIR),
+                 Reduction(), ("v1", "v2")),
+    "pinned 1.0": (BilinearSystem(SystemKind.DRIFTLESS, None,
+                                  _ROTATION_PAIR + (mat([[0.0, 1.0], [0.0, 0.0]]),)),
+                   Reduction(pinned_index=0, pinned_value=1.0), (1.0, "v1", "v2")),
+    "pinned 0.0": (BilinearSystem(SystemKind.DRIFTLESS, None,
+                                  (mat([[1.0, 2.0], [0.0, 1.0]]), mat([[0.0, 1.0], [0.0, 2.0]]),
+                                   mat([[2.0, -1.0], [0.0, 0.0]]))),
+                   Reduction(pinned_index=2, pinned_value=0.0), ("v1", "v2", 0.0)),
+    "combined": (BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, -1.0], [1.0, 0.0]]),
+                                _ROTATION_PAIR + (mat([[1.0, 0.0], [0.0, 0.0]]),)),
+                 Reduction(combined_indices=(1, 2), combined_coeffs=(1.0, 0.0)),
+                 ("v1", "ca", "cb")),
+    "pinned and combined": (BilinearSystem(SystemKind.DRIFTLESS, None,
+                                           _ROTATION_PAIR + (mat([[0.0, 1.0], [0.0, 0.0]]),
+                                                             Mat2.identity())),
+                            Reduction(pinned_index=0, pinned_value=1.0,
+                                      combined_indices=(2, 3), combined_coeffs=(1.0, 0.0)),
+                            (1.0, "v1", "ca", "cb")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SYSTEMS))
+@pytest.mark.parametrize("v1, v2", [(5.0, -7.0), (-0.0, 3.0), (2.5, -0.0)])
+def test_control_layout_expands_bit_for_bit(name, v1, v2):
+    # repr tells -0.0 from 0.0: with cb = 0.0, cb * v2 is -0.0 for v2 < 0.
+    sys, red, places = LAYOUT_SYSTEMS[name]
+    assert analyze(sys).reduction == red
+    ca, cb = red.combined_coeffs or (0.0, 0.0)
+    sources = {"v1": v1, "v2": v2, "ca": ca * v2, "cb": cb * v2}
+    expected = tuple(sources[p] if isinstance(p, str) else p for p in places)
+    per_system = classify._expand(sys._control_layout, v1, v2)
+    assert repr(per_system) == repr(expand_controls(red, sys.m, v1, v2)) == repr(expected)
+    assert all(type(c) is float for c in per_system)
 
 
 def test_apply_reduction_identity_requires_two_inputs(rotation_drift_system):

@@ -201,6 +201,44 @@ def test_simulate_rejects_wrong_arity(write_doc, tmp_path, capsys):
     assert "steps[0] must list 2 control values" in capsys.readouterr().err
 
 
+def test_simulate_reports_an_unwritable_csv_path(write_doc, tmp_path, capsys):
+    path = write_doc(ROTATION_DRIFT)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text("[[0.0, 0.0]]", encoding="utf-8")
+    out_path = tmp_path / "missing" / "traj.csv"
+    assert cli.main(["simulate", path, "--from", "1,1", "--plan", str(plan_path),
+                     "--csv", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out_path}: ")
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("A", dict(ROTATION_DRIFT, A=[["0", "-1"], [True, False]])),
+    ("B[1]", dict(ROTATION_DRIFT, B=[[[1, -1], [0, 2]], [[0, 0], ["1", 0]]])),
+    ("tolerance.abs", dict(ROTATION_DRIFT, tolerance={"abs": True})),
+    ("tolerance.rel", dict(ROTATION_DRIFT, tolerance={"rel": "1e-9"})),
+])
+def test_system_file_accepts_only_json_numbers(field, doc, write_doc, capsys):
+    assert cli.main(["analyze", write_doc(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ")
+    assert "number" in err
+
+
+@pytest.mark.parametrize("step", [[True, 5.0], [1.0, "5"]])
+def test_plan_file_accepts_only_json_numbers(step, write_doc, tmp_path, capsys):
+    path = write_doc(ROTATION_DRIFT)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps([[0.0, 0.0], step]), encoding="utf-8")
+    assert cli.main(["simulate", path, "--from", "1,1", "--plan", str(plan_path)]) == 2
+    assert "steps[1] must be numeric" in capsys.readouterr().err
+
+
+def test_system_file_rejects_an_integer_beyond_the_float_range(write_doc, capsys):
+    doc = dict(ROTATION_DRIFT, A=[[0, -(10 ** 400)], [1, 0]])
+    assert cli.main(["analyze", write_doc(doc)]) == 2
+    assert "A must be a 2x2 array of finite numbers" in capsys.readouterr().err
+
+
 def test_steer_refuses_excluded_start(write_doc, capsys):
     assert cli.main(["steer", write_doc(SHARED_LINE), "--from", "1,-1",
                      "--to", "1,0"]) == 3

@@ -10,12 +10,16 @@ simulate) run on the golden systems and on random two-input systems, from
 states scaled by 2^k over the whole exponent range, so landings overflow and
 states go subnormal.  The escape is the exception: it is computed in closed
 form, and the reference's candidate list is the comparator it must not fall
-behind.  The last properties need no reference: plans replayed exactly in
+behind.  The last properties need no reference: returned plans hold plain
+float controls and copy and pickle unchanged, plans replayed exactly in
 rational arithmetic (``exact.py``) land within the acceptance bound, and the
 escape commutes with scaling the state by 2^k.
 """
 
+import copy
+import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, example, given
@@ -39,6 +43,7 @@ from bilin2 import (
     ZeroState,
     analyze,
     apply_reduction,
+    canonical_steer,
     combine_inputs,
     common_real_eigenvector,
     escape_step,
@@ -511,6 +516,14 @@ control = st.one_of(unit, small_int, unit, small_int, huge)
 @example(ROTATION, Vec2(1.0, 1.0), Vec2(0.0, 0.0), [(1.0,) * 5], 1)           # arity
 @example(ROTATION, Vec2(1.7e308, 0.0), Vec2(-1.7e308, 0.0), [], 0)   # x_end - eta overflows
 @example(ROTATION, Vec2(1.0, 1.0), Vec2(0.0, 0.0), [(1e308,) * 5, (1.0,) * 5], 1)  # overflow first
+# The plan below lands on (-11, -7) exactly.  |eta| is 13.04, the reach
+# max_k |M_k|_F |x_k| is 30 (step 1), and the misses straddle 1e-8 times each.
+@example(ROTATION, Vec2(1.0, 1.0), Vec2(-11.0 + 1.3e-7, -7.0),
+         [(0.0,) * 5, (5.0, 16.0, 0.0, 0.0, 0.0)], 0)   # within 1e-8 |eta|
+@example(ROTATION, Vec2(1.0, 1.0), Vec2(-11.0 + 2e-7, -7.0),
+         [(0.0,) * 5, (5.0, 16.0, 0.0, 0.0, 0.0)], 0)   # past it, the reach admits it
+@example(ROTATION, Vec2(1.0, 1.0), Vec2(-11.0 + 4e-7, -7.0),
+         [(0.0,) * 5, (5.0, 16.0, 0.0, 0.0, 0.0)], 0)   # past the reach too
 def test_replay_matches_reference(sys, xi, eta, controls, arity_slip):
     # arity_slip makes the last control vector one too long or too short
     m = sys.m
@@ -576,6 +589,50 @@ def test_plan_transfer_matches_reference(sys, xi, eta, on_line):
             assert max(abs(lx), abs(ly)) > 2.0 ** 500
         else:
             assert verify_plan(sys, xi, eta, plan) == (True, plan.residual)
+
+
+def _assert_plain_plan(plan):
+    """plan holds float controls only, equals the plan ControlPlan builds from
+    its steps, and comes back unchanged from deepcopy and pickling."""
+    assert type(plan.steps) is tuple
+    assert all(type(u) is tuple and all(type(c) is float for c in u) for u in plan.steps)
+    for other in (ControlPlan(plan.steps), copy.deepcopy(plan),
+                  pickle.loads(pickle.dumps(plan))):
+        assert other == plan
+        assert repr(other.steps) == repr(plan.steps)
+    assert copy.deepcopy(plan).residual == plan.residual
+
+
+def test_returned_plans_are_plain_float_plans():
+    """Every plan that plan_transfer and canonical_steer return for the golden
+    systems, from a generic start and from each zero line of the effective
+    pair, at state scales 2^-30, 1 and 2^30, on every route."""
+    routes = set()
+    for sys in GOLDEN:
+        pair = _pair(sys)
+        if pair is None:
+            continue
+        klass, reduced = analyze(sys).klass, sys.m != 2
+        kind = pair_lines(*pair.inputs, pair.tol).kind
+        starts = [(1.3, 0.4)] + [(d.x, d.y) for d in pair_lines(*pair.inputs, pair.tol).lines]
+        for (x, y), k in itertools.product(starts, (-30, 0, 30)):
+            f = 2.0 ** k
+            xi, eta = Vec2(x * f, y * f), Vec2(1.7 * f, -0.6 * f)
+            try:
+                plan = plan_transfer(sys, xi, eta)
+            except PLAN_REFUSALS:
+                continue
+            _assert_plain_plan(plan)
+            if kind is LineSetKind.ALL_OF_PLANE:
+                routes.add("canonical")
+                _assert_plain_plan(canonical_steer(pair, xi, eta))
+            elif klass is VerdictClass.NEARLY_CONTROLLABLE:
+                routes.add("nearly")
+            else:
+                routes.add("one_step" if len(plan) == 1 else "escape")
+            if reduced:
+                routes.add("reduced")
+    assert routes == {"one_step", "escape", "canonical", "nearly", "reduced"}
 
 
 # --- exact properties -----------------------------------------------------------
