@@ -27,7 +27,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
-from .mat2 import DEFAULT_TOL, Direction, Mat2, TolerancePolicy, linearly_independent
+from .mat2 import DEFAULT_TOL, Direction, Mat2, TolerancePolicy, _lincomb, linearly_independent
 from .quadform import LineSetKind, LineUnion, pair_lines
 from .structure import (
     StructureReport,
@@ -164,13 +164,14 @@ def apply_reduction(sys: BilinearSystem, red: Reduction) -> BilinearSystem:
     if red.pinned_index is not None:
         remaining.remove(red.pinned_index)
         if red.pinned_value != 0.0:
-            pinned = red.pinned_value * sys.inputs[red.pinned_index]
-            drift = pinned if drift is None else drift + pinned
+            pinned = sys.inputs[red.pinned_index]
+            drift = (_lincomb(red.pinned_value, pinned) if drift is None
+                     else _lincomb(1.0, drift, red.pinned_value, pinned))
             kind = SystemKind.WITH_DRIFT
     if red.combined_indices is not None:
         i, j = red.combined_indices
         ca, cb = red.combined_coeffs
-        combined = ca * sys.inputs[i] + cb * sys.inputs[j]
+        combined = _lincomb(ca, sys.inputs[i], cb, sys.inputs[j])
         remaining = [k for k in remaining if k not in (i, j)]
         pair = tuple(sys.inputs[k] for k in remaining) + (combined,)
     else:

@@ -69,7 +69,7 @@ def _as_mat(node, where: str) -> Mat2:
         (a, b), (c, d) = node
         if all(map(_is_number, (a, b, c, d))):
             return Mat2(a, b, c, d)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise error from exc
     raise error
 
@@ -91,7 +91,7 @@ def _resolve_tolerance(node) -> TolerancePolicy:
             raise SystemFileError(f"{env} must be a number, got {raw!r}") from exc
     try:
         return TolerancePolicy(eps["abs"], eps["rel"])
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise SystemFileError(str(exc)) from exc
 
 
@@ -240,7 +240,7 @@ def _load_plan(path: str, m: int) -> ControlPlan:
             raise SystemFileError(f"{path}: steps[{i}] must be numeric")
     try:
         return ControlPlan(steps)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise SystemFileError(f"{path}: {exc}") from exc
 
 

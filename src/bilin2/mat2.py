@@ -6,26 +6,23 @@ numeric policy lives in exactly one place.  All kernels are closed-form: for 2x2
 problems the explicit formulas are both faster and easier to audit than a general
 linear algebra call, and they keep golden-value tests exact.
 
-``Vec2`` and ``Mat2`` are frozen slotted dataclasses: equality, hashing, repr
-and immutability are generated.  Finiteness is checked in this module only,
-at two doors.  The hand-written ``__init__`` coerces every entry to float and
-raises ValueError on a non-finite one, so arithmetic that overflows fails
-where it happens and nothing downstream re-checks its inputs; ``__reduce__``
-sends copies and unpickling through it.  The bulk constructor ``_vec2s``
-builds a whole cloud of vectors at once: it checks every coordinate in one
-pass and raises the constructor's own error, so no path builds an unchecked
-value.
+``Vec2`` and ``Mat2`` are boundary types: frozen slotted dataclasses that
+carry construction, ``@``, the few measures the library reads (``norm``,
+``frob``, ``det``, ``trace``, ``rows``), equality, hashing and pickling, and
+no value arithmetic.  Every value is built by its ``__init__``, which
+coerces each entry to float and raises ValueError on a non-finite one (or
+one beyond the float range), or by the bulk constructor ``_vec2s``, which
+checks a whole cloud in one pass and raises the constructor's own error;
+``__reduce__`` sends copies and unpickling through ``__init__``.  No path
+builds an unchecked value, so nothing downstream re-checks its inputs.
 
-The scalar kernels compute on plain floats and build no intermediate values:
-on the classify path ``linearly_independent``, ``is_eigenvector``,
-``real_eigen_directions``, ``canonical_direction`` and ``_similar``; on the
-plan path ``_solve2`` here, the ``steer`` kernels (among them the closed-form
-escape and its scale-free clearance test) and the replay kernel
-``simulate._replay``, whose step matrices give ``verify_plan``'s bound its
-reach when |eta| does not decide.  A singular 2x2 system is a zero test in
-``_det2`` that answers None, so the plan path raises no ``SingularMatrix`` to
-catch.  Every ``Vec2`` and ``Mat2`` result still goes through ``__init__`` or
-``_vec2s`` (a replayed plan through ``simulate._control_plan``).  Where an
+The kernels compute on plain floats and build only their results: on the
+classify path ``linearly_independent``, ``is_eigenvector``,
+``real_eigen_directions``, ``canonical_direction``, ``_similar`` and
+``_lincomb``; on the plan path ``_solve2`` here, the ``steer`` kernels and
+the replay kernel ``simulate._replay``.  A singular 2x2 system is a zero
+test in ``_det2`` that answers None; only ``solve2`` turns that into
+``SingularMatrix``, so neither path raises one to catch.  Where an
 intermediate would have come out non-finite, the kernel raises ValueError as
 that value's constructor would have, and it never returns a decision made on
 inf or nan.
@@ -62,8 +59,11 @@ class TolerancePolicy:
     rel_eps: float = 1e-9
 
     def __post_init__(self):
-        object.__setattr__(self, "abs_eps", float(self.abs_eps))
-        object.__setattr__(self, "rel_eps", float(self.rel_eps))
+        try:
+            object.__setattr__(self, "abs_eps", float(self.abs_eps))
+            object.__setattr__(self, "rel_eps", float(self.rel_eps))
+        except OverflowError as exc:
+            raise ValueError("tolerance beyond the float range") from exc
         if not (self.abs_eps > 0.0 and math.isfinite(self.abs_eps)):
             raise ValueError("abs_eps must be positive and finite")
         if not (self.rel_eps > 0.0 and math.isfinite(self.rel_eps)):
@@ -85,8 +85,11 @@ class Vec2:
     y: float
 
     def __init__(self, x: float, y: float):
-        x = float(x)
-        y = float(y)
+        try:
+            x = float(x)
+            y = float(y)
+        except OverflowError as exc:
+            raise ValueError("vector entry beyond the float range") from exc
         if not (isfinite(x) and isfinite(y)):
             raise ValueError(f"non-finite vector ({x}, {y})")
         _set_x(self, x)
@@ -95,28 +98,8 @@ class Vec2:
     def __reduce__(self):
         return (Vec2, (self.x, self.y))
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, k: float) -> "Vec2":
-        return Vec2(self.x * k, self.y * k)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 # The slot setters are the only writes a value type sees, made once in
@@ -146,11 +129,6 @@ def cross(u: Vec2, v: Vec2) -> float:
     return u.x * v.y - u.y * v.x
 
 
-def rot90(v: Vec2) -> Vec2:
-    """Counterclockwise quarter turn; orthogonal to v with the same norm."""
-    return Vec2(-v.y, v.x)
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class Mat2:
     a11: float
@@ -159,10 +137,13 @@ class Mat2:
     a22: float
 
     def __init__(self, a11: float, a12: float, a21: float, a22: float):
-        a11 = float(a11)
-        a12 = float(a12)
-        a21 = float(a21)
-        a22 = float(a22)
+        try:
+            a11 = float(a11)
+            a12 = float(a12)
+            a21 = float(a21)
+            a22 = float(a22)
+        except OverflowError as exc:
+            raise ValueError("matrix entry beyond the float range") from exc
         if not (isfinite(a11) and isfinite(a12) and isfinite(a21) and isfinite(a22)):
             raise ValueError(f"non-finite matrix entries ({a11}, {a12}, {a21}, {a22})")
         _set_a11(self, a11)
@@ -173,23 +154,8 @@ class Mat2:
     def __reduce__(self):
         return (Mat2, (self.a11, self.a12, self.a21, self.a22))
 
-    @staticmethod
-    def from_rows(rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        return Mat2(a, b, c, d)
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1.0, 0.0, 0.0, 1.0)
-
     def rows(self) -> tuple[tuple[float, float], tuple[float, float]]:
         return ((self.a11, self.a12), (self.a21, self.a22))
-
-    def col1(self) -> Vec2:
-        return Vec2(self.a11, self.a21)
-
-    def col2(self) -> Vec2:
-        return Vec2(self.a12, self.a22)
 
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a21
@@ -199,19 +165,6 @@ class Mat2:
 
     def frob(self) -> float:
         return math.sqrt(self.a11**2 + self.a12**2 + self.a21**2 + self.a22**2)
-
-    def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a11 + other.a11, self.a12 + other.a12,
-                    self.a21 + other.a21, self.a22 + other.a22)
-
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a11 - other.a11, self.a12 - other.a12,
-                    self.a21 - other.a21, self.a22 - other.a22)
-
-    def __mul__(self, k: float) -> "Mat2":
-        return Mat2(self.a11 * k, self.a12 * k, self.a21 * k, self.a22 * k)
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         if isinstance(other, Vec2):
@@ -223,12 +176,6 @@ class Mat2:
                         self.a21 * other.a11 + self.a22 * other.a21,
                         self.a21 * other.a12 + self.a22 * other.a22)
         return NotImplemented
-
-    def inverse(self, tol: TolerancePolicy = DEFAULT_TOL) -> "Mat2":
-        d = _det2(self.a11, self.a12, self.a21, self.a22, tol)
-        if d is None:
-            raise SingularMatrix(f"matrix {self.rows()} is singular within tolerance")
-        return Mat2(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
 
 
 _set_a11, _set_a12, _set_a21, _set_a22 = (
@@ -247,6 +194,17 @@ def _similar(p: Mat2, m: Mat2, p_inv: Mat2) -> Mat2:
     t22 = p.a21 * m.a12 + p.a22 * m.a22
     return Mat2(t11 * p_inv.a11 + t12 * p_inv.a21, t11 * p_inv.a12 + t12 * p_inv.a22,
                 t21 * p_inv.a11 + t22 * p_inv.a21, t21 * p_inv.a12 + t22 * p_inv.a22)
+
+
+def _lincomb(ca: float, m: Mat2, cb: float = 0.0, n: Optional[Mat2] = None) -> Mat2:
+    """ca*m + cb*n entrywise, or ca*m without n: each entry scaled, then
+    summed, so signed zeros come out as the scaled matrices' sum would give
+    them.  A product that overflows leaves a non-finite entry, so the
+    result's constructor raises."""
+    if n is None:
+        return Mat2(ca * m.a11, ca * m.a12, ca * m.a21, ca * m.a22)
+    return Mat2(ca * m.a11 + cb * n.a11, ca * m.a12 + cb * n.a12,
+                ca * m.a21 + cb * n.a21, ca * m.a22 + cb * n.a22)
 
 
 def _det2(a11: float, a12: float, a21: float, a22: float,

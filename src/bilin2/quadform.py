@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .mat2 import DEFAULT_TOL, Direction, Mat2, TolerancePolicy, Vec2, _direction
+from .mat2 import DEFAULT_TOL, Direction, Mat2, TolerancePolicy, _direction
 
 
 @dataclass(frozen=True)
@@ -26,20 +26,13 @@ class QuadraticForm:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            value = float(getattr(self, name))
+            try:
+                value = float(getattr(self, name))
+            except OverflowError as exc:
+                raise ValueError(f"coefficient {name} beyond the float range") from exc
             object.__setattr__(self, name, value)
             if not math.isfinite(value):
                 raise ValueError(f"non-finite coefficient {name}={value}")
-
-    def evaluate(self, z: Vec2) -> float:
-        return self.a * z.x * z.x + self.b * z.x * z.y + self.c * z.y * z.y
-
-    def discriminant(self) -> float:
-        return self.b * self.b - 4.0 * self.a * self.c
-
-    def coeff_scale_sq(self) -> float:
-        """Natural scale for discriminant zero tests (same units as disc)."""
-        return self.a * self.a + self.b * self.b + self.c * self.c
 
 
 class LineSetKind(Enum):

@@ -47,7 +47,10 @@ class ControlPlan:
     residual: Optional[float] = field(default=None, compare=False)
 
     def __init__(self, steps, residual: Optional[float] = None):
-        steps = tuple(tuple(map(float, step)) for step in steps)
+        try:
+            steps = tuple(tuple(map(float, step)) for step in steps)
+        except OverflowError as exc:
+            raise ValueError("control value beyond the float range") from exc
         for step in steps:
             if not all(map(isfinite, step)):
                 bad = next(c for c in step if not isfinite(c))

@@ -25,7 +25,7 @@ from functools import cached_property
 from math import isfinite
 
 from .classify import BilinearSystem, VerdictClass, _expand, analyze
-from .mat2 import Mat2, Vec2, _solve2
+from .mat2 import Mat2, Vec2, _similar, _solve2
 from .quadform import LineSetKind, form_scale, gram_form, zero_lines
 from .simulate import ControlPlan, _control_plan, _verify
 from .structure import zero_bottom_row_pair
@@ -135,9 +135,9 @@ class _Steering:
         if p is None:
             raise NotCanonicalClass("inputs do not share a left null direction")
         p_inv = Mat2(p.a11, p.a21, p.a12, p.a22)  # rotation: inverse is transpose
-        a_bar = p @ self.drift @ p_inv
-        f1 = p @ b1 @ p_inv
-        f2 = p @ b2 @ p_inv
+        a_bar = _similar(p, self.drift, p_inv)
+        f1 = _similar(p, b1, p_inv)
+        f2 = _similar(p, b2, p_inv)
         a_scale = a_bar.frob()
         if self.tol.is_zero(a_bar.a21, a_scale):
             raise NotCanonicalClass("drift has no coupling into the decoupled coordinate")

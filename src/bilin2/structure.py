@@ -10,6 +10,7 @@ and steer in the transformed frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -18,15 +19,14 @@ from .mat2 import (
     DEFAULT_TOL,
     Direction,
     Mat2,
-    SingularMatrix,
     TolerancePolicy,
-    Vec2,
+    _det2,
+    _direction,
+    _lincomb,
     _similar,
-    canonical_direction,
     cross,
     is_eigenvector,
     real_eigen_directions,
-    rot90,
 )
 from .quadform import LineSetKind, LineUnion, pair_lines
 
@@ -104,10 +104,10 @@ def _certified(ms: tuple[Mat2, ...], directions: tuple[Direction, ...],
 def triangularize(ms, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> StructureReport:
     """Rotate the common eigenvector d onto the first axis.
 
-    P^-1 has columns [d, rot90(d)], so P is a rotation (condition number 1) and
-    every P @ M @ P^-1 is upper triangular with M's eigenvalue along d in the
-    (1,1) slot.  The report is classed ZERO_BOTTOM_ROW when every (2,2) entry
-    also vanishes.
+    P^-1 has columns d = (x, y) and (-y, x), so P is a rotation (condition
+    number 1) and every P @ M @ P^-1 is upper triangular with M's eigenvalue
+    along d in the (1,1) slot.  The report is classed ZERO_BOTTOM_ROW when
+    every (2,2) entry also vanishes.
     """
     ms = tuple(ms)
     for m in ms:
@@ -128,16 +128,16 @@ def _triangular(ms: tuple[Mat2, ...], d: Direction, tol: TolerancePolicy) -> Str
     return StructureReport(klass, p, p_inv, forms, d)
 
 
-def _left_kernel(m: Mat2, tol: TolerancePolicy) -> Optional[Vec2]:
-    """A nonzero w with w^T m = 0, None when m is nonsingular, or a zero
-    vector sentinel when m itself is zero (every w works)."""
-    col = max(m.col1(), m.col2(), key=Vec2.norm)
-    scale = col.norm()
+def _left_kernel(m: Mat2, tol: TolerancePolicy) -> Optional[tuple[tuple[float, float], ...]]:
+    """The constraints m puts on a w with w^T m = 0: None when m is
+    nonsingular, none when m is zero (every w works), else its larger column
+    turned a quarter turn."""
+    x1, y1, x2, y2 = m.a11, m.a21, m.a12, m.a22
+    n1, n2 = math.hypot(x1, y1), math.hypot(x2, y2)
+    x, y, scale = (x1, y1, n1) if n1 >= n2 else (x2, y2, n2)
     if not tol.is_zero(m.det(), scale * scale):
         return None
-    if tol.is_zero(scale):
-        return Vec2(0.0, 0.0)
-    return rot90(col)
+    return () if tol.is_zero(scale) else ((-y, x),)
 
 
 def zero_bottom_row_pair(b1: Mat2, b2: Mat2,
@@ -150,21 +150,16 @@ def zero_bottom_row_pair(b1: Mat2, b2: Mat2,
     to it, so P is a rotation.  Returns None when the pair is not in this
     class.
     """
-    w1 = _left_kernel(b1, tol)
-    w2 = _left_kernel(b2, tol)
-    if w1 is None or w2 is None:
+    k1 = _left_kernel(b1, tol)
+    k2 = _left_kernel(b2, tol)
+    if k1 is None or k2 is None:
         return None
-    if w1.norm() == 0.0 and w2.norm() == 0.0:
-        w = Vec2(0.0, 1.0)
-    elif w1.norm() == 0.0:
-        w = w2
-    elif w2.norm() == 0.0:
-        w = w1
-    else:
-        if not tol.is_zero(cross(w1, w2), w1.norm() * w2.norm()):
+    ws = k1 + k2
+    if len(ws) == 2:
+        (x1, y1), (x2, y2) = ws
+        if not tol.is_zero(x1 * y2 - y1 * x2, math.hypot(x1, y1) * math.hypot(x2, y2)):
             return None
-        w = w1
-    d = canonical_direction(w, tol)
+    d = _direction(*(ws[0] if ws else (0.0, 1.0)), tol)
     return Mat2(d.y, -d.x, d.x, d.y)
 
 
@@ -203,11 +198,11 @@ def _antidiagonal(b1: Mat2, b2: Mat2,
         z = b2 @ w
         if not tol.is_zero(cross(z, v), b2.frob() * w.norm()):
             continue
-        p_inv = Mat2(v.x, w.x, v.y, w.y)
-        try:
-            p = p_inv.inverse(tol)
-        except SingularMatrix:
+        det = _det2(v.x, w.x, v.y, w.y, tol)
+        if det is None:
             continue
+        p = Mat2(w.y / det, -w.x / det, -v.y / det, v.x / det)
+        p_inv = Mat2(v.x, w.x, v.y, w.y)
         forms = (_similar(p, b1, p_inv), _similar(p, b2, p_inv))
         return StructureReport(FormClass.ANTI_DIAGONAL, p, p_inv, forms, None), lu
     return None
@@ -232,7 +227,7 @@ def combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
     NoCombinationFound when all four matrices share a direction.
     """
     for ca, cb in _COMBINATIONS:
-        combined = ca * b2 + cb * b3
+        combined = _lincomb(ca, b2, cb, b3)
         try:
             if common_real_eigenvector([a, b1, combined], tol) is None:
                 return ca, cb
@@ -268,7 +263,7 @@ def _combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2, first: int,
         return 1.0, 0.0
     if not any(invariant(k, 3) for k in shared):
         return 0.0, 1.0
-    combined = b2 + b3
+    combined = _lincomb(1.0, b2, 1.0, b3)
     if not any(is_eigenvector(combined, directions[k], tol) for k in shared):
         return 1.0, 1.0
     raise NoCombinationFound(_NO_COMBINATION)

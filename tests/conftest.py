@@ -15,7 +15,8 @@ settings.register_profile("deep", max_examples=1000, derandomize=True)
 
 
 def _m(rows) -> Mat2:
-    return Mat2.from_rows(rows)
+    (a, b), (c, d) = rows
+    return Mat2(a, b, c, d)
 
 
 @pytest.fixture

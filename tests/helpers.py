@@ -47,11 +47,34 @@ from bilin2.quadform import QuadraticForm
 
 
 def mat(rows) -> Mat2:
-    return Mat2.from_rows(rows)
+    (a, b), (c, d) = rows
+    return Mat2(a, b, c, d)
 
 
 def vec(x, y) -> Vec2:
     return Vec2(x, y)
+
+
+def xy(v) -> tuple[float, float]:
+    """The coordinates of a Vec2 (or a Direction) as a pair."""
+    return (v.x, v.y)
+
+
+def lincomb(ca: float, m: Mat2, cb: float, n: Mat2) -> Mat2:
+    """ca*m + cb*n, entry by entry."""
+    return Mat2(m.a11 * ca + n.a11 * cb, m.a12 * ca + n.a12 * cb,
+                m.a21 * ca + n.a21 * cb, m.a22 * ca + n.a22 * cb)
+
+
+def frob_gap(m: Mat2, n: Mat2) -> float:
+    """The Frobenius norm of m - n."""
+    return math.hypot(m.a11 - n.a11, m.a12 - n.a12, m.a21 - n.a21, m.a22 - n.a22)
+
+
+def inverse(m: Mat2) -> Mat2:
+    """The inverse of a nonsingular m by the adjugate."""
+    d = m.det()
+    return Mat2(m.a22 / d, -m.a12 / d, -m.a21 / d, m.a11 / d)
 
 
 def rand_mat(rng, lo=-2.0, hi=2.0) -> Mat2:
@@ -78,7 +101,7 @@ def random_similarity(rng, max_cond=20.0) -> Mat2:
 
 
 def conjugate_system(sys: BilinearSystem, p: Mat2) -> BilinearSystem:
-    p_inv = p.inverse()
+    p_inv = inverse(p)
     drift = p @ sys.drift @ p_inv if sys.drift is not None else None
     return BilinearSystem(sys.kind, drift, tuple(p @ b @ p_inv for b in sys.inputs),
                           sys.tol)
@@ -91,9 +114,7 @@ def line_angle(d1: Direction, d2: Direction) -> float:
 
 def line_gap(d1: Direction, d2: Direction) -> float:
     """Distance between canonical representatives, insensitive to a sign flip."""
-    a = (d1.vector - d2.vector).norm()
-    b = (d1.vector + d2.vector).norm()
-    return min(a, b)
+    return min(math.hypot(d1.x - d2.x, d1.y - d2.y), math.hypot(d1.x + d2.x, d1.y + d2.y))
 
 
 def assert_lines_match(lines, expected_vecs, tol_angle=1e-9):
@@ -110,6 +131,11 @@ def assert_lines_match(lines, expected_vecs, tol_angle=1e-9):
         remaining.pop(best)
 
 
+def form_value(q, x: float, y: float) -> float:
+    """q(x, y) = a*x*x + b*x*y + c*y*y, for a form with coefficients a, b, c."""
+    return q.a * x * x + q.b * x * y + q.c * y * y
+
+
 def sweep_values(q, n=3600):
     theta = np.arange(n) * (math.pi / n)
     c, s = np.cos(theta), np.sin(theta)
@@ -118,7 +144,7 @@ def sweep_values(q, n=3600):
 
 def _bisect_zero(q, lo, hi, iters=80):
     def f(t):
-        return q.evaluate(Vec2(math.cos(t), math.sin(t)))
+        return form_value(q, math.cos(t), math.sin(t))
 
     flo = f(lo)
     for _ in range(iters):
@@ -150,7 +176,7 @@ def sweep_zero_angles(q, n=3600):
 
 def _refine_min(q, lo, hi, iters=200):
     def g(t):
-        return abs(q.evaluate(Vec2(math.cos(t), math.sin(t))))
+        return abs(form_value(q, math.cos(t), math.sin(t)))
 
     for _ in range(iters):
         third = (hi - lo) / 3.0
@@ -322,9 +348,9 @@ def ref_real_eigen_directions(m: Mat2, tol: TolerancePolicy = DEFAULT_TOL):
 
 
 def ref_is_eigenvector(m: Mat2, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    image = m @ d.vector
-    lam = d.vector.dot(image)
-    residual = (image - lam * d.vector).norm()
+    v, image = d.vector, m @ d.vector
+    lam = v.x * image.x + v.y * image.y
+    residual = Vec2(image.x - v.x * lam, image.y - v.y * lam).norm()
     return tol.is_zero(residual, m.frob())
 
 
@@ -370,7 +396,8 @@ def ref_common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL):
 def ref_combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
                        tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, float]:
     for ca, cb in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-        combined = ca * b2 + cb * b3
+        combined = Mat2(b2.a11 * ca + b3.a11 * cb, b2.a12 * ca + b3.a12 * cb,
+                        b2.a21 * ca + b3.a21 * cb, b2.a22 * ca + b3.a22 * cb)
         try:
             if ref_common_real_eigenvector([a, b1, combined], tol) is None:
                 return ca, cb
@@ -381,8 +408,8 @@ def ref_combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
 
 
 def ref_gram_form(b1: Mat2, b2: Mat2) -> QuadraticForm:
-    a1, b1c = b1.col1(), b1.col2()
-    a2, b2c = b2.col1(), b2.col2()
+    a1, b1c = Vec2(b1.a11, b1.a21), Vec2(b1.a12, b1.a22)
+    a2, b2c = Vec2(b2.a11, b2.a21), Vec2(b2.a12, b2.a22)
     return QuadraticForm(cross(a1, a2),
                          cross(a1, b2c) + cross(b1c, a2),
                          cross(b1c, b2c))
@@ -401,8 +428,8 @@ def ref_zero_lines(q: QuadraticForm, tol: TolerancePolicy = DEFAULT_TOL,
         dirs = (ref_canonical_direction(Vec2(1.0, 0.0), tol),
                 ref_canonical_direction(Vec2(0.0, 1.0), tol))
         return LineUnion(LineSetKind.TWO_LINES, tuple(sorted(dirs, key=_ref_angle_key)))
-    disc = q.discriminant()
-    disc_scale = q.coeff_scale_sq()
+    disc = b * b - 4.0 * a * c
+    disc_scale = a * a + b * b + c * c
     if tol.is_zero(disc, disc_scale):
         if abs(a) >= abs(c):
             d = ref_canonical_direction(Vec2(-b / (2.0 * a), 1.0), tol)
@@ -484,7 +511,7 @@ def ref_verify_plan(sys: BilinearSystem, xi: Vec2, eta: Vec2, plan: ControlPlan)
     for u in plan.steps:
         reach = max(reach, math.hypot(*ref_step_matrix(sys, u)) * x.norm())
         x = ref_step(sys, x, u)
-    error = (x - eta).norm()
+    error = Vec2(x.x - eta.x, x.y - eta.y).norm()
     scale = min(max(reach, eta.norm(), 2.0 ** -1042), float_info.max)
     return math.isfinite(error) and error <= 1e-8 * scale, error
 
@@ -493,7 +520,11 @@ def ref_one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):
     b1, b2 = sys.inputs
     c1 = b1 @ xi
     c2 = b2 @ xi
-    rhs = eta - (sys.drift @ xi) if sys.drift is not None else eta
+    if sys.drift is not None:
+        ax = sys.drift @ xi
+        rhs = Vec2(eta.x - ax.x, eta.y - ax.y)
+    else:
+        rhs = eta
     try:
         u = ref_solve2(Mat2(c1.x, c2.x, c1.y, c2.y), rhs, sys.tol)
     except SingularMatrix:
@@ -521,10 +552,12 @@ def _ref_steering(sys: BilinearSystem):
     candidates = (ESCAPE_CANDIDATES_DRIFT if sys.kind is SystemKind.WITH_DRIFT
                   else ESCAPE_CANDIDATES_DRIFTLESS)
     steps = []
+    a = sys.drift
     for u in candidates:
-        m = u[0] * b1 + u[1] * b2
-        if sys.drift is not None:
-            m = sys.drift + m
+        m = Mat2(b1.a11 * u[0] + b2.a11 * u[1], b1.a12 * u[0] + b2.a12 * u[1],
+                 b1.a21 * u[0] + b2.a21 * u[1], b1.a22 * u[0] + b2.a22 * u[1])
+        if a is not None:
+            m = Mat2(a.a11 + m.a11, a.a12 + m.a12, a.a21 + m.a21, a.a22 + m.a22)
         steps.append((u, m))
     return q, fscale, lines, steps
 
@@ -541,7 +574,7 @@ def ref_escape_step(sys: BilinearSystem, xi: Vec2):
     best, best_score = None, 0.0
     for u, x in _ref_landings(sys, xi):
         nrm2 = x.x * x.x + x.y * x.y
-        value = abs(q.evaluate(x))
+        value = abs(q.a * x.x * x.x + q.b * x.x * x.y + q.c * x.y * x.y)
         margin = ESCAPE_MARGIN_FACTOR * sys.tol.threshold(fscale * nrm2)
         if value >= margin and value / nrm2 > best_score:
             best, best_score = (u, x), value / nrm2
@@ -605,9 +638,10 @@ def ref_canonical_steps(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> list:
         bar_steps.append(Vec2(0.0, 0.0))
         bar_steps.append(Vec2(0.0, target.x / s))
     try:
-        return [ref_solve2(m_sub, vb - offset, tol).as_tuple() for vb in bar_steps]
+        us = [ref_solve2(m_sub, Vec2(vb.x - offset.x, vb.y - offset.y), tol) for vb in bar_steps]
     except SingularMatrix as exc:
         raise SingularSubstitution("input substitution matrix is singular") from exc
+    return [(u.x, u.y) for u in us]
 
 
 def _ref_verified(sys: BilinearSystem, xi: Vec2, eta: Vec2, steps) -> ControlPlan:

@@ -28,28 +28,30 @@ from helpers import (
     assert_lines_match,
     conjugate_system,
     generic_drift_system,
+    lincomb,
     line_gap,
     mat,
     random_similarity,
     triangular_drift_system,
+    xy,
 )
 
 
 def test_system_requires_matching_kind_and_drift():
-    b = (Mat2.identity(), mat([[0.0, 1.0], [0.0, 0.0]]))
+    b = (Mat2(1.0, 0.0, 0.0, 1.0), mat([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InvalidSystem):
         BilinearSystem(SystemKind.WITH_DRIFT, None, b)
     with pytest.raises(InvalidSystem):
-        BilinearSystem(SystemKind.DRIFTLESS, Mat2.identity(), b)
+        BilinearSystem(SystemKind.DRIFTLESS, Mat2(1.0, 0.0, 0.0, 1.0), b)
 
 
 def test_system_input_count_bounds():
     ms = [mat([[1.0, 0.0], [0.0, 0.0]]), mat([[0.0, 1.0], [0.0, 0.0]]),
           mat([[0.0, 0.0], [1.0, 0.0]]), mat([[0.0, 0.0], [0.0, 1.0]])]
     with pytest.raises(InvalidSystem):
-        BilinearSystem(SystemKind.WITH_DRIFT, Mat2.identity(), ms[:1])
+        BilinearSystem(SystemKind.WITH_DRIFT, Mat2(1.0, 0.0, 0.0, 1.0), ms[:1])
     with pytest.raises(InvalidSystem):
-        BilinearSystem(SystemKind.WITH_DRIFT, 2.0 * Mat2.identity(), ms)
+        BilinearSystem(SystemKind.WITH_DRIFT, Mat2(2.0, 0.0, 0.0, 2.0), ms)
     with pytest.raises(InvalidSystem):
         BilinearSystem(SystemKind.DRIFTLESS, None, ms[:1])
     # four driftless inputs are allowed
@@ -59,9 +61,9 @@ def test_system_input_count_bounds():
 def test_system_rejects_dependent_family():
     b1 = mat([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(InvalidSystem, match="linearly dependent"):
-        BilinearSystem(SystemKind.DRIFTLESS, None, (b1, 2.0 * b1))
+        BilinearSystem(SystemKind.DRIFTLESS, None, (b1, mat([[2.0, 4.0], [6.0, 8.0]])))
     with pytest.raises(InvalidSystem, match="linearly dependent"):
-        BilinearSystem(SystemKind.WITH_DRIFT, b1, (b1 * 0.5, Mat2.identity()))
+        BilinearSystem(SystemKind.WITH_DRIFT, b1, (mat([[0.5, 1.0], [1.5, 2.0]]), Mat2(1.0, 0.0, 0.0, 1.0)))
 
 
 def test_matrices_lists_drift_first(rotation_drift_system):
@@ -117,7 +119,7 @@ def test_analyze_uncontrollable(trapped_triangular_system):
     verdict = analyze(trapped_triangular_system)
     assert verdict.klass is VerdictClass.UNCONTROLLABLE
     assert verdict.excluded_initial is None
-    assert verdict.largest_region.vector.as_tuple() == (1.0, 0.0)
+    assert xy(verdict.largest_region) == (1.0, 0.0)
     assert verdict.structure.form_class is FormClass.UPPER_TRIANGULAR
 
 
@@ -162,7 +164,7 @@ def test_driftless_four_input_reduction_pins_and_combines():
     ca, cb = red.combined_coeffs
     eff = apply_reduction(sys, red)
     assert eff.m == 2
-    assert eff.inputs[1].rows() == (ca * sys.inputs[2] + cb * sys.inputs[3]).rows()
+    assert eff.inputs[1] == lincomb(ca, sys.inputs[2], cb, sys.inputs[3])
     assert expand_controls(red, 4, 5.0, 7.0) == (1.0, 5.0, ca * 7.0, cb * 7.0)
 
 
@@ -212,7 +214,7 @@ LAYOUT_SYSTEMS = {
                  ("v1", "ca", "cb")),
     "pinned and combined": (BilinearSystem(SystemKind.DRIFTLESS, None,
                                            _ROTATION_PAIR + (mat([[0.0, 1.0], [0.0, 0.0]]),
-                                                             Mat2.identity())),
+                                                             Mat2(1.0, 0.0, 0.0, 1.0))),
                             Reduction(pinned_index=0, pinned_value=1.0,
                                       combined_indices=(2, 3), combined_coeffs=(1.0, 0.0)),
                             (1.0, "v1", "ca", "cb")),
@@ -231,6 +233,45 @@ def test_control_layout_expands_bit_for_bit(name, v1, v2):
     per_system = classify._expand(sys._control_layout, v1, v2)
     assert repr(per_system) == repr(expand_controls(red, sys.m, v1, v2)) == repr(expected)
     assert all(type(c) is float for c in per_system)
+
+
+def _entrywise(f, *ms) -> Mat2:
+    """The matrix of f applied to the matching entries of ms."""
+    return Mat2(*map(f, *((m.a11, m.a12, m.a21, m.a22) for m in ms)))
+
+
+# Reductions of one family, each with the effective drift and inputs spelled
+# out entry by entry.  Every case makes a -0.0 that a different order of
+# operations, or a 0.0 * B term, would turn into 0.0.
+_A, _B, _C, _D = (mat([[-0.0, 1.0], [0.0, 2.0]]), mat([[1.0, 0.0], [-0.0, -1.0]]),
+                  mat([[0.0, -0.0], [1.0, 3.0]]), mat([[2.0, -0.0], [1.0, 0.0]]))
+_DRIFT = mat([[-0.0, -0.0], [1.0, 0.0]])
+REDUCED = {
+    "pinned 1.0": (None, (_A, _B, _C), Reduction(pinned_index=0, pinned_value=1.0),
+                   _entrywise(lambda a: 1.0 * a, _A), (_B, _C)),
+    "pinned -1.0": (None, (_A, _B, _C), Reduction(pinned_index=1, pinned_value=-1.0),
+                    _entrywise(lambda b: -1.0 * b, _B), (_A, _C)),
+    "pinned 1.0 onto drift": (_DRIFT, (_A, _B, _C), Reduction(pinned_index=0, pinned_value=1.0),
+                              _entrywise(lambda d, a: d + 1.0 * a, _DRIFT, _A), (_B, _C)),
+    "combined": (_DRIFT, (_A, _B, _C),
+                 Reduction(combined_indices=(1, 2), combined_coeffs=(-1.0, 0.5)),
+                 _DRIFT, (_A, _entrywise(lambda b, c: -1.0 * b + 0.5 * c, _B, _C))),
+    "pinned and combined": (None, (_A, _B, _C, _D),
+                            Reduction(pinned_index=0, pinned_value=1.0,
+                                      combined_indices=(2, 3), combined_coeffs=(1.0, 2.0)),
+                            _entrywise(lambda a: 1.0 * a, _A),
+                            (_B, _entrywise(lambda c, d: 1.0 * c + 2.0 * d, _C, _D))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED))
+def test_apply_reduction_matches_the_entrywise_expressions(name):
+    drift, inputs, red, want_drift, want_inputs = REDUCED[name]
+    kind = SystemKind.DRIFTLESS if drift is None else SystemKind.WITH_DRIFT
+    eff = apply_reduction(BilinearSystem(kind, drift, inputs), red)
+    assert "-0.0" in repr((want_drift,) + want_inputs[-1:])
+    assert eff.kind is SystemKind.WITH_DRIFT
+    assert repr((eff.drift, eff.inputs)) == repr((want_drift, want_inputs))
 
 
 def test_apply_reduction_identity_requires_two_inputs(rotation_drift_system):
@@ -309,7 +350,7 @@ def test_analyze_computes_eigen_directions_once(kind, monkeypatch):
     # No (matrix, direction) residual test runs twice; b2 + b3 is the only
     # combination tested as a matrix of its own.
     assert len(tested) == len(set(tested))
-    assert {m for m, _ in tested} == {a, b1, b2, b3, b2 + b3}
+    assert {m for m, _ in tested} == {a, b1, b2, b3, lincomb(1.0, b2, 1.0, b3)}
 
 
 def test_equal_systems_get_equal_verdicts(shared_line_drift_system, swap_pair_system,

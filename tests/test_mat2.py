@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bilin2 import (
     DEFAULT_TOL,
+    ControlPlan,
     Mat2,
     SingularMatrix,
     TolerancePolicy,
@@ -18,8 +19,9 @@ from bilin2 import (
     real_eigen_directions,
     solve2,
 )
-from bilin2.mat2 import _vec2s, canonical_direction, cross, is_eigenvector, rot90
-from helpers import line_angle, line_gap
+from bilin2.mat2 import _vec2s, canonical_direction, cross, is_eigenvector
+from bilin2.quadform import QuadraticForm
+from helpers import line_angle, line_gap, mat, xy
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -42,23 +44,21 @@ def test_tolerance_rejects_degenerate_eps():
         TolerancePolicy(float("inf"), 1e-9)
 
 
-def test_vec2_arithmetic():
-    u = Vec2(1.0, 2.0)
-    v = Vec2(3.0, 4.0)
-    assert (u + v).as_tuple() == (4.0, 6.0)
-    assert (v - u).as_tuple() == (2.0, 2.0)
-    assert (2.0 * u).as_tuple() == (2.0, 4.0)
-    assert (u * 2.0).as_tuple() == (2.0, 4.0)
-    assert (-u).as_tuple() == (-1.0, -2.0)
-    assert u.dot(v) == 11.0
-    assert Vec2(3.0, 4.0).norm() == 5.0
-
-
 def test_vec2_rejects_non_finite():
     with pytest.raises(ValueError):
         Vec2(float("nan"), 0.0)
     with pytest.raises(ValueError):
         Vec2(0.0, float("inf"))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Vec2(10**400, 0.0), lambda: Mat2(10**400, 0.0, 0.0, 1.0),
+    lambda: ControlPlan([[10**400]]), lambda: TolerancePolicy(10**400),
+    lambda: QuadraticForm(10**400, 0.0, 0.0),
+], ids=["Vec2", "Mat2", "ControlPlan", "TolerancePolicy", "QuadraticForm"])
+def test_constructors_refuse_an_int_beyond_the_float_range(build):
+    with pytest.raises(ValueError, match="beyond the float range"):
+        build()
 
 
 def test_bulk_vectors_equal_constructed_ones():
@@ -87,23 +87,20 @@ def test_bulk_vectors_report_the_first_bad_pair():
         _vec2s(xs, ys)
 
 
-def test_cross_and_rot90():
+def test_cross():
     u = Vec2(2.0, 1.0)
     assert cross(Vec2(1.0, 0.0), Vec2(0.0, 1.0)) == 1.0
     assert cross(u, u) == 0.0
-    assert rot90(u).as_tuple() == (-1.0, 2.0)
-    assert u.dot(rot90(u)) == 0.0
-    assert cross(u, rot90(u)) == u.x * u.x + u.y * u.y
+    assert cross(u, Vec2(-u.y, u.x)) == u.x * u.x + u.y * u.y
 
 
 def test_mat2_scalar_quantities():
-    m = Mat2.from_rows([[1.0, 2.0], [3.0, 4.0]])
+    m = mat([[1.0, 2.0], [3.0, 4.0]])
     assert m.det() == -2.0
     assert m.trace() == 5.0
     assert m.frob() == math.sqrt(30.0)
-    assert m.col1().as_tuple() == (1.0, 3.0)
-    assert m.col2().as_tuple() == (2.0, 4.0)
     assert m.rows() == ((1.0, 2.0), (3.0, 4.0))
+    assert Vec2(3.0, 4.0).norm() == 5.0
 
 
 def test_mat2_rejects_non_finite():
@@ -134,52 +131,30 @@ def test_value_types_are_immutable_and_compare_by_value():
 
 
 def test_matmul_matrix_and_vector():
-    m = Mat2.from_rows([[1.0, 2.0], [3.0, 4.0]])
-    n = Mat2.from_rows([[5.0, 6.0], [7.0, 8.0]])
+    m = mat([[1.0, 2.0], [3.0, 4.0]])
+    n = mat([[5.0, 6.0], [7.0, 8.0]])
     assert (m @ n).rows() == ((19.0, 22.0), (43.0, 50.0))
-    assert (m @ Vec2(5.0, 6.0)).as_tuple() == (17.0, 39.0)
-
-
-def test_mat2_linear_ops():
-    m = Mat2.from_rows([[1.0, 2.0], [3.0, 4.0]])
-    n = Mat2.from_rows([[5.0, 6.0], [7.0, 8.0]])
-    assert (m + n).rows() == ((6.0, 8.0), (10.0, 12.0))
-    assert (n - m).rows() == ((4.0, 4.0), (4.0, 4.0))
-    assert (2.0 * m).rows() == ((2.0, 4.0), (6.0, 8.0))
-
-
-def test_inverse_round_trip_exact_for_unimodular():
-    m = Mat2.from_rows([[2.0, 1.0], [1.0, 1.0]])
-    inv = m.inverse()
-    assert inv.rows() == ((1.0, -1.0), (-1.0, 2.0))
-    assert (m @ inv).rows() == ((1.0, 0.0), (0.0, 1.0))
-
-
-def test_inverse_rejects_singular():
-    with pytest.raises(SingularMatrix):
-        Mat2.from_rows([[1.0, 2.0], [2.0, 4.0]]).inverse()
+    assert xy(m @ Vec2(5.0, 6.0)) == (17.0, 39.0)
 
 
 def test_solve2_known_solution():
-    u = solve2(Mat2.from_rows([[-2.0, 0.0], [2.0, -1.0]]), Vec2(-10.0, -6.0))
-    assert u.as_tuple() == (5.0, 16.0)
+    u = solve2(mat([[-2.0, 0.0], [2.0, -1.0]]), Vec2(-10.0, -6.0))
+    assert xy(u) == (5.0, 16.0)
 
 
 def test_solve2_singular_decision_survives_uniform_scaling():
-    near = Mat2.from_rows([[1.0, 1.0], [1.0, 1.0 + 2e-10]])
-    good = Mat2.from_rows([[2.0, 1.0], [1.0, 1.0]])
     y = Vec2(1.0, 1.0)
     for k in (1.0, 1e3):
         with pytest.raises(SingularMatrix):
-            solve2(k * near, y)
-        solve2(k * good, y)
+            solve2(mat([[k, k], [k, k * (1.0 + 2e-10)]]), y)
+        solve2(mat([[2.0 * k, k], [k, k]]), y)
 
 
 def test_solve2_zero_determinant_is_singular_when_the_row_scale_is_nan():
     # An infinite row norm times a zero one makes the zero test's scale nan;
     # a zero determinant must still be singular, not divide by zero.
     with pytest.raises(SingularMatrix):
-        solve2(Mat2.from_rows([[1.7e308, 1.7e308], [0.0, 0.0]]), Vec2(1.0, 1.0))
+        solve2(mat([[1.7e308, 1.7e308], [0.0, 0.0]]), Vec2(1.0, 1.0))
 
 
 @given(finite, finite, finite, finite, finite, finite)
@@ -193,15 +168,16 @@ def test_solve2_residual_is_small(a, b, c, d, y1, y2):
     except SingularMatrix:
         assert abs(m.det()) <= 1e-3 * scale + 1e-9 or scale <= 1e-3
         return
-    assert ((m @ u) - y).norm() <= 1e-9 * (1.0 + y.norm() + u.norm() * m.frob())
+    mu = m @ u
+    assert math.hypot(mu.x - y.x, mu.y - y.y) <= 1e-9 * (1.0 + y.norm() + u.norm() * m.frob())
 
 
 def test_canonical_direction_sign_rules():
-    assert canonical_direction(Vec2(-3.0, 4.0)).vector.as_tuple() == (0.6, -0.8)
-    assert canonical_direction(Vec2(0.0, -2.0)).vector.as_tuple() == (0.0, 1.0)
-    assert canonical_direction(Vec2(0.0, 2.0)).vector.as_tuple() == (0.0, 1.0)
-    assert canonical_direction(Vec2(5.0, 0.0)).vector.as_tuple() == (1.0, 0.0)
-    assert canonical_direction(Vec2(-5.0, 0.0)).vector.as_tuple() == (1.0, 0.0)
+    assert xy(canonical_direction(Vec2(-3.0, 4.0)).vector) == (0.6, -0.8)
+    assert xy(canonical_direction(Vec2(0.0, -2.0)).vector) == (0.0, 1.0)
+    assert xy(canonical_direction(Vec2(0.0, 2.0)).vector) == (0.0, 1.0)
+    assert xy(canonical_direction(Vec2(5.0, 0.0)).vector) == (1.0, 0.0)
+    assert xy(canonical_direction(Vec2(-5.0, 0.0)).vector) == (1.0, 0.0)
 
 
 def test_canonical_direction_rejects_zero():
@@ -218,7 +194,7 @@ def test_canonical_direction_is_scale_invariant(x, y, k):
     if v.norm() < 1e-3 or abs(k) < 1e-3:
         return
     d1 = canonical_direction(v)
-    d2 = canonical_direction(k * v)
+    d2 = canonical_direction(Vec2(x * k, y * k))
     assert line_gap(d1, d2) <= 1e-12
 
 
@@ -236,32 +212,32 @@ def test_line_angle_and_gap():
 
 
 def test_real_eigen_directions_rotation_has_none():
-    assert real_eigen_directions(Mat2.from_rows([[0.0, -1.0], [1.0, 0.0]])) == ()
+    assert real_eigen_directions(mat([[0.0, -1.0], [1.0, 0.0]])) == ()
 
 
 def test_real_eigen_directions_two_with_larger_eigenvalue_first():
-    first, second = real_eigen_directions(Mat2.from_rows([[5.0, 3.0], [-4.0, -2.0]]))
+    first, second = real_eigen_directions(mat([[5.0, 3.0], [-4.0, -2.0]]))
     assert line_gap(first, canonical_direction(Vec2(1.0, -1.0))) <= 1e-12
     assert line_gap(second, canonical_direction(Vec2(3.0, -4.0))) <= 1e-12
 
 
 def test_real_eigen_directions_shear_has_one():
-    (d,) = real_eigen_directions(Mat2.from_rows([[1.0, 1.0], [0.0, 1.0]]))
-    assert d.vector.as_tuple() == (1.0, 0.0)
+    (d,) = real_eigen_directions(mat([[1.0, 1.0], [0.0, 1.0]]))
+    assert xy(d.vector) == (1.0, 0.0)
 
 
 def test_real_eigen_directions_scalar_is_isotropic():
-    assert real_eigen_directions(3.0 * Mat2.identity()) is None
+    assert real_eigen_directions(Mat2(3.0, 0.0, 0.0, 3.0)) is None
 
 
 def test_real_eigen_directions_diagonal():
-    first, second = real_eigen_directions(Mat2.from_rows([[2.0, 0.0], [0.0, 1.0]]))
-    assert first.vector.as_tuple() == (1.0, 0.0)
-    assert second.vector.as_tuple() == (0.0, 1.0)
+    first, second = real_eigen_directions(mat([[2.0, 0.0], [0.0, 1.0]]))
+    assert xy(first.vector) == (1.0, 0.0)
+    assert xy(second.vector) == (0.0, 1.0)
 
 
 def test_is_eigenvector_residual_check():
-    m = Mat2.from_rows([[2.0, 1.0], [0.0, 3.0]])
+    m = mat([[2.0, 1.0], [0.0, 3.0]])
     assert is_eigenvector(m, canonical_direction(Vec2(1.0, 0.0)))
     assert is_eigenvector(m, canonical_direction(Vec2(1.0, 1.0)))
     assert not is_eigenvector(m, canonical_direction(Vec2(0.0, 1.0)))
@@ -281,25 +257,25 @@ def test_eigen_directions_satisfy_residual_test(a, b, c, d):
 
 
 def test_linearly_independent_goldens():
-    i = Mat2.identity()
-    e12 = Mat2.from_rows([[0.0, 1.0], [0.0, 0.0]])
-    e21 = Mat2.from_rows([[0.0, 0.0], [1.0, 0.0]])
-    b = Mat2.from_rows([[1.0, 2.0], [3.0, 4.0]])
+    i = Mat2(1.0, 0.0, 0.0, 1.0)
+    e12 = mat([[0.0, 1.0], [0.0, 0.0]])
+    e21 = mat([[0.0, 0.0], [1.0, 0.0]])
+    b = mat([[1.0, 2.0], [3.0, 4.0]])
     assert linearly_independent([i, e12, e21])
     assert linearly_independent([i, e12, e21, b])
-    assert not linearly_independent([b, 2.0 * b])
-    assert not linearly_independent([b, e12, b - e12])
+    assert not linearly_independent([b, mat([[2.0, 4.0], [6.0, 8.0]])])
+    assert not linearly_independent([b, e12, mat([[1.0, 1.0], [3.0, 4.0]])])
     assert linearly_independent([b])
 
 
 def test_linearly_independent_uses_relative_scale():
-    b = Mat2.from_rows([[1.0, 2.0], [3.0, 4.0]])
-    nudged = b + 1e-12 * Mat2.from_rows([[1.0, 0.0], [0.0, 0.0]])
+    b = mat([[1.0, 2.0], [3.0, 4.0]])
+    nudged = mat([[1.0 + 1e-12, 2.0], [3.0, 4.0]])
     assert not linearly_independent([b, nudged])
 
 
 def test_linearly_independent_rejects_bad_count():
-    ms = [Mat2.identity()] * 5
+    ms = [Mat2(1.0, 0.0, 0.0, 1.0)] * 5
     with pytest.raises(ValueError):
         linearly_independent(ms)
     with pytest.raises(ValueError):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from bilin2 import (
+    DEFAULT_TOL,
     AllIsotropic,
     BilinearSystem,
     FormClass,
+    LineSetKind,
     Mat2,
     NoCombinationFound,
     NotCommonEigenvector,
@@ -24,8 +26,10 @@ from bilin2 import (
     triangularize,
     zero_bottom_row_pair,
 )
-from bilin2.mat2 import canonical_direction, is_eigenvector
-from helpers import line_gap, mat, rotation
+from bilin2 import mat2
+from bilin2.mat2 import _det2, canonical_direction, cross, is_eigenvector
+from bilin2.quadform import pair_lines
+from helpers import inverse, lincomb, line_gap, mat, rotation
 
 
 def test_common_real_eigenvector_found_on_shared_line(shared_line_drift_system):
@@ -40,11 +44,11 @@ def test_common_real_eigenvector_absent(rotation_drift_system):
 
 def test_common_real_eigenvector_all_isotropic_raises():
     with pytest.raises(AllIsotropic):
-        common_real_eigenvector([Mat2.identity(), 2.0 * Mat2.identity()])
+        common_real_eigenvector([Mat2(1.0, 0.0, 0.0, 1.0), Mat2(2.0, 0.0, 0.0, 2.0)])
 
 
 def test_common_real_eigenvector_skips_isotropic_members():
-    family = [2.0 * Mat2.identity(), mat([[2.0, 1.0], [0.0, 3.0]])]
+    family = [Mat2(2.0, 0.0, 0.0, 2.0), mat([[2.0, 1.0], [0.0, 3.0]])]
     d = common_real_eigenvector(family)
     assert d is not None
     assert all(is_eigenvector(m, d) for m in family)
@@ -97,7 +101,7 @@ def test_triangularize_random_conjugated_families():
         tri = [Mat2(rng.uniform(-2, 2), rng.uniform(-2, 2), 0.0, rng.uniform(-2, 2))
                for _ in range(3)]
         r = rotation(rng.uniform(0.0, 2.0 * math.pi))
-        family = [r @ m @ r.inverse() for m in tri]
+        family = [r @ m @ inverse(r) for m in tri]
         d = common_real_eigenvector(family)
         assert d is not None
         report = triangularize(family, d)
@@ -114,8 +118,8 @@ def test_zero_bottom_row_pair_identity_frame():
 
 def test_zero_bottom_row_pair_rotated_frame():
     r = rotation(0.6)
-    b1 = r @ mat([[1.0, 2.0], [0.0, 0.0]]) @ r.inverse()
-    b2 = r @ mat([[3.0, -1.0], [0.0, 0.0]]) @ r.inverse()
+    b1 = r @ mat([[1.0, 2.0], [0.0, 0.0]]) @ inverse(r)
+    b2 = r @ mat([[3.0, -1.0], [0.0, 0.0]]) @ inverse(r)
     p = zero_bottom_row_pair(b1, b2)
     assert p is not None
     # the second row of P is the canonical common left null direction
@@ -129,7 +133,7 @@ def test_zero_bottom_row_pair_rotated_frame():
 
 
 def test_zero_bottom_row_pair_rejects_nonsingular():
-    assert zero_bottom_row_pair(Mat2.identity(), mat([[1.0, 2.0], [0.0, 0.0]])) is None
+    assert zero_bottom_row_pair(Mat2(1.0, 0.0, 0.0, 1.0), mat([[1.0, 2.0], [0.0, 0.0]])) is None
 
 
 def test_zero_bottom_row_pair_rejects_crossed_kernels():
@@ -183,6 +187,33 @@ def test_antidiagonalize_rejects_shared_eigenvector_pair():
                                 mat([[0.0, 1.0], [0.0, 0.0]])) is None
 
 
+# Trace-free, and anti-diagonal in the basis v = (3, 4)/5, b1 @ v, where |b1 @ v|
+# is about 1e7 and its line is 1e-4 rad off the line of v.  Each zero line of
+# the pair passes the swap tests, and the basis it gives fails the
+# determinant zero test.
+NEAR_PARALLEL_BASIS = (Mat2(-230400562496.0, 172801921672.0, -307198083128.0, 230400562496.0),
+                       Mat2(249599442304.0, -187198081928.0, 332801923272.0, -249599442304.0))
+
+
+def test_antidiagonalize_skips_a_singular_basis_without_raising(monkeypatch):
+    made = []
+
+    def counting_init(self, *args):
+        made.append(args)
+        ValueError.__init__(self, *args)
+
+    monkeypatch.setattr(mat2.SingularMatrix, "__init__", counting_init)
+    b1, b2 = NEAR_PARALLEL_BASIS
+    lines = pair_lines(b1, b2)
+    assert lines.kind is LineSetKind.TWO_LINES
+    for d in lines.lines:
+        w = b1 @ d.vector
+        assert not DEFAULT_TOL.is_zero(cross(d.vector, w), w.norm())
+        assert _det2(d.x, w.x, d.y, w.y, DEFAULT_TOL) is None
+    assert antidiagonalize_pair(b1, b2) is None
+    assert made == []
+
+
 def test_combine_inputs_first_candidate_when_pair_already_free(rotation_drift_system):
     a = rotation_drift_system.drift
     b1, b2 = rotation_drift_system.inputs
@@ -197,7 +228,7 @@ def test_combine_inputs_skips_blocked_candidate():
     b3 = mat([[0.0, 0.0], [1.0, 0.0]])   # breaks the shared line
     ca, cb = combine_inputs(a, b1, b2, b3)
     assert (ca, cb) == (0.0, 1.0)
-    assert common_real_eigenvector([a, b1, ca * b2 + cb * b3]) is None
+    assert common_real_eigenvector([a, b1, lincomb(ca, b2, cb, b3)]) is None
 
 
 def test_combine_inputs_exhausts_and_raises():
@@ -228,4 +259,4 @@ def test_combine_inputs_result_is_certified():
             assert common_real_eigenvector(ms) is not None
             continue
         assert (ca, cb) in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
-        assert common_real_eigenvector([ms[0], ms[1], ca * ms[2] + cb * ms[3]]) is None
+        assert common_real_eigenvector([ms[0], ms[1], lincomb(ca, ms[2], cb, ms[3])]) is None

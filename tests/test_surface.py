@@ -1,11 +1,17 @@
 """The package's public surface: the names it exports are its contract."""
 
+import dataclasses
 import re
 import types
 from pathlib import Path
 
+import pytest
+
 import bilin2
 import bilin2.cli  # noqa: F401  (the benchmark reaches the CLI as bilin2.cli)
+from bilin2.quadform import QuadraticForm
+
+ROOT = Path(__file__).resolve().parents[1]
 
 EXPORTED = [
     "AllIsotropic", "ArityMismatch", "BilinearSystem", "ControlPlan", "DEFAULT_TOL",
@@ -27,10 +33,38 @@ def test_public_surface_is_pinned_and_covers_the_benchmark():
                     if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert public == EXPORTED
     # The benchmark calls the library as lib.<name>; each name must resolve.
-    bench = Path(__file__).resolve().parents[1] / "bench"
+    bench = ROOT / "bench"
     called = set()
     for path in bench.glob("*.py"):
         called |= set(re.findall(r"(?<![\w.])lib\.([A-Za-z_]\w*)",
                                  path.read_text(encoding="utf-8")))
     assert "plan_transfer" in called
     assert sorted(name for name in called if not hasattr(bilin2, name)) == []
+
+
+# The value types are boundary types: fields, the measures the library reads,
+# and @ (the benchmark computes b1 @ xv), but no value arithmetic.
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__neg__", "__pos__", "__abs__",
+              "__matmul__", "__rmatmul__")
+VALUE_TYPES = {
+    bilin2.Vec2: ({"x", "y", "norm"}, set()),
+    bilin2.Mat2: ({"a11", "a12", "a21", "a22", "det", "frob", "rows", "trace"}, {"__matmul__"}),
+    QuadraticForm: ({"a", "b", "c"}, set()),
+}
+
+
+@pytest.mark.parametrize("cls", list(VALUE_TYPES), ids=lambda cls: cls.__name__)
+def test_value_type_members_are_pinned(cls):
+    members, operators = VALUE_TYPES[cls]
+    public = ({f.name for f in dataclasses.fields(cls)}
+              | {name for name in dir(cls) if not name.startswith("_")})
+    assert public == members
+    assert {name for name in ARITHMETIC if hasattr(cls, name)} == operators
+
+
+def test_readme_library_example_prints_its_plan(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "((0.0, 0.0), (5.0, 16.0))\n"
