@@ -21,13 +21,21 @@ reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
-from .mat2 import DEFAULT_TOL, Direction, Mat2, TolerancePolicy, _lincomb, linearly_independent
+from .mat2 import (
+    DEFAULT_TOL,
+    Direction,
+    Mat2,
+    TolerancePolicy,
+    _lincomb,
+    _Record,
+    _setfield,
+    linearly_independent,
+)
 from .quadform import LineSetKind, LineUnion, pair_lines
 from .structure import (
     StructureReport,
@@ -54,27 +62,28 @@ class VerdictClass(Enum):
     UNCONTROLLABLE = "uncontrollable"
 
 
-@dataclass(frozen=True)
-class BilinearSystem:
-    kind: SystemKind
-    drift: Optional[Mat2]
-    inputs: tuple[Mat2, ...]
-    tol: TolerancePolicy = DEFAULT_TOL
+class BilinearSystem(_Record):
+    _fields = ("kind", "drift", "inputs", "tol")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        m = len(self.inputs)
-        if self.kind is SystemKind.WITH_DRIFT:
-            if self.drift is None:
+    def __init__(self, kind: SystemKind, drift: Optional[Mat2], inputs: tuple[Mat2, ...],
+                 tol: TolerancePolicy = DEFAULT_TOL):
+        inputs = tuple(inputs)
+        m = len(inputs)
+        if kind is SystemKind.WITH_DRIFT:
+            if drift is None:
                 raise InvalidSystem("drift system requires a drift matrix")
             if not 2 <= m <= 3:
                 raise InvalidSystem(f"drift system takes 2 or 3 inputs, got {m}")
         else:
-            if self.drift is not None:
+            if drift is not None:
                 raise InvalidSystem("driftless system cannot carry a drift matrix")
             if not 2 <= m <= 4:
                 raise InvalidSystem(f"driftless system takes 2 to 4 inputs, got {m}")
-        if not linearly_independent(self.matrices(), self.tol):
+        _setfield(self, "kind", kind)
+        _setfield(self, "drift", drift)
+        _setfield(self, "inputs", inputs)
+        _setfield(self, "tol", tol)
+        if not linearly_independent(self.matrices(), tol):
             raise InvalidSystem("linearly dependent inputs")
 
     @property
@@ -114,8 +123,7 @@ class BilinearSystem:
         return _reduction_layout(self._verdict.reduction, self.m)
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(_Record):
     """How the inputs were narrowed down to one effective pair.
 
     ``pinned_index`` holds an input frozen at ``pinned_value`` (1.0 turns it
@@ -124,17 +132,21 @@ class Reduction:
     record is the identity: the system already has exactly two inputs.
     """
 
-    pinned_index: Optional[int] = None
-    pinned_value: float = 0.0
-    combined_indices: Optional[tuple[int, int]] = None
-    combined_coeffs: Optional[tuple[float, float]] = None
+    _fields = ("pinned_index", "pinned_value", "combined_indices", "combined_coeffs")
+
+    def __init__(self, pinned_index: Optional[int] = None, pinned_value: float = 0.0,
+                 combined_indices: Optional[tuple[int, int]] = None,
+                 combined_coeffs: Optional[tuple[float, float]] = None):
+        _setfield(self, "pinned_index", pinned_index)
+        _setfield(self, "pinned_value", pinned_value)
+        _setfield(self, "combined_indices", combined_indices)
+        _setfield(self, "combined_coeffs", combined_coeffs)
 
     def is_identity(self) -> bool:
         return self.pinned_index is None and self.combined_indices is None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Classification outcome plus the certificates that witness it.
 
     ``excluded_initial`` is the union of initial-state lines to avoid under a
@@ -145,11 +157,16 @@ class Verdict:
     to one effective pair.
     """
 
-    klass: VerdictClass
-    excluded_initial: Optional[LineUnion]
-    largest_region: Optional[Direction]
-    structure: Optional[StructureReport]
-    reduction: Reduction
+    _fields = ("klass", "excluded_initial", "largest_region", "structure", "reduction")
+
+    def __init__(self, klass: VerdictClass, excluded_initial: Optional[LineUnion],
+                 largest_region: Optional[Direction], structure: Optional[StructureReport],
+                 reduction: Reduction):
+        _setfield(self, "klass", klass)
+        _setfield(self, "excluded_initial", excluded_initial)
+        _setfield(self, "largest_region", largest_region)
+        _setfield(self, "structure", structure)
+        _setfield(self, "reduction", reduction)
 
 
 def apply_reduction(sys: BilinearSystem, red: Reduction) -> BilinearSystem:

@@ -22,11 +22,9 @@ BILIN2_TOL_REL override the tolerance from the environment, over the file.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys as _sys
-from fractions import Fraction
 from typing import Optional
 
 from .classify import (
@@ -144,6 +142,8 @@ def _parse_state(raw: str, flag: str) -> Vec2:
 
 def _integer_form(d: Direction) -> Optional[list[int]]:
     """Small integer vector on the line of d, when one matches to 1e-9."""
+    from fractions import Fraction  # imported on first use: it loads decimal and numbers
+
     if abs(d.x) >= abs(d.y):
         fr = Fraction(d.y / d.x).limit_denominator(32)
         cand = (fr.denominator, fr.numerator)
@@ -245,6 +245,8 @@ def _load_plan(path: str, m: int) -> ControlPlan:
 
 
 def cmd_simulate(args) -> int:
+    import csv  # imported here: only simulate writes CSV
+
     sys = load_system(args.file)
     xi = _parse_state(args.from_state, "--from")
     plan = _load_plan(args.plan, sys.m)

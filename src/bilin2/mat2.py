@@ -6,15 +6,23 @@ numeric policy lives in exactly one place.  All kernels are closed-form: for 2x2
 problems the explicit formulas are both faster and easier to audit than a general
 linear algebra call, and they keep golden-value tests exact.
 
-``Vec2`` and ``Mat2`` are boundary types: frozen slotted dataclasses that
-carry construction, ``@``, the few measures the library reads (``norm``,
-``frob``, ``det``, ``trace``, ``rows``), equality, hashing and pickling, and
-no value arithmetic.  Every value is built by its ``__init__``, which
-coerces each entry to float and raises ValueError on a non-finite one (or
-one beyond the float range), or by the bulk constructor ``_vec2s``, which
-checks a whole cloud in one pass and raises the constructor's own error;
-``__reduce__`` sends copies and unpickling through ``__init__``.  No path
-builds an unchecked value, so nothing downstream re-checks its inputs.
+Every record of the library is a plain class on ``_Record``: it writes its
+own ``__init__`` and names its fields in ``_fields``, from which the base
+derives equality (same class only), hashing and ``repr``; assigning or
+deleting an attribute raises AttributeError.  The records are not
+dataclasses, so ``dataclasses.fields`` and ``replace`` do not apply to them,
+and importing the library loads neither ``dataclasses`` nor ``inspect``.
+
+``Vec2`` and ``Mat2`` are boundary types: slotted records that carry
+construction, ``@``, the few measures the library reads (``norm``, ``frob``,
+``det``, ``trace``, ``rows``), equality, hashing and pickling, and no value
+arithmetic.  Every value is built by its ``__init__``, which coerces each
+entry to float and raises ValueError on a non-finite one (or one beyond the
+float range), or by the bulk constructor ``_vec2s``, which checks a whole
+cloud in one pass (or takes its caller's check) and raises the constructor's
+own error; ``__reduce__`` sends copies and unpickling through ``__init__``.
+No path builds an unchecked value, so nothing downstream re-checks its
+inputs.
 
 The kernels compute on plain floats and build only their results: on the
 classify path ``linearly_independent``, ``is_eigenvector``,
@@ -32,7 +40,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
 from math import isfinite
 from typing import Optional
@@ -46,8 +53,47 @@ class SingularMatrix(ValueError):
     """A matrix that must be invertible failed the determinant zero test."""
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
+# Fields of a record without slots are written once, in its __init__, past the
+# refusing __setattr__; this keeps them in the instance's inline values.
+_setfield = object.__setattr__
+
+
+class _Record:
+    """Base of the library's immutable records.
+
+    A subclass lists its constructor's arguments in ``_fields`` and sets each
+    once in its ``__init__``.  Equality and hashing use ``_key()``, the field
+    values unless a subclass leaves one out, and hold between instances of
+    the same class only; ``repr`` shows every field.  Assigning or deleting
+    an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TolerancePolicy(_Record):
     """Absolute/relative floor for deciding when a float counts as zero.
 
     ``is_zero(x, scale)`` tests ``|x| <= abs_eps + rel_eps * |scale|``; callers
@@ -55,19 +101,20 @@ class TolerancePolicy:
     squared state norms) as ``scale``.
     """
 
-    abs_eps: float = 1e-9
-    rel_eps: float = 1e-9
+    _fields = ("abs_eps", "rel_eps")
 
-    def __post_init__(self):
+    def __init__(self, abs_eps: float = 1e-9, rel_eps: float = 1e-9):
         try:
-            object.__setattr__(self, "abs_eps", float(self.abs_eps))
-            object.__setattr__(self, "rel_eps", float(self.rel_eps))
+            abs_eps = float(abs_eps)
+            rel_eps = float(rel_eps)
         except OverflowError as exc:
             raise ValueError("tolerance beyond the float range") from exc
-        if not (self.abs_eps > 0.0 and math.isfinite(self.abs_eps)):
+        if not (abs_eps > 0.0 and math.isfinite(abs_eps)):
             raise ValueError("abs_eps must be positive and finite")
-        if not (self.rel_eps > 0.0 and math.isfinite(self.rel_eps)):
+        if not (rel_eps > 0.0 and math.isfinite(rel_eps)):
             raise ValueError("rel_eps must be positive and finite")
+        _setfield(self, "abs_eps", abs_eps)
+        _setfield(self, "rel_eps", rel_eps)
 
     def threshold(self, scale: float = 0.0) -> float:
         return self.abs_eps + self.rel_eps * abs(scale)
@@ -79,10 +126,8 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Vec2:
-    x: float
-    y: float
+class Vec2(_Record):
+    __slots__ = _fields = ("x", "y")
 
     def __init__(self, x: float, y: float):
         try:
@@ -103,20 +148,21 @@ class Vec2:
 
 
 # The slot setters are the only writes a value type sees, made once in
-# __init__ or _vec2s.  They skip the frozen __setattr__, and are faster than
-# the object.__setattr__ calls a generated frozen __init__ would make.
+# __init__ or _vec2s.  They skip the refusing __setattr__, and are faster
+# than an object.__setattr__ call per field.
 _set_x, _set_y = Vec2.x.__set__, Vec2.y.__set__
 
 
-def _vec2s(xs: list[float], ys: list[float]) -> tuple[Vec2, ...]:
+def _vec2s(xs: list[float], ys: list[float], finite: bool = False) -> tuple[Vec2, ...]:
     """The vectors (xs[i], ys[i]) from two equal-length lists of floats.
 
     Equal to ``tuple(map(Vec2, xs, ys))``, without a constructor call per
-    vector: finiteness is checked once over each list, and the loops run in
+    vector: finiteness is checked once over each list, unless the caller
+    passes ``finite=True`` having checked it already, and the loops run in
     C.  When a coordinate is not finite the pairs go through ``Vec2`` in
     order, so the first bad pair raises the constructor's own ValueError.
     """
-    if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
+    if not (finite or (all(map(isfinite, xs)) and all(map(isfinite, ys)))):
         deque(map(Vec2, xs, ys), 0)
     vs = tuple(map(object.__new__, repeat(Vec2, len(xs))))
     deque(map(_set_x, vs, xs), 0)
@@ -129,12 +175,8 @@ def cross(u: Vec2, v: Vec2) -> float:
     return u.x * v.y - u.y * v.x
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Mat2:
-    a11: float
-    a12: float
-    a21: float
-    a22: float
+class Mat2(_Record):
+    __slots__ = _fields = ("a11", "a12", "a21", "a22")
 
     def __init__(self, a11: float, a12: float, a21: float, a22: float):
         try:
@@ -243,20 +285,20 @@ def solve2(m: Mat2, y: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Vec2:
     return Vec2(*x)
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(_Record):
     """A line through the origin, held as its canonical unit representative.
 
     Construct through :func:`canonical_direction`; two parallel vectors map to
     the same representative up to floating rounding.
     """
 
-    vector: Vec2
+    _fields = ("vector",)
 
-    def __post_init__(self):
-        n = self.vector.norm()
+    def __init__(self, vector: Vec2):
+        n = vector.norm()
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"direction vector must be unit length, got norm {n}")
+        _setfield(self, "vector", vector)
 
     @property
     def x(self) -> float:

@@ -10,29 +10,25 @@ origin, or the whole plane when the form vanishes identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .mat2 import DEFAULT_TOL, Direction, Mat2, TolerancePolicy, _direction
+from .mat2 import DEFAULT_TOL, Direction, Mat2, TolerancePolicy, _direction, _Record, _setfield
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(_Record):
     """Homogeneous quadratic a*z1^2 + b*z1*z2 + c*z2^2."""
 
-    a: float
-    b: float
-    c: float
+    _fields = ("a", "b", "c")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
+    def __init__(self, a: float, b: float, c: float):
+        for name, value in zip(self._fields, (a, b, c)):
             try:
-                value = float(getattr(self, name))
+                value = float(value)
             except OverflowError as exc:
                 raise ValueError(f"coefficient {name} beyond the float range") from exc
-            object.__setattr__(self, name, value)
             if not math.isfinite(value):
                 raise ValueError(f"non-finite coefficient {name}={value}")
+            _setfield(self, name, value)
 
 
 class LineSetKind(Enum):
@@ -42,19 +38,19 @@ class LineSetKind(Enum):
     ALL_OF_PLANE = "all-of-plane"
 
 
-@dataclass(frozen=True)
-class LineUnion:
+class LineUnion(_Record):
     """Zero set of a plane quadratic form: {0}, one line, two lines, or everything."""
 
-    kind: LineSetKind
-    lines: tuple[Direction, ...] = ()
+    _fields = ("kind", "lines")
 
-    def __post_init__(self):
+    def __init__(self, kind: LineSetKind, lines: tuple[Direction, ...] = ()):
         expected = {LineSetKind.POINT_ONLY: 0, LineSetKind.ONE_LINE: 1,
                     LineSetKind.TWO_LINES: 2, LineSetKind.ALL_OF_PLANE: 0}
-        if len(self.lines) != expected[self.kind]:
-            raise ValueError(f"{self.kind.value} carries {expected[self.kind]} lines, "
-                             f"got {len(self.lines)}")
+        if len(lines) != expected[kind]:
+            raise ValueError(f"{kind.value} carries {expected[kind]} lines, "
+                             f"got {len(lines)}")
+        _setfield(self, "kind", kind)
+        _setfield(self, "lines", lines)
 
 
 def gram_form(b1: Mat2, b2: Mat2) -> QuadraticForm:
@@ -111,10 +107,14 @@ def _zero_lines(a: float, b: float, c: float, tol: TolerancePolicy, scale: float
     if tol.is_zero(disc, disc_scale):
         # One repeated line; at least one end coefficient is exactly nonzero
         # here, and the dominant one carries the root without cancellation.
+        # Its slope overflows only when that coefficient is subnormal; the
+        # line is then the coordinate axis itself, as in the two-line case.
         if abs(a) >= abs(c):
-            d = _direction(-b / (2.0 * a), 1.0, tol)
+            t = -b / (2.0 * a)
+            d = _direction(t, 1.0, tol) if math.isfinite(t) else _direction(1.0, 0.0, tol)
         else:
-            d = _direction(1.0, -b / (2.0 * c), tol)
+            t = -b / (2.0 * c)
+            d = _direction(1.0, t, tol) if math.isfinite(t) else _direction(0.0, 1.0, tol)
         return LineUnion(LineSetKind.ONE_LINE, (d,))
     if disc < 0.0:
         return LineUnion(LineSetKind.POINT_ONLY)

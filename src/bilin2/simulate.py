@@ -18,21 +18,19 @@ covariance rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from math import isfinite
 from sys import float_info
 from typing import Optional
 
 from .classify import BilinearSystem
-from .mat2 import Vec2, _vec2s, cross
+from .mat2 import Vec2, _Record, _setfield, _vec2s, cross
 
 
 class ArityMismatch(ValueError):
     """A control vector whose length differs from the system's input count."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ControlPlan:
+class ControlPlan(_Record):
     """A finite open-loop plan: one control tuple per step.
 
     ``residual`` is the landing error |x_end - eta| that ``verify_plan``
@@ -43,8 +41,7 @@ class ControlPlan:
     ``_control_plan`` builds a plan ``steer`` has just replayed, unchecked.
     """
 
-    steps: tuple[tuple[float, ...], ...]
-    residual: Optional[float] = field(default=None, compare=False)
+    __slots__ = _fields = ("steps", "residual")
 
     def __init__(self, steps, residual: Optional[float] = None):
         try:
@@ -57,6 +54,9 @@ class ControlPlan:
                 raise ValueError(f"non-finite control value {bad}")
         _set_steps(self, steps)
         _set_residual(self, residual)
+
+    def _key(self) -> tuple:
+        return (self.steps,)
 
     def __reduce__(self):
         return (ControlPlan, (self.steps, self.residual))
@@ -166,12 +166,14 @@ def _verify(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
     return error <= _LANDING_TOL * min(scale, float_info.max), error
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(_Record):
     """Terminal states of random short plans and the rank of their spread."""
 
-    samples: tuple[Vec2, ...]
-    covariance_rank: int
+    _fields = ("samples", "covariance_rank")
+
+    def __init__(self, samples: tuple[Vec2, ...], covariance_rank: int):
+        _setfield(self, "samples", samples)
+        _setfield(self, "covariance_rank", covariance_rank)
 
 
 def reachability_oracle(sys: BilinearSystem, xi: Vec2, trials: int,
@@ -187,9 +189,9 @@ def reachability_oracle(sys: BilinearSystem, xi: Vec2, trials: int,
     All trials advance together as arrays.  Each step matrix is accumulated
     like ``step`` does it, from the drift entries (or 0.0) adding u_i B_i in
     input order, so every sample equals the replay of its plan through
-    ``step`` bit for bit.  The samples are built in bulk by ``mat2``, which
-    checks the whole cloud for finiteness at once; a non-finite sample raises
-    the ValueError that ``Vec2`` raises for the first such sample.
+    ``step`` bit for bit.  The cloud is checked for finiteness once, in
+    numpy, and the samples are built in bulk by ``mat2``; a non-finite sample
+    raises the ValueError that ``Vec2`` raises for the first such sample.
 
     The covariance rank of the cloud separates line-trapped systems (rank 1)
     from ones that spread over the plane (rank 2); it is 0 when every sample
@@ -219,10 +221,14 @@ def reachability_oracle(sys: BilinearSystem, xi: Vec2, trials: int,
                 a12 = a12 + ui * b.a12
                 a21 = a21 + ui * b.a21
                 a22 = a22 + ui * b.a22
-            live = length > k
-            x, y = (np.where(live, a11 * x + a12 * y, x),
-                    np.where(live, a21 * x + a22 * y, y))
-    samples = _vec2s(x.tolist(), y.tolist())
+            x_next, y_next = a11 * x + a12 * y, a21 * x + a22 * y
+            if k == 0:  # every plan takes its first step
+                x, y = x_next, y_next
+            else:
+                live = length > k
+                x, y = np.where(live, x_next, x), np.where(live, y_next, y)
+    finite = bool(np.isfinite(x).all() and np.isfinite(y).all())
+    samples = _vec2s(x.tolist(), y.tolist(), finite)
     return OracleReport(samples, _covariance_rank(x, y, sys.tol))
 
 

@@ -11,7 +11,6 @@ and steer in the transformed frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -23,6 +22,8 @@ from .mat2 import (
     _det2,
     _direction,
     _lincomb,
+    _Record,
+    _setfield,
     _similar,
     cross,
     is_eigenvector,
@@ -49,15 +50,19 @@ class FormClass(Enum):
     ANTI_DIAGONAL = "anti-diagonal"
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(_Record):
     """A change of basis P and the canonical forms P @ M @ P^-1 it produces."""
 
-    form_class: FormClass
-    transform: Mat2
-    transform_inv: Mat2
-    canonical_forms: tuple[Mat2, ...]
-    common_eigenvector: Optional[Direction]
+    _fields = ("form_class", "transform", "transform_inv", "canonical_forms",
+               "common_eigenvector")
+
+    def __init__(self, form_class: FormClass, transform: Mat2, transform_inv: Mat2,
+                 canonical_forms: tuple[Mat2, ...], common_eigenvector: Optional[Direction]):
+        _setfield(self, "form_class", form_class)
+        _setfield(self, "transform", transform)
+        _setfield(self, "transform_inv", transform_inv)
+        _setfield(self, "canonical_forms", canonical_forms)
+        _setfield(self, "common_eigenvector", common_eigenvector)
 
 
 def common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL) -> Optional[Direction]:

@@ -432,9 +432,11 @@ def ref_zero_lines(q: QuadraticForm, tol: TolerancePolicy = DEFAULT_TOL,
     disc_scale = a * a + b * b + c * c
     if tol.is_zero(disc, disc_scale):
         if abs(a) >= abs(c):
-            d = ref_canonical_direction(Vec2(-b / (2.0 * a), 1.0), tol)
+            t = -b / (2.0 * a)
+            d = ref_canonical_direction(Vec2(t, 1.0) if math.isfinite(t) else Vec2(1.0, 0.0), tol)
         else:
-            d = ref_canonical_direction(Vec2(1.0, -b / (2.0 * c)), tol)
+            t = -b / (2.0 * c)
+            d = ref_canonical_direction(Vec2(1.0, t) if math.isfinite(t) else Vec2(0.0, 1.0), tol)
         return LineUnion(LineSetKind.ONE_LINE, (d,))
     if disc < 0.0:
         return LineUnion(LineSetKind.POINT_ONLY)

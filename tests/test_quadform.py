@@ -17,7 +17,7 @@ from bilin2 import (
     zero_lines,
 )
 from bilin2.mat2 import canonical_direction, cross
-from bilin2.quadform import QuadraticForm
+from bilin2.quadform import QuadraticForm, pair_lines
 from helpers import (angles_match, assert_lines_match, direction_angle, form_value, lincomb, mat,
                      sweep_classify, xy)
 
@@ -128,6 +128,17 @@ def test_zero_lines_pure_cross_term_is_the_axes():
               QuadraticForm(sys.float_info.min, 4.0, 0.0)):
         lines = zero_lines(q, scale=4.0).lines
         assert [xy(d.vector) for d in lines] == [(1.0, 0.0), (0.0, 1.0)]
+
+
+def test_zero_lines_repeated_root_with_a_subnormal_end_coefficient_is_an_axis():
+    # The one-line branch divides by 2a (or 2c); with a subnormal dominant end
+    # coefficient the slope overflows, and the line is the coordinate axis.
+    lu = pair_lines(Mat2(0.0, 0.0, 2.2250738583e-314, 1e-3), Mat2(1e-3, 0.0, 0.0, 0.0))
+    assert lu.kind is LineSetKind.ONE_LINE
+    assert xy(lu.lines[0].vector) == (1.0, 0.0)
+    lu = zero_lines(QuadraticForm(0.0, -1e-6, -2.225074e-317), scale=1e-6)
+    assert lu.kind is LineSetKind.ONE_LINE
+    assert xy(lu.lines[0].vector) == (0.0, 1.0)
 
 
 def test_zero_lines_near_axis_roots_are_tracked():

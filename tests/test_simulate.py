@@ -4,7 +4,6 @@ import copy
 import math
 import pickle
 import warnings
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -200,8 +199,12 @@ def test_oracle_samples_behave_like_constructed_vectors():
         assert type(s) is Vec2 and not hasattr(s, "__dict__")
         built = Vec2(s.x, s.y)
         assert s == built and hash(s) == hash(built)
-        with pytest.raises(FrozenInstanceError):
-            s.x = 0.0
+        for name in ("x", "y"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 0.0)
+            with pytest.raises(AttributeError):
+                delattr(s, name)
+        assert s == built
         assert copy.deepcopy(s) == s
         assert pickle.loads(pickle.dumps(s, protocol=0)) == s
 

@@ -1,7 +1,9 @@
 """The package's public surface: the names it exports are its contract."""
 
-import dataclasses
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -57,7 +59,7 @@ VALUE_TYPES = {
 @pytest.mark.parametrize("cls", list(VALUE_TYPES), ids=lambda cls: cls.__name__)
 def test_value_type_members_are_pinned(cls):
     members, operators = VALUE_TYPES[cls]
-    public = ({f.name for f in dataclasses.fields(cls)}
+    public = (set(cls._fields)
               | {name for name in dir(cls) if not name.startswith("_")})
     assert public == members
     assert {name for name in ARITHMETIC if hasattr(cls, name)} == operators
@@ -68,3 +70,22 @@ def test_readme_library_example_prints_its_plan(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out == "((0.0, 0.0), (5.0, 16.0))\n"
+
+
+# The standard library modules the package itself imports; a bare interpreter
+# that has imported them is the baseline of the test below.
+STDLIB_USED = ("argparse", "collections", "enum", "functools", "itertools", "json", "math",
+               "operator", "os", "typing")
+
+
+def test_import_loads_no_dataclasses_csv_fractions_or_numpy():
+    # A child interpreter: pytest itself has already imported dataclasses.
+    code = (f"import sys, {', '.join(STDLIB_USED)}\n"
+            "before = set(sys.modules)\n"
+            "import bilin2, bilin2.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert "bilin2.cli" in out
+    assert {"dataclasses", "inspect", "csv", "fractions", "numpy"} & set(out) == set()
