@@ -36,7 +36,7 @@ from .mat2 import (
     _setfield,
     linearly_independent,
 )
-from .quadform import LineSetKind, LineUnion, pair_lines
+from .quadform import LineSetKind, LineUnion, form_scale, pair_lines
 from .structure import (
     StructureReport,
     _antidiagonal,
@@ -86,6 +86,10 @@ class BilinearSystem(_Record):
         if not linearly_independent(self.matrices(), tol):
             raise InvalidSystem("linearly dependent inputs")
 
+    def __reduce__(self):
+        # Copies and unpickling run the checks again and start without memos.
+        return (BilinearSystem, (self.kind, self.drift, self.inputs, self.tol))
+
     @property
     def m(self) -> int:
         return len(self.inputs)
@@ -109,6 +113,11 @@ class BilinearSystem(_Record):
         """The two-input system the verdict's reduction leaves; defined for
         verdicts other than uncontrollable."""
         return apply_reduction(self, self._verdict.reduction)
+
+    @cached_property
+    def _form_scale(self) -> float:
+        """|B1|_F |B2|_F of a two-input system, the one step's clearance scale."""
+        return form_scale(*self.inputs)
 
     @cached_property
     def _steering(self):

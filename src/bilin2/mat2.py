@@ -27,9 +27,10 @@ inputs.
 The kernels compute on plain floats and build only their results: on the
 classify path ``linearly_independent``, ``is_eigenvector``,
 ``real_eigen_directions``, ``canonical_direction``, ``_similar`` and
-``_lincomb``; on the plan path ``_solve2`` here, the ``steer`` kernels and
-the replay kernel ``simulate._replay``.  A singular 2x2 system is a zero
-test in ``_det2`` that answers None; only ``solve2`` turns that into
+``_lincomb``; on the plan path ``_solve2`` here (for the two-step
+construction's input substitution), the ``steer`` kernels and the replay
+kernel ``simulate._replay``.  A singular 2x2 system is a zero test in
+``_det2`` that answers None; only ``solve2`` turns that into
 ``SingularMatrix``, so neither path raises one to catch.  Where an
 intermediate would have come out non-finite, the kernel raises ValueError as
 that value's constructor would have, and it never returns a decision made on

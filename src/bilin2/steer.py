@@ -13,8 +13,8 @@ bound, and accepted only when it holds.
 
 ``plan_transfer`` solves, escapes and replays on plain floats: the kernels
 ``_one_step``, ``_escape``, ``_escape_moves`` and ``_canonical_steps`` take and
-return floats, and the plan is the only value built.  A singular one-step
-system is a zero test that answers None.  The public ``one_step``,
+return floats, and the plan is the only value built.  Every one step answers
+None on the escape's test, a zero clearance.  The public ``one_step``,
 ``escape_step`` and ``canonical_steer`` are thin wrappers over the same kernels.
 """
 
@@ -36,7 +36,7 @@ class NotControllablePair(RuntimeError):
 
 
 class InExcludedSet(RuntimeError):
-    """The initial state lies on the excluded lines of a nearly controllable system."""
+    """The initial state is on the excluded lines: its one-step clearance is zero."""
 
 
 class ZeroState(ValueError):
@@ -65,39 +65,48 @@ def _require_pair(sys: BilinearSystem) -> None:
 
 def one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):
     """Single-step control (u1, u2) landing on eta, or None when xi sits on
-    the steering form's zero set."""
+    the steering form's zero set, by the escape step's clearance test."""
     _require_pair(sys)
     return _one_step(sys, xi.x, xi.y, eta.x, eta.y)
 
 
 def _one_step(sys: BilinearSystem, x: float, y: float, ex: float, ey: float):
-    """:func:`one_step` from (x, y) to (ex, ey): the system
-    [B1 xi, B2 xi] u = eta - A xi solved by Cramer's rule on floats."""
-    b1, b2 = sys.inputs
-    c1x = b1.a11 * x + b1.a12 * y
-    c1y = b1.a21 * x + b1.a22 * y
-    c2x = b2.a11 * x + b2.a12 * y
-    c2y = b2.a21 * x + b2.a22 * y
-    a = sys.drift
-    if a is not None:
-        rx = ex - (a.a11 * x + a.a12 * y)
-        ry = ey - (a.a21 * x + a.a22 * y)
-    else:
-        rx, ry = ex, ey
-    # A non-finite drift image leaves a non-finite right-hand side.
-    if not (isfinite(c1x) and isfinite(c1y) and isfinite(c2x) and isfinite(c2y)
-            and isfinite(rx) and isfinite(ry)):
-        raise ValueError(f"non-finite one-step system ({c1x}, {c2x}, {c1y}, {c2y}), "
-                         f"({rx}, {ry})")
-    return _solve2(c1x, c2x, c1y, c2y, rx, ry, sys.tol)
+    """:func:`one_step` from (x, y) to (ex, ey): [B1 xi, B2 xi] u = eta - A xi by
+    Cramer's rule, or None where det / (form_scale |xi|^2) is zero; formed again
+    from f xi to f eta, a power of two f, where det is not a normal float."""
+    (b1, b2), a, scale = sys.inputs, sys.drift, sys._form_scale
+    for rescaled in (False, True):
+        c1x = b1.a11 * x + b1.a12 * y
+        c1y = b1.a21 * x + b1.a22 * y
+        c2x = b2.a11 * x + b2.a12 * y
+        c2y = b2.a21 * x + b2.a22 * y
+        rx, ry = ((ex - (a.a11 * x + a.a12 * y), ey - (a.a21 * x + a.a22 * y))
+                  if a is not None else (ex, ey))
+        # A non-finite drift image leaves a non-finite right-hand side.
+        if not (isfinite(c1x) and isfinite(c1y) and isfinite(c2x) and isfinite(c2y)
+                and isfinite(rx) and isfinite(ry)):
+            raise ValueError(f"non-finite one-step system ({c1x}, {c2x}, {c1y}, {c2y}), "
+                             f"({rx}, {ry})")
+        d, n = c1x * c2y - c2x * c1y, math.hypot(x, y)
+        if 2.0 ** -1022 <= abs(d) < math.inf or rescaled or scale == 0.0:
+            break
+        e = 1 - math.frexp(math.sqrt(scale) * max(abs(x), abs(y)))[1]
+        f = math.ldexp(1.0, max(-1022, min(e, 1023)))
+        x, y, ex, ey = x * f, y * f, ex * f, ey * f
+    if d == 0.0 or scale == 0.0 or sys.tol.is_zero(d / scale / n / n):
+        return None
+    u1, u2 = (rx * c2y - c2x * ry) / d, (c1x * ry - rx * c1y) / d
+    if not (isfinite(u1) and isfinite(u2)):
+        raise ValueError(f"non-finite vector ({u1}, {u2})")
+    return u1, u2
 
 
 class _Steering:
     """What the escape step and the two-step construction know of a two-input
     system before any state is given: the drift's entries (zeros without
-    drift), the steering form, its scale, zero lines and principal axis, and
-    on first use the zero-bottom-row frame.  Built once per system, through
-    ``BilinearSystem._steering``; it holds no reference back to the system."""
+    drift), the inputs' norms, the steering form, its scale, zero lines and
+    principal axis, and on first use the zero-bottom-row frame; built once per
+    system, through ``BilinearSystem._steering``, with no reference back."""
 
     def __init__(self, sys: BilinearSystem):
         a, (b1, b2) = sys.drift, sys.inputs
@@ -107,6 +116,7 @@ class _Steering:
         self.form = q = gram_form(b1, b2)
         self.form_scale = form_scale(b1, b2)
         self.lines = zero_lines(q, sys.tol, scale=self.form_scale)
+        self.input_norms = tuple(math.hypot(b.a11, b.a12, b.a21, b.a22) for b in sys.inputs)
         # The eigenvector of [[a, b/2], [b/2, c]] whose eigenvalue has the
         # larger magnitude: the direction of largest |q(z)| / |z|^2.
         theta = 0.5 * (math.atan2(q.b, q.a - q.c) + (math.pi if q.a + q.c < 0.0 else 0.0))
@@ -152,10 +162,10 @@ def escape_step(sys: BilinearSystem, xi: Vec2) -> tuple[tuple[float, float], Vec
     """One control moving xi, a state on the steering form's zero set, off it.
 
     There B1 xi and B2 xi are parallel, so every landing is p + t c, with
-    p = A xi (zero without drift), c the longer of B1 xi and B2 xi, and u = t
-    in c's slot.  The drift alone (u = 0) is taken when it clears, else the
-    landing on the form's principal axis, of largest clearance |q(x)| /
-    (form_scale |x|^2).  A landing clears when neither it, next to |M|_F |xi|
+    p = A xi (zero without drift), c the B_i xi of larger |B_i xi| / |B_i|_F,
+    and u = t in c's slot.  The drift alone (u = 0) is taken when it clears,
+    else the landing on the form's principal axis, of largest clearance
+    |q(x)| / (form_scale |x|^2).  A landing clears when neither it, next to |M|_F |xi|
     for its step M, nor its clearance is zero under the tolerance."""
     _require_pair(sys)
     move = _escape(sys, xi.x, xi.y)
@@ -180,7 +190,8 @@ def _escape(sys: BilinearSystem, x: float, y: float):
     if pn != 0.0 and steering.clears(px, py):
         return (0.0, 0.0), px, py, True
     n1, n2 = math.hypot(c1x, c1y), math.hypot(c2x, c2y)
-    k, b, cx, cy, cn = (0, b1, c1x, c1y, n1) if n1 >= n2 else (1, b2, c2x, c2y, n2)
+    f1, f2 = steering.input_norms
+    k, b, cx, cy, cn = (0, b1, c1x, c1y, n1) if n1 / f1 >= n2 / f2 else (1, b2, c2x, c2y, n2)
     if cn == 0.0:
         return (0.0, 0.0), px, py, False
     # Where p + t c crosses the axis (any t != 0 when p = 0; with p on c's
@@ -346,13 +357,7 @@ def _pair_steps(sys: BilinearSystem, klass: VerdictClass, x: float, y: float,
         return [u]
     moves = _escape_moves(eff, x, y)
     _, lx, ly = moves[-1]
-    # The landing cleared |q(l)| / (form_scale |l|^2) > tol.  Scaled by the
-    # power of two f with f^2 form_scale |l|_inf^2 in [1, 4), the target alike,
-    # its one-step determinant q(f l) is at least that clearance, so the zero
-    # test's absolute floor agrees with the escape; the controls are unchanged.
-    e = math.frexp(math.sqrt(eff._steering.form_scale) * max(abs(lx), abs(ly)))[1]
-    f = math.ldexp(1.0, max(-1022, min(1 - e, 1023)))
-    u = _one_step(eff, lx * f, ly * f, ex * f, ey * f)
+    u = _one_step(eff, lx, ly, ex, ey)
     if u is None:
         raise EscapeFailed("escape landed back on the singular set")
     return [v for v, _, _ in moves] + [u]

@@ -519,18 +519,31 @@ def ref_verify_plan(sys: BilinearSystem, xi: Vec2, eta: Vec2, plan: ControlPlan)
 
 
 def ref_one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):
+    """The one step under the clearance rule: None where d = det[B1 xi, B2 xi]
+    is zero or d / (|B1|_F |B2|_F |xi|^2) is zero under the tolerance; else the
+    solution by Cramer's rule.  Where d is not a normal float, xi and eta are
+    scaled first by the power of two f with f^2 |B1|_F |B2|_F |xi|_inf^2 in
+    [1, 4) (f within the normal range), which leaves the solution unchanged."""
     b1, b2 = sys.inputs
-    c1 = b1 @ xi
-    c2 = b2 @ xi
-    if sys.drift is not None:
-        ax = sys.drift @ xi
-        rhs = Vec2(eta.x - ax.x, eta.y - ax.y)
-    else:
-        rhs = eta
-    try:
-        u = ref_solve2(Mat2(c1.x, c2.x, c1.y, c2.y), rhs, sys.tol)
-    except SingularMatrix:
+    scale = b1.frob() * b2.frob()
+    for rescaled in (False, True):
+        c1 = b1 @ xi
+        c2 = b2 @ xi
+        if sys.drift is not None:
+            ax = sys.drift @ xi
+            rhs = Vec2(eta.x - ax.x, eta.y - ax.y)
+        else:
+            rhs = eta
+        m = Mat2(c1.x, c2.x, c1.y, c2.y)
+        d = m.det()
+        if rescaled or scale == 0.0 or (math.isfinite(d) and abs(d) >= float_info.min):
+            break
+        _, e = math.frexp(math.sqrt(scale) * max(abs(xi.x), abs(xi.y)))
+        f = 2.0 ** min(max(1 - e, float_info.min_exp - 1), float_info.max_exp - 1)
+        xi, eta = Vec2(xi.x * f, xi.y * f), Vec2(eta.x * f, eta.y * f)
+    if d == 0.0 or scale == 0.0 or sys.tol.is_zero(d / scale / xi.norm() / xi.norm()):
         return None
+    u = Vec2((rhs.x * m.a22 - m.a12 * rhs.y) / d, (m.a11 * rhs.y - rhs.x * m.a21) / d)
     return (u.x, u.y)
 
 

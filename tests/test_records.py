@@ -8,6 +8,7 @@ as frozen dataclasses.
 import copy
 import inspect
 import pickle
+import struct
 
 import pytest
 
@@ -16,6 +17,7 @@ from bilin2 import (
     ControlPlan,
     Direction,
     FormClass,
+    InvalidSystem,
     LineSetKind,
     LineUnion,
     Mat2,
@@ -27,6 +29,7 @@ from bilin2 import (
     Vec2,
     Verdict,
     VerdictClass,
+    plan_transfer,
 )
 from bilin2.mat2 import _Record
 from bilin2.quadform import QuadraticForm
@@ -140,6 +143,32 @@ def test_record_copies_and_pickles(cls, kwargs, text, other):
                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for twin in copies:
         assert type(twin) is cls and twin == record and repr(twin) == text
+
+
+def test_system_copies_and_pickles_through_its_constructor():
+    """An analysed system copies and round-trips at its fresh size, with none
+    of its memos; a pickle edited to dependent inputs is refused on loading."""
+    def readme_system():
+        return BilinearSystem(SystemKind.WITH_DRIFT, Mat2(0.0, -1.0, 1.0, 0.0),
+                              (Mat2(1.0, -1.0, 0.0, 2.0), Mat2(0.0, 0.0, 1.0, 0.0)))
+
+    system = readme_system()
+    plan_transfer(system, Vec2(1.0, 1.0), Vec2(-11.0, -7.0))
+    assert {"_verdict", "_effective", "_steering"} <= set(vars(system))
+    twins = [copy.copy(system), copy.deepcopy(system)]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(system, protocol)
+        assert len(data) == len(pickle.dumps(readme_system(), protocol))
+        twins.append(pickle.loads(data))
+    for twin in twins:
+        assert twin == system and set(vars(twin)) == set(BilinearSystem._fields)
+
+    data = pickle.dumps(BilinearSystem(SystemKind.DRIFTLESS, None,
+                                       (Mat2(1.0, 2.0, 3.0, 4.0), Mat2(2.0, 4.0, 6.0, 8.5))))
+    edited = data.replace(struct.pack(">d", 8.5), struct.pack(">d", 8.0))   # B2 = 2 B1
+    assert edited != data
+    with pytest.raises(InvalidSystem):
+        pickle.loads(edited)
 
 
 @pytest.mark.parametrize("cls, kwargs, text, other", CASES, ids=IDS)

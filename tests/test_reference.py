@@ -12,17 +12,19 @@ states go subnormal.  The escape is the exception: it is computed in closed
 form, and the reference's candidate list is the comparator it must not fall
 behind.  The last properties need no reference: returned plans hold plain
 float controls and copy and pickle unchanged, plans replayed exactly in
-rational arithmetic (``exact.py``) land within the acceptance bound, and the
-escape commutes with scaling the state by 2^k.
+rational arithmetic (``exact.py``) land within the acceptance bound, the
+one-step routes commute with scaling the endpoints and the inputs by powers
+of two, and the escape commutes with scaling the state by 2^k.
 """
 
 import copy
 import itertools
 import math
 import pickle
+from sys import float_info
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from bilin2 import (
@@ -574,6 +576,9 @@ def _reference_escapes(sys, pair, xi, eta) -> bool:
 @example(_system((-0.0625, 0.0625, 0.0, 0.0), (6.25e-08, 0.0625, 0.0, 0.0),
                  (0.0, 0.0, 0.0625, 0.0)),
          Vec2(1.0, 0.0), Vec2(0.0, 1.0), True)    # ... there only for a small form scale
+@example(_system(None, (2.0 ** 57, 3 * 2.0 ** 57, -6 * 2.0 ** 57, 0.0),
+                 (-2.0 ** 57, 0.0, 2.0 ** 57, 2.0 ** 57)),
+         Vec2(1.2e119, 0.0), Vec2(0.0, 1.0), True)    # det at the landing is inf - inf
 def test_plan_transfer_matches_reference(sys, xi, eta, on_line):
     """Off the escape route the plan (or exception type) is the reference's;
     on it, a verified plan wherever the reference found one."""
@@ -677,6 +682,94 @@ def test_plan_transfer_lands_within_the_bound_under_exact_replay(sys, xi, eta, a
         assert not share_left_null_direction(*pair.inputs)
         return
     assert lands_within(sys, xi, eta, plan.steps, _LANDING_TOL)
+
+
+def _inputs_scaled(pair, j1: int, j2: int):
+    """pair with B1 times 2^j1 and B2 times 2^j2, or None where those inputs
+    do not make a valid system."""
+    (b1, b2), f1, f2 = pair.inputs, 2.0 ** j1, 2.0 ** j2
+    try:
+        return BilinearSystem(pair.kind, pair.drift,
+                              (Mat2(b1.a11 * f1, b1.a12 * f1, b1.a21 * f1, b1.a22 * f1),
+                               Mat2(b2.a11 * f2, b2.a12 * f2, b2.a21 * f2, b2.a22 * f2)),
+                              pair.tol)
+    except ValueError:
+        return None
+
+
+def _verdict_class(sys):
+    """analyze(sys).klass, or None where classification raises."""
+    try:
+        return analyze(sys).klass
+    except ValueError:
+        return None
+
+
+def _steps_or_refusal(sys, xi, eta):
+    """The steps of plan_transfer's plan, or the type of the refusal it raised."""
+    try:
+        return plan_transfer(sys, xi, eta).steps
+    except PLAN_REFUSALS as exc:
+        return type(exc)
+
+
+# Endpoint coordinates are 0 or at least 2^-20 in size, so that no control
+# comes out subnormal: dividing one by 2^j drops bits, and a subnormal control
+# can miss the acceptance bound (test_steer's strict xfail on a subnormal target).
+coordinate = st.one_of(small_int, unit.filter(lambda v: v == 0.0 or abs(v) >= 2.0 ** -20))
+
+
+# Inputs scaled by 2^-40 often fall under the absolute floors of construction
+# and classification, so that more than half the draws are filtered out.
+@settings(suppress_health_check=[HealthCheck.filter_too_much])
+@given(systems, st.builds(Vec2, coordinate, coordinate), st.builds(Vec2, coordinate, coordinate),
+       st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40), st.booleans())
+@example(SHARED, Vec2(0.0, 1e-6), Vec2(0.0, 0.0), 20, 0, 0, False)     # a small nearly start
+@example(SHARED, Vec2(6e-7, 8e-7), Vec2(1.7, -0.6), 20, 0, 0, False)   # ... the benchmark's
+@example(SHARED, Vec2(1.3, 0.4), Vec2(3.0, -4.0), -530, 0, 0, False)  # ... a subnormal det
+@example(ROTATION, Vec2(-1.0, 1.0), Vec2(-11.0, -7.0), -30, 5, -7, False)   # one step
+@example(ROTATION, Vec2(1.0, 1.0), Vec2(-11.0, -7.0), 30, -9, 3, False)     # escape + one step
+@example(_system(None, (0.0, 3.0, 1.0, 1e-8), (0.0, 1.0, 3.0, 0.0)),
+         Vec2(0.0, 1.0), Vec2(0.0, 1.0), 0, 0, 2, False)   # images near a zero line
+def test_one_step_routes_are_scale_free(sys, xi, eta, k, j1, j2, on_line):
+    """With both endpoints scaled by 2^k and input B_i by 2^j_i, the one-step,
+    escape and nearly routes return the unscaled plan with control i divided
+    by 2^j_i, or the same refusal; an escape under input scaling, a plan of as
+    many steps or the same refusal.  Only ZeroState's absolute floor 1e-9 on
+    an endpoint may refuse on one side alone, and only a subnormal control
+    may differ."""
+    pair = _pair(sys)
+    assume(pair is not None)
+    scaled = _inputs_scaled(pair, j1, j2)
+    assume(scaled is not None)
+    # Both sides must reach the same verdict on the same route; the absolute
+    # floors of classification (ROADMAP item 2) are not what is tested here.
+    klass = _verdict_class(pair)
+    assume(klass not in (None, VerdictClass.UNCONTROLLABLE) and _verdict_class(scaled) is klass)
+    assume(all(pair_lines(*p.inputs, p.tol).kind is not LineSetKind.ALL_OF_PLANE
+               for p in (pair, scaled)))
+    xi = _placed(pair, xi, on_line)
+    f = 2.0 ** k
+    scaled_xi, scaled_eta = Vec2(xi.x * f, xi.y * f), Vec2(eta.x * f, eta.y * f)
+    expected = _steps_or_refusal(pair, xi, eta)
+    got = _steps_or_refusal(scaled, scaled_xi, scaled_eta)
+    escapes = expected is EscapeFailed or isinstance(expected, tuple) and len(expected) > 1
+    if escapes and (j1, j2) != (0, 0):
+        # Where A xi is zero or lost, the escape's control is u = 1 in the slot
+        # it picks, so input scaling moves the landing and the controls after it.
+        expected, got = (len(v) if isinstance(v, tuple) else v for v in (expected, got))
+    elif isinstance(expected, tuple):
+        expected = tuple((u1 / 2.0 ** j1, u2 / 2.0 ** j2) for u1, u2 in expected)
+    if got != expected:
+        # Only ZeroState's absolute floor on an endpoint refuses on one side
+        # alone, and a subnormal control, which drops bits where it is formed
+        # from a scaled input, is the one control that may differ.
+        assert (ZeroState in (expected, got) and any(
+            pair.tol.is_zero(v.norm()) for v in (xi, eta, scaled_xi, scaled_eta))) or (
+            isinstance(got, tuple) and isinstance(expected, tuple)
+            and len(got) == len(expected) and all(
+                u == v or abs(v) < float_info.min
+                for gu, eu in zip(got, expected) for u, v in zip(gu, eu)))
 
 
 @given(st.sampled_from(GOLDEN), st.integers(0, 1),

@@ -112,12 +112,14 @@ def test_plan_transfer_escapes_as_without_drift_when_the_drift_image_is_lost():
 def test_escape_step_lands_on_the_principal_axis():
     # q(z) = z1^2 - z1 z2 is largest next to |z|^2, at (1 + sqrt(2)) / 2, on
     # its principal axis.  From xi = (1, 1) the drift alone lands on the
-    # zero line x1 = x2, and every landing is A xi + t B1 xi = (1, 1 + 2t).
+    # zero line x1 = x2, and every landing is A xi + t B2 xi = (1, 1 + t):
+    # B2 xi = (0, 1) is the longer image next to its input, |B2|_F = 1 against
+    # |B1 xi| / |B1|_F = 2 / sqrt(6).
     sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[1.0, 0.0], [1.0, 0.0]]),
                          (mat([[1.0, -1.0], [0.0, 2.0]]), mat([[0.0, 0.0], [1.0, 0.0]])))
     u, mid = escape_step(sys, Vec2(1.0, 1.0))
     q = mid.x * mid.x - mid.x * mid.y
-    assert u[1] == 0.0 and q / (mid.x ** 2 + mid.y ** 2) == pytest.approx((1 + math.sqrt(2)) / 2)
+    assert u[0] == 0.0 and q / (mid.x ** 2 + mid.y ** 2) == pytest.approx((1 + math.sqrt(2)) / 2)
 
 
 def test_escape_step_stops_short_of_a_far_axis_crossing():
@@ -300,16 +302,15 @@ def test_plan_transfer_escapes_twice_when_every_image_stays_singular():
 def test_plan_transfer_after_a_small_escape_landing():
     # The drift is small next to the inputs, so the escape lands on the
     # principal axis at (-5e-7, 5e-7), where det[B1 l, B2 l] = 2.5e-13 is
-    # under the absolute floor 1e-9; the one step after it is solved from
-    # the landing scaled until that determinant is at least its clearance.
+    # small but its clearance det / (|B1|_F |B2|_F |l|^2) = 0.35 is not: the
+    # one step from the landing is the plan's second step.
     sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 0.0], [0.0, 1e-6]]),
                          (mat([[0.0, 1.0], [0.0, 1.0]]), mat([[0.0, 0.0], [-1.0, 0.0]])))
     xi, eta = Vec2(0.0, 1.0), Vec2(0.0, 1.0)
     u, landing = escape_step(sys, xi)
     assert xy(landing) == pytest.approx((-5e-7, 5e-7))
-    assert one_step(sys, landing, eta) is None
     plan = plan_transfer(sys, xi, eta)
-    assert plan.steps[0] == u and len(plan) == 2
+    assert plan.steps == (u, one_step(sys, landing, eta))
     assert verify_plan(sys, xi, eta, plan) == (True, plan.residual)
     assert lands_within(sys, xi, eta, plan.steps, 1e-8)
 
@@ -327,6 +328,21 @@ def test_plan_transfer_on_small_inputs_that_share_no_null_direction():
     except NotCanonicalClass:
         return
     assert verify_plan(sys, Vec2(1.0, 0.0), Vec2(0.0, 1.0), plan)[0]
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="a control that comes out subnormal keeps too few bits "
+                          "to land within the acceptance bound")
+def test_plan_transfer_to_a_subnormal_target():
+    # Nearly controllable, so no zero-state floor applies: the one step's
+    # control 2.2250738585e-313 / 2048 = 1.09e-316 is subnormal, and the
+    # replay misses by 4.5e-321, twice the bound 1e-8 |eta|.
+    sys = BilinearSystem(SystemKind.DRIFTLESS, None,
+                         (mat([[0.0, 0.0], [0.0, 2048.0]]), mat([[0.0, 2048.0], [0.0, 0.0]])))
+    xi, eta = Vec2(0.0, 1.0), Vec2(0.0, 2.2250738585e-313)
+    assert analyze(sys).klass is VerdictClass.NEARLY_CONTROLLABLE
+    plan = plan_transfer(sys, xi, eta)
+    assert verify_plan(sys, xi, eta, plan)[0]
 
 
 def test_plan_transfer_expands_reduced_controls(rotation_drift_system):
