@@ -22,7 +22,6 @@ reached.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
@@ -32,6 +31,7 @@ from .mat2 import (
     Mat2,
     TolerancePolicy,
     _lincomb,
+    _memo,
     _Record,
     _setfield,
     linearly_independent,
@@ -74,6 +74,8 @@ class BilinearSystem(_Record):
                 raise InvalidSystem("drift system requires a drift matrix")
             if not 2 <= m <= 3:
                 raise InvalidSystem(f"drift system takes 2 or 3 inputs, got {m}")
+        elif kind is not SystemKind.DRIFTLESS:
+            raise InvalidSystem(f"kind must be a SystemKind, got {kind!r}")
         else:
             if drift is not None:
                 raise InvalidSystem("driftless system cannot carry a drift matrix")
@@ -100,33 +102,34 @@ class BilinearSystem(_Record):
             return (self.drift,) + self.inputs
         return self.inputs
 
-    # Per-instance memos of what depends on the family alone.  cached_property
-    # writes straight into the instance __dict__, so they are not fields:
-    # equality, hashing and repr ignore them, and they die with the system.
+    # Per-instance memos of what depends on the family alone, kept in the instance
+    # __dict__ by ``_memo``: not fields, so equality, hashing, repr and pickles
+    # ignore them, and they die with the system.  No lock is taken: two threads
+    # may both compute a first verdict; the two are equal, and one is kept.
 
-    @cached_property
+    @_memo
     def _verdict(self) -> "Verdict":
         return _classify(self)
 
-    @cached_property
+    @_memo
     def _effective(self) -> "BilinearSystem":
         """The two-input system the verdict's reduction leaves; defined for
         verdicts other than uncontrollable."""
         return apply_reduction(self, self._verdict.reduction)
 
-    @cached_property
+    @_memo
     def _form_scale(self) -> float:
         """|B1|_F |B2|_F of a two-input system, the one step's clearance scale."""
         return form_scale(*self.inputs)
 
-    @cached_property
+    @_memo
     def _steering(self):
         """State-independent steering data of a two-input system."""
         from .steer import _Steering  # steer imports this module
 
         return _Steering(self)
 
-    @cached_property
+    @_memo
     def _control_layout(self) -> tuple:
         """:func:`expand_controls`' layout of the verdict's reduction."""
         return _reduction_layout(self._verdict.reduction, self.m)
@@ -153,6 +156,9 @@ class Reduction(_Record):
 
     def is_identity(self) -> bool:
         return self.pinned_index is None and self.combined_indices is None
+
+
+_IDENTITY = Reduction()
 
 
 class Verdict(_Record):
@@ -233,20 +239,20 @@ def _expand(layout: tuple, v1: float, v2: float) -> tuple[float, ...]:
     return pick((v1, v2, ca * v2, cb * v2, pinned))
 
 
-def _verdict_controllable(sys: BilinearSystem, first: int, directions: tuple[Direction, ...],
+def _verdict_controllable(sys: BilinearSystem, first: int, units: tuple,
                           failed_at: list[int]) -> Verdict:
-    """The controllable verdict; ``first`` and ``directions`` are the
+    """The controllable verdict; ``first`` and ``units`` are the
     common-eigenvector candidates of ``sys.matrices()``, and ``failed_at``
     what ``_certified`` found for them."""
     if sys.m == 2:
-        red = Reduction()
+        red = _IDENTITY
     elif sys.kind is SystemKind.WITH_DRIFT:
-        ca, cb = _combine_inputs(*sys.matrices(), first, directions, failed_at, sys.tol)
+        ca, cb = _combine_inputs(*sys.matrices(), first, units, failed_at, sys.tol)
         red = Reduction(combined_indices=(1, 2), combined_coeffs=(ca, cb))
     elif sys.m == 3:
         red = Reduction(pinned_index=0, pinned_value=1.0)
     else:
-        ca, cb = _combine_inputs(*sys.inputs, first, directions, failed_at, sys.tol)
+        ca, cb = _combine_inputs(*sys.inputs, first, units, failed_at, sys.tol)
         red = Reduction(pinned_index=0, pinned_value=1.0,
                         combined_indices=(2, 3), combined_coeffs=(ca, cb))
     return Verdict(VerdictClass.CONTROLLABLE, None, None, None, red)
@@ -258,23 +264,20 @@ def _nearly(lines: LineUnion, report: StructureReport, red: Reduction) -> Verdic
 
 def _verdict_with_common_vector(sys: BilinearSystem, common: Direction) -> Verdict:
     report = _triangular(sys.matrices(), common, sys.tol)
-    input_forms = report.canonical_forms[1:] if sys.drift is not None else report.canonical_forms
-    live = [not sys.tol.is_zero(f.a22, b.frob())
-            for f, b in zip(input_forms, sys.inputs)]
-    if not any(live):
-        return Verdict(VerdictClass.UNCONTROLLABLE, None, common, report, Reduction())
+    forms = report.canonical_forms[-sys.m:]   # those of the inputs
+    if all([sys.tol.is_zero(f.a22, b.frob()) for f, b in zip(forms, sys.inputs)]):
+        return Verdict(VerdictClass.UNCONTROLLABLE, None, common, report, _IDENTITY)
     if sys.m == 2:
-        return _nearly(pair_lines(*sys.inputs, sys.tol), report, Reduction())
+        return _nearly(pair_lines(*sys.inputs, sys.tol), report, _IDENTITY)
     if sys.kind is SystemKind.WITH_DRIFT:
         # Three independent matrices sharing an eigenvector plus an independent
         # drift cannot exist: triangular 2x2 matrices span a 3-dim space.  Only
         # borderline tolerance decisions can land here; refuse honestly.
         raise InvalidSystem("drift system with three inputs sharing an eigenvector "
                             "is inconsistent with linear independence")
-    for i, j in ((0, 1), (0, 2), (1, 2)):
+    for i, j, pinned in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         lu = pair_lines(sys.inputs[i], sys.inputs[j], sys.tol)
         if lu.kind is not LineSetKind.ALL_OF_PLANE:
-            (pinned,) = set(range(3)) - {i, j}
             return _nearly(lu, report, Reduction(pinned_index=pinned, pinned_value=0.0))
     # Unreachable when some (2,2) entry survives: that input's pairs have
     # nonvanishing forms.  Guard for tolerance corner cases.
@@ -292,14 +295,14 @@ def analyze(sys: BilinearSystem) -> Verdict:
 
 def _classify(sys: BilinearSystem) -> Verdict:
     ms = sys.matrices()
-    first, directions = _candidates(ms, sys.tol)
-    common, failed_at = _certified(ms, directions, sys.tol)
+    first, units = _candidates(ms, sys.tol)
+    common, failed_at = _certified(ms, units, sys.tol)
     if common is not None:
         return _verdict_with_common_vector(sys, common)
     if sys.kind is SystemKind.DRIFTLESS and sys.m == 2:
         found = _antidiagonal(*sys.inputs, sys.tol)
         if found is not None:
             report, lines = found
-            return _nearly(lines, report, Reduction())
-    return _verdict_controllable(sys, first, directions, failed_at)
+            return _nearly(lines, report, _IDENTITY)
+    return _verdict_controllable(sys, first, units, failed_at)
 

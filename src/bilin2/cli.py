@@ -158,15 +158,11 @@ def _integer_form(d: Direction) -> Optional[list[int]]:
 
 
 def _direction_json(d: Optional[Direction]):
-    if d is None:
-        return None
-    return {"unit": [d.x, d.y], "integer": _integer_form(d)}
+    return None if d is None else {"unit": [d.x, d.y], "integer": _integer_form(d)}
 
 
 def _lines_json(lu: Optional[LineUnion]):
-    if lu is None:
-        return None
-    return [_direction_json(d) for d in lu.lines]
+    return None if lu is None else [_direction_json(d) for d in lu.lines]
 
 
 def _mat_json(m: Optional[Mat2]):

@@ -25,16 +25,17 @@ No path builds an unchecked value, so nothing downstream re-checks its
 inputs.
 
 The kernels compute on plain floats and build only their results: on the
-classify path ``linearly_independent``, ``is_eigenvector``,
-``real_eigen_directions``, ``canonical_direction``, ``_similar`` and
-``_lincomb``; on the plan path ``_solve2`` here (for the two-step
-construction's input substitution), the ``steer`` kernels and the replay
-kernel ``simulate._replay``.  A singular 2x2 system is a zero test in
-``_det2`` that answers None; only ``solve2`` turns that into
-``SingularMatrix``, so neither path raises one to catch.  Where an
-intermediate would have come out non-finite, the kernel raises ValueError as
-that value's constructor would have, and it never returns a decision made on
-inf or nan.
+classify path ``linearly_independent``, the eigen-candidate stage (``_eigen_units``
+and the residual test ``_invariant``, under ``real_eigen_directions`` and
+``is_eigenvector``; a ``Direction`` is built only for a certified vector),
+``structure._antidiagonal``, ``canonical_direction``, ``_similar`` and ``_lincomb``;
+on the plan path ``_solve2`` (for the two-step construction's input
+substitution), the ``steer`` kernels and the replay kernel ``simulate._replay``.
+A singular 2x2 system is a zero test in ``_det2`` that answers None; only
+``solve2`` turns that into ``SingularMatrix``, so neither path raises one to
+catch.  Where an intermediate would have come out non-finite, the kernel raises
+ValueError as that value's constructor would have (``_finite``), and it never
+returns a decision made on inf or nan.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import repeat
-from math import isfinite
+from math import isfinite, sqrt
 from typing import Optional
 
 
@@ -92,6 +93,17 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _memo:
+    """A per-instance memo kept in the instance ``__dict__`` from its first read,
+    without a lock (racing first reads all return the first value stored)."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
 
 
 class TolerancePolicy(_Record):
@@ -264,6 +276,12 @@ def _det2(a11: float, a12: float, a21: float, a22: float,
     return d
 
 
+def _finite(*values: float) -> None:
+    """ValueError, as ``Vec2`` raises it, unless all the floats are finite."""
+    if not all(map(isfinite, values)):
+        raise ValueError(f"non-finite vector {values}")
+
+
 def _solve2(a11: float, a12: float, a21: float, a22: float, y1: float, y2: float,
             tol: TolerancePolicy) -> Optional[tuple[float, float]]:
     """:func:`solve2` on floats: the solution as a pair, or None where solve2
@@ -271,8 +289,7 @@ def _solve2(a11: float, a12: float, a21: float, a22: float, y1: float, y2: float
     d = _det2(a11, a12, a21, a22, tol)
     if d is None:
         return None
-    x1 = (y1 * a22 - a12 * y2) / d
-    x2 = (a11 * y2 - y1 * a21) / d
+    x1, x2 = (y1 * a22 - a12 * y2) / d, (a11 * y2 - y1 * a21) / d
     if not (isfinite(x1) and isfinite(x2)):
         raise ValueError(f"non-finite vector ({x1}, {x2})")
     return x1, x2
@@ -323,6 +340,11 @@ def canonical_direction(v: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Directio
 
 def _direction(x: float, y: float, tol: TolerancePolicy) -> Direction:
     """:func:`canonical_direction` of the vector (x, y), given as floats."""
+    return Direction(Vec2(*_unit(x, y, tol)))
+
+
+def _unit(x: float, y: float, tol: TolerancePolicy) -> tuple[float, float]:
+    """The coordinates of :func:`_direction`'s representative of (x, y)."""
     n = math.hypot(x, y)
     if tol.is_zero(n):
         raise ZeroVector(f"cannot orient zero vector ({x}, {y})")
@@ -334,10 +356,10 @@ def _direction(x: float, y: float, tol: TolerancePolicy) -> Direction:
     else:
         s = 1.0 if uy > 0.0 else -1.0
     # + 0.0 turns a signed zero into plain 0.0 so representatives print cleanly
-    return Direction(Vec2(s * ux + 0.0, s * uy + 0.0))
+    return s * ux + 0.0, s * uy + 0.0
 
 
-def _eigvec_for(m: Mat2, lam: float, tol: TolerancePolicy) -> Direction:
+def _eigvec_for(m: Mat2, lam: float, tol: TolerancePolicy) -> tuple[float, float]:
     # Kernel vector of (m - lam*I): orthogonal to either row; both candidates
     # are parallel in exact arithmetic, so take the numerically larger one.
     ax, ay = m.a12, lam - m.a11
@@ -345,8 +367,8 @@ def _eigvec_for(m: Mat2, lam: float, tol: TolerancePolicy) -> Direction:
     if not (isfinite(ay) and isfinite(bx)):
         raise ValueError(f"non-finite eigenvector candidates ({ax}, {ay}), ({bx}, {by})")
     if math.hypot(bx, by) > math.hypot(ax, ay):
-        return _direction(bx, by, tol)
-    return _direction(ax, ay, tol)
+        return _unit(bx, by, tol)
+    return _unit(ax, ay, tol)
 
 
 def real_eigen_directions(m: Mat2,
@@ -359,31 +381,36 @@ def real_eigen_directions(m: Mat2,
     With two, the direction of the larger eigenvalue (trace + sqrt(disc))/2
     comes first.
     """
+    units = _eigen_units(m, tol)
+    return None if units is None else tuple([Direction(Vec2(x, y)) for x, y in units])
+
+
+def _eigen_units(m: Mat2, tol: TolerancePolicy) -> Optional[tuple[tuple[float, float], ...]]:
+    """:func:`real_eigen_directions` as the (x, y) pairs of its unit vectors."""
     scale = m.frob()
     if (tol.is_zero(m.a12, scale) and tol.is_zero(m.a21, scale)
             and tol.is_zero(m.a11 - m.a22, scale)):
         return None
     tr = m.trace()
     disc = tr * tr - 4.0 * m.det()
-    disc_scale = scale * scale
-    if tol.is_zero(disc, disc_scale):
+    if tol.is_zero(disc, scale * scale):
         return (_eigvec_for(m, 0.5 * tr, tol),)
     if disc < 0.0:
         return ()
     sq = math.sqrt(disc)
-    hi = _eigvec_for(m, 0.5 * (tr + sq), tol)
-    lo = _eigvec_for(m, 0.5 * (tr - sq), tol)
-    return (hi, lo)
+    return _eigvec_for(m, 0.5 * (tr + sq), tol), _eigvec_for(m, 0.5 * (tr - sq), tol)
 
 
 def is_eigenvector(m: Mat2, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Residual test: does m map the line of d into itself within tolerance?"""
-    x, y = d.vector.x, d.vector.y
-    ix = m.a11 * x + m.a12 * y
-    iy = m.a21 * x + m.a22 * y
+    return _invariant(m, d.vector.x, d.vector.y, tol)
+
+
+def _invariant(m: Mat2, x: float, y: float, tol: TolerancePolicy) -> bool:
+    """:func:`is_eigenvector` of the unit vector (x, y), given as floats."""
+    ix, iy = m.a11 * x + m.a12 * y, m.a21 * x + m.a22 * y
     lam = x * ix + y * iy
-    rx = ix - x * lam
-    ry = iy - y * lam
+    rx, ry = ix - x * lam, iy - y * lam
     # A non-finite image or eigenvalue always leaves a non-finite residual
     # component, so this one test stands for a check on every intermediate.
     if not (isfinite(rx) and isfinite(ry)):
@@ -403,21 +430,19 @@ def linearly_independent(ms, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     if not 1 <= len(ms) <= 4:
         raise ValueError(f"expected between 1 and 4 matrices, got {len(ms)}")
     rows = [[m.a11, m.a12, m.a21, m.a22] for m in ms]
-    floor = tol.threshold(max(math.sqrt(sum(e * e for e in row)) for row in rows))
+    # sum(), not +: it adds as sum over a generator does (compensated on 3.12+)
+    floor = tol.threshold(max([sqrt(sum((a * a, b * b, c * c, d * d))) for a, b, c, d in rows]))
     live = list(range(len(rows)))
     cols = [0, 1, 2, 3]
     rank = 0
     while live and cols:
-        pi = live[0]
-        pj = cols[0]
+        pi, pj = live[0], cols[0]
         best = abs(rows[pi][pj])
         for i in live:
             row = rows[i]
             for j in cols:
                 if abs(row[j]) > best:
-                    best = abs(row[j])
-                    pi = i
-                    pj = j
+                    best, pi, pj = abs(row[j]), i, j
         pivot = rows[pi][pj]
         if abs(pivot) <= floor:
             break

@@ -38,17 +38,18 @@ class LineSetKind(Enum):
     ALL_OF_PLANE = "all-of-plane"
 
 
+_LINE_COUNTS = {LineSetKind.POINT_ONLY: 0, LineSetKind.ONE_LINE: 1,
+                LineSetKind.TWO_LINES: 2, LineSetKind.ALL_OF_PLANE: 0}
+
+
 class LineUnion(_Record):
     """Zero set of a plane quadratic form: {0}, one line, two lines, or everything."""
 
     _fields = ("kind", "lines")
 
     def __init__(self, kind: LineSetKind, lines: tuple[Direction, ...] = ()):
-        expected = {LineSetKind.POINT_ONLY: 0, LineSetKind.ONE_LINE: 1,
-                    LineSetKind.TWO_LINES: 2, LineSetKind.ALL_OF_PLANE: 0}
-        if len(lines) != expected[kind]:
-            raise ValueError(f"{kind.value} carries {expected[kind]} lines, "
-                             f"got {len(lines)}")
+        if len(lines) != _LINE_COUNTS[kind]:
+            raise ValueError(f"{kind.value} carries {_LINE_COUNTS[kind]} lines, got {len(lines)}")
         _setfield(self, "kind", kind)
         _setfield(self, "lines", lines)
 

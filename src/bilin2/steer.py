@@ -21,11 +21,10 @@ None on the escape's test, a zero clearance.  The public ``one_step``,
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from math import isfinite
 
 from .classify import BilinearSystem, VerdictClass, _expand, analyze
-from .mat2 import Mat2, Vec2, _similar, _solve2
+from .mat2 import Mat2, Vec2, _finite, _memo, _similar, _solve2
 from .quadform import LineSetKind, form_scale, gram_form, zero_lines
 from .simulate import ControlPlan, _control_plan, _verify
 from .structure import zero_bottom_row_pair
@@ -133,7 +132,7 @@ class _Steering:
         return not self.tol.is_zero((q.a * x * x + q.b * x * y + q.c * y * y)
                                     / (self.form_scale * (x * x + y * y)))
 
-    @cached_property
+    @_memo
     def canonical(self) -> tuple:
         """(P, M_sub, offset, A21, A22, |A-bar|_F) of the zero-bottom-row basis,
         with P and M_sub as their entries in row order and offset as a pair,
@@ -256,12 +255,6 @@ def canonical_steer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
     _require_pair(sys)
     x, y, ex, ey = xi.x, xi.y, eta.x, eta.y
     return _verified(sys, x, y, ex, ey, _canonical_steps(sys, x, y, ex, ey))
-
-
-def _finite(*values: float) -> None:
-    """ValueError, as ``Vec2`` raises it, unless all the floats are finite."""
-    if not all(map(isfinite, values)):
-        raise ValueError(f"non-finite vector {values}")
 
 
 def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: float) -> list:

@@ -19,15 +19,17 @@ from .mat2 import (
     Direction,
     Mat2,
     TolerancePolicy,
+    Vec2,
     _det2,
     _direction,
+    _eigen_units,
+    _finite,
+    _invariant,
     _lincomb,
     _Record,
     _setfield,
     _similar,
-    cross,
     is_eigenvector,
-    real_eigen_directions,
 )
 from .quadform import LineSetKind, LineUnion, pair_lines
 
@@ -75,34 +77,33 @@ def common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL) -> Optional[
     Raises AllIsotropic when no member constrains the answer at all.
     """
     ms = tuple(ms)
-    _, directions = _candidates(ms, tol)
-    return _certified(ms, directions, tol)[0]
+    return _certified(ms, _candidates(ms, tol)[1], tol)[0]
 
 
-def _candidates(ms: tuple[Mat2, ...], tol: TolerancePolicy) -> tuple[int, tuple[Direction, ...]]:
+def _candidates(ms: tuple[Mat2, ...], tol: TolerancePolicy) -> tuple[int, tuple]:
     """The index of the first non-isotropic member of ms and its real
-    eigen-directions: the only candidates for a common eigenvector."""
+    eigen-directions as unit (x, y) pairs: the only candidates for a common eigenvector."""
     for i, m in enumerate(ms):
-        directions = real_eigen_directions(m, tol)
-        if directions is not None:
-            return i, directions
+        units = _eigen_units(m, tol)
+        if units is not None:
+            return i, units
     raise AllIsotropic("every matrix is scalar; any direction is invariant")
 
 
-def _certified(ms: tuple[Mat2, ...], directions: tuple[Direction, ...],
+def _certified(ms: tuple[Mat2, ...], units: tuple[tuple[float, float], ...],
                tol: TolerancePolicy) -> tuple[Optional[Direction], list[int]]:
-    """The first candidate direction invariant under every member, or None;
-    and, for each candidate before it, the index of the first member it
+    """The direction of the first candidate invariant under every member, or
+    None; and, for each candidate before it, the index of the first member it
     failed.  Members are tested in order, so a candidate was tested against
     exactly the members up to that index."""
     failed_at = []
-    for d in directions:
-        for i, x in enumerate(ms):
-            if not is_eigenvector(x, d, tol):
+    for x, y in units:
+        for i, m in enumerate(ms):
+            if not _invariant(m, x, y, tol):
                 failed_at.append(i)
                 break
         else:
-            return d, failed_at
+            return Direction(Vec2(x, y)), failed_at
     return None, failed_at
 
 
@@ -194,20 +195,21 @@ def _antidiagonal(b1: Mat2, b2: Mat2,
     if lu.kind not in (LineSetKind.ONE_LINE, LineSetKind.TWO_LINES):
         return None
     for d in lu.lines:
-        v = d.vector
-        w = b1 @ v
-        if tol.is_zero(w.norm(), b1.frob()):
+        vx, vy = d.vector.x, d.vector.y
+        wx, wy = b1.a11 * vx + b1.a12 * vy, b1.a21 * vx + b1.a22 * vy
+        _finite(wx, wy)
+        wn = math.hypot(wx, wy)
+        if tol.is_zero(wn, b1.frob()) or tol.is_zero(vx * wy - vy * wx, wn):
             continue
-        if tol.is_zero(cross(v, w), w.norm()):
+        zx, zy = b2.a11 * wx + b2.a12 * wy, b2.a21 * wx + b2.a22 * wy
+        _finite(zx, zy)
+        if not tol.is_zero(zx * vy - zy * vx, b2.frob() * wn):
             continue
-        z = b2 @ w
-        if not tol.is_zero(cross(z, v), b2.frob() * w.norm()):
-            continue
-        det = _det2(v.x, w.x, v.y, w.y, tol)
+        det = _det2(vx, wx, vy, wy, tol)
         if det is None:
             continue
-        p = Mat2(w.y / det, -w.x / det, -v.y / det, v.x / det)
-        p_inv = Mat2(v.x, w.x, v.y, w.y)
+        p = Mat2(wy / det, -wx / det, -vy / det, vx / det)
+        p_inv = Mat2(vx, wx, vy, wy)
         forms = (_similar(p, b1, p_inv), _similar(p, b2, p_inv))
         return StructureReport(FormClass.ANTI_DIAGONAL, p, p_inv, forms, None), lu
     return None
@@ -242,7 +244,7 @@ def combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
 
 
 def _combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2, first: int,
-                    directions: tuple[Direction, ...], failed_at: Sequence[int],
+                    units: tuple[tuple[float, float], ...], failed_at: Sequence[int],
                     tol: TolerancePolicy) -> tuple[float, float]:
     """:func:`combine_inputs`, given the :func:`_candidates` of (a, b1, b2, b3)
     and, as ``failed_at``, what :func:`_certified` found for them.
@@ -261,14 +263,14 @@ def _combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2, first: int,
     def invariant(k: int, i: int) -> bool:
         if k < len(failed_at) and i <= failed_at[k]:
             return i < failed_at[k]
-        return is_eigenvector(members[i], directions[k], tol)
+        return _invariant(members[i], *units[k], tol)
 
-    shared = [k for k in range(len(directions)) if invariant(k, 0) and invariant(k, 1)]
+    shared = [k for k in range(len(units)) if invariant(k, 0) and invariant(k, 1)]
     if not any(invariant(k, 2) for k in shared):
         return 1.0, 0.0
     if not any(invariant(k, 3) for k in shared):
         return 0.0, 1.0
     combined = _lincomb(1.0, b2, 1.0, b3)
-    if not any(is_eigenvector(combined, directions[k], tol) for k in shared):
+    if not any(_invariant(combined, *units[k], tol) for k in shared):
         return 1.0, 1.0
     raise NoCombinationFound(_NO_COMBINATION)

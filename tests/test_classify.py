@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+import sys as sys_module
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from bilin2 import (
 from bilin2 import classify, mat2, structure
 from bilin2.classify import expand_controls
 from bilin2.mat2 import canonical_direction
+import classify_golden
 from helpers import (
     assert_lines_match,
     conjugate_system,
@@ -43,6 +46,17 @@ def test_system_requires_matching_kind_and_drift():
         BilinearSystem(SystemKind.WITH_DRIFT, None, b)
     with pytest.raises(InvalidSystem):
         BilinearSystem(SystemKind.DRIFTLESS, Mat2(1.0, 0.0, 0.0, 1.0), b)
+
+
+@pytest.mark.parametrize("kind", ["driftless", "drift", None, 1, SystemKind])
+def test_system_requires_a_system_kind(kind):
+    # Any other kind used to pass as driftless and match neither kind in the
+    # classifier: this trace-free swap pair came out controllable.
+    swap = (mat([[-1.0, 0.0], [3.0, 1.0]]), mat([[4.0, 3.0], [-6.0, -4.0]]))
+    with pytest.raises(InvalidSystem, match="kind must be a SystemKind"):
+        BilinearSystem(kind, None, swap)
+    assert analyze(BilinearSystem(SystemKind.DRIFTLESS, None, swap)).klass is (
+        VerdictClass.NEARLY_CONTROLLABLE)
 
 
 def test_system_input_count_bounds():
@@ -326,23 +340,26 @@ def test_analyze_computes_eigen_directions_once(kind, monkeypatch):
         sys = BilinearSystem(kind, a, (b1, b2, b3))
     else:
         sys = BilinearSystem(kind, None, (a, b1, b2, b3))
+    # The candidate stage and its residual tests run on floats: count the
+    # eigen computations in _eigen_units and the (matrix, unit vector) pairs
+    # given to _invariant, under every module's binding.
     calls = []
-    original = mat2.real_eigen_directions
+    original = mat2._eigen_units
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
     tested = []
-    residual_test = structure.is_eigenvector
+    residual_test = mat2._invariant
 
-    def counted_test(m, d, tol):
-        tested.append((m, d))
-        return residual_test(m, d, tol)
+    def counted_test(m, x, y, tol):
+        tested.append((m, (x, y)))
+        return residual_test(m, x, y, tol)
 
     for module in (mat2, structure):
-        monkeypatch.setattr(module, "real_eigen_directions", counted)
-    monkeypatch.setattr(structure, "is_eigenvector", counted_test)
+        monkeypatch.setattr(module, "_eigen_units", counted)
+        monkeypatch.setattr(module, "_invariant", counted_test)
     verdict = analyze(sys)
     assert verdict.klass is VerdictClass.CONTROLLABLE
     assert verdict.reduction.combined_coeffs == (1.0, 1.0)
@@ -351,6 +368,49 @@ def test_analyze_computes_eigen_directions_once(kind, monkeypatch):
     # combination tested as a matrix of its own.
     assert len(tested) == len(set(tested))
     assert {m for m, _ in tested} == {a, b1, b2, b3, lincomb(1.0, b2, 1.0, b3)}
+
+
+def test_first_analyze_from_racing_threads_returns_one_verdict():
+    # The verdict memo takes no lock: threads that race to the first analyze
+    # may each classify, and every one must return the verdict that is kept.
+    workers, rounds = 4, 40
+    switch = sys_module.getswitchinterval()
+    sys_module.setswitchinterval(1e-6)
+    try:
+        for k in range(rounds):
+            sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[5.0, 3.0], [-4.0, -2.0]]),
+                                 (mat([[0.0, -1.0], [2.0, 3.0 + k]]),
+                                  mat([[7.0, 1.0], [-1.0, 5.0]])))
+            barrier = threading.Barrier(workers)
+            results = []
+
+            def first_analyze():
+                barrier.wait(timeout=10)
+                results.append(analyze(sys))
+
+            threads = [threading.Thread(target=first_analyze) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == workers
+            assert all(v is analyze(sys) for v in results)
+            assert results[0] == analyze(BilinearSystem(sys.kind, sys.drift, sys.inputs))
+    finally:
+        sys_module.setswitchinterval(switch)
+
+
+def test_classify_outcomes_match_the_golden():
+    # A fixed, standard-library set of families over all five shapes and three
+    # classes, a quarter of them scaled by 2^k: each verdict's class, reduction,
+    # excluded lines and invariant line, bit for bit, or its exception type.
+    families = classify_golden.families()
+    outcomes = [classify_golden.outcome(f) for f in families]
+    assert {f["name"].split(".")[0] for f in families} == {
+        "drift2", "drift3", "driftless2", "driftless3", "driftless4"}
+    assert {o.get("class") for o in outcomes} >= {v.value for v in VerdictClass}
+    assert classify_golden.mismatches() == []
 
 
 def test_equal_systems_get_equal_verdicts(shared_line_drift_system, swap_pair_system,

@@ -31,7 +31,7 @@ from bilin2 import (
     VerdictClass,
     plan_transfer,
 )
-from bilin2.mat2 import _Record
+from bilin2.mat2 import _memo, _Record
 from bilin2.quadform import QuadraticForm
 
 X_AXIS = Direction(Vec2(1.0, 0.0))
@@ -169,6 +169,26 @@ def test_system_copies_and_pickles_through_its_constructor():
     assert edited != data
     with pytest.raises(InvalidSystem):
         pickle.loads(edited)
+
+
+def test_system_memos_stay_out_of_equality_hash_repr_and_pickles():
+    """Every memo of an analysed, steered system lives in its ``__dict__``
+    and nowhere else: read on the class, each is its descriptor."""
+    def drift3_system():
+        return BilinearSystem(SystemKind.WITH_DRIFT, Mat2(1.0, -2.0, 1.0, 0.0),
+                              (Mat2(1.0, 0.0, 0.0, -1.0), Mat2(0.0, 1.0, -1.0, 0.0),
+                               Mat2(1.0, 1.0, 0.0, 1.0)))
+
+    system, fresh = drift3_system(), drift3_system()
+    plan_transfer(system, Vec2(1.0, 1.0), Vec2(-2.0, 0.5))
+    memos = {name for name, value in vars(BilinearSystem).items() if isinstance(value, _memo)}
+    assert memos == {"_verdict", "_effective", "_form_scale", "_steering", "_control_layout"}
+    assert {"_verdict", "_effective", "_control_layout"} <= set(vars(system))
+    for name in memos:
+        assert getattr(BilinearSystem, name) is vars(BilinearSystem)[name]
+    assert system == fresh and hash(system) == hash(fresh) and repr(system) == repr(fresh)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(system, protocol) == pickle.dumps(fresh, protocol)
 
 
 @pytest.mark.parametrize("cls, kwargs, text, other", CASES, ids=IDS)

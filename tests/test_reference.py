@@ -221,9 +221,11 @@ def test_common_real_eigenvector_matches_reference(ms):
 
 
 def _combine_from_candidates(a, b1, b2, b3):
-    first, directions = _candidates((a, b1, b2, b3), DEFAULT_TOL)
-    _, failed_at = _certified((a, b1, b2, b3), directions, DEFAULT_TOL)
-    return _combine_inputs(a, b1, b2, b3, first, directions, failed_at, DEFAULT_TOL)
+    # As analyze does: the candidate stage's unit (x, y) pairs go to the
+    # certification and then to the combination, with no Direction between.
+    first, units = _candidates((a, b1, b2, b3), DEFAULT_TOL)
+    _, failed_at = _certified((a, b1, b2, b3), units, DEFAULT_TOL)
+    return _combine_inputs(a, b1, b2, b3, first, units, failed_at, DEFAULT_TOL)
 
 
 @given(families(4, 4))

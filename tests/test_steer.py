@@ -434,16 +434,50 @@ def test_plan_transfer_reduces_and_finds_zero_lines_once_per_system(name, reques
     assert len(line_sets) <= 1
 
 
+def test_each_memo_runs_once_per_instance(request, monkeypatch):
+    # Every per-instance memo of a system and of its steering data, counted
+    # per instance through repeated analyze and plan_transfer calls on systems
+    # whose plans take the one-step, canonical, nearly and reduced routes.
+    memos = {name: memo for cls in (BilinearSystem, steer._Steering)
+             for name, memo in vars(cls).items() if isinstance(memo, mat2._memo)}
+    assert set(memos) == {"_verdict", "_effective", "_form_scale", "_steering",
+                          "_control_layout", "canonical"}
+    runs = []
+    for name, memo in memos.items():
+        def counted(obj, name=name, func=memo.func):
+            runs.append((name, obj))
+            return func(obj)
+
+        monkeypatch.setattr(memo, "func", counted)
+    systems = [request.getfixturevalue(name) for name in (
+        "rotation_drift_system", "coupled_shift_system", "shared_line_drift_system")]
+    systems += [_escape_twice_system(), _pinned_nearly_system(),
+                generic_driftless_system(np.random.default_rng(7), m=4)]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        for sys in systems:
+            analyze(sys)
+            for xi in (Vec2(1.0, 0.0), Vec2(0.0, 1.0), unit_vec(rng)):
+                try:
+                    plan_transfer(sys, xi, unit_vec(rng))
+                except InExcludedSet:
+                    pass
+    per_instance = [(name, id(obj)) for name, obj in runs]
+    assert len(per_instance) == len(set(per_instance))
+    assert {name for name, _ in runs} == set(memos)
+
+
 @pytest.mark.parametrize("name", ["shared_line_drift_system", "trapped_triangular_system",
                                   "pinned_nearly"])
 def test_analyze_certifies_each_member_once_per_direction(name, request, monkeypatch):
     # The triangular forms are built on the direction common_real_eigenvector
-    # has just certified, with no second residual test per member.
+    # has just certified, with no second residual test per member.  The
+    # residual test runs on floats, in _invariant.
     sys = _pinned_nearly_system() if name == "pinned_nearly" else request.getfixturevalue(name)
-    checks = _counting(monkeypatch, "is_eigenvector")
+    checks = _counting(monkeypatch, "_invariant")
     verdict = analyze(sys)
     assert verdict.structure is not None and verdict.structure.common_eigenvector is not None
-    pairs = [(m, d) for m, d, *_ in checks]
+    pairs = [(m, (x, y)) for m, x, y, *_ in checks]
     assert pairs and len(pairs) == len(set(pairs))
 
 
