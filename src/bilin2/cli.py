@@ -14,8 +14,8 @@ tests cannot be made (such as a ZeroVector), or on a simulated, sampled or
 replayed state that overflows to a non-finite value, 3 when a steering request
 is refused (uncontrollable verdict, excluded initial state, zero endpoint
 under a controllable verdict, or no plan found: no closed-form escape step
-cleared the singular set or left a one-step solve, no usable two-step
-construction, or a singular input substitution).  BILIN2_TOL_ABS /
+cleared the singular set, no usable two-step construction, or a singular
+input substitution).  BILIN2_TOL_ABS /
 BILIN2_TOL_REL override the tolerance from the environment, over the file.
 """
 

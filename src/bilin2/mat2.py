@@ -29,13 +29,14 @@ classify path ``linearly_independent``, the eigen-candidate stage (``_eigen_unit
 and the residual test ``_invariant``, under ``real_eigen_directions`` and
 ``is_eigenvector``; a ``Direction`` is built only for a certified vector),
 ``structure._antidiagonal``, ``canonical_direction``, ``_similar`` and ``_lincomb``;
-on the plan path ``_solve2`` (for the two-step construction's input
-substitution), the ``steer`` kernels and the replay kernel ``simulate._replay``.
+on the plan path the ``steer`` kernels and the replay kernel ``simulate._replay``.
 A singular 2x2 system is a zero test in ``_det2`` that answers None; only
 ``solve2`` turns that into ``SingularMatrix``, so neither path raises one to
-catch.  Where an intermediate would have come out non-finite, the kernel raises
-ValueError as that value's constructor would have (``_finite``), and it never
-returns a decision made on inf or nan.
+catch.  No 2x2 solve is left on the plan path: ``_det2`` decides the two-step
+construction's input substitution matrix once per system.  Where an
+intermediate would have come out non-finite, the kernel raises ValueError as
+that value's constructor would have (``_finite``), and it never returns a
+decision made on inf or nan.
 """
 
 from __future__ import annotations
@@ -282,25 +283,13 @@ def _finite(*values: float) -> None:
         raise ValueError(f"non-finite vector {values}")
 
 
-def _solve2(a11: float, a12: float, a21: float, a22: float, y1: float, y2: float,
-            tol: TolerancePolicy) -> Optional[tuple[float, float]]:
-    """:func:`solve2` on floats: the solution as a pair, or None where solve2
-    raises SingularMatrix; ValueError where its result would be non-finite."""
-    d = _det2(a11, a12, a21, a22, tol)
-    if d is None:
-        return None
-    x1, x2 = (y1 * a22 - a12 * y2) / d, (a11 * y2 - y1 * a21) / d
-    if not (isfinite(x1) and isfinite(x2)):
-        raise ValueError(f"non-finite vector ({x1}, {x2})")
-    return x1, x2
-
-
 def solve2(m: Mat2, y: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Vec2:
-    """Solve m @ x = y by Cramer's rule; SingularMatrix when det(m) tests zero."""
-    x = _solve2(m.a11, m.a12, m.a21, m.a22, y.x, y.y, tol)
-    if x is None:
+    """Solve m @ x = y by Cramer's rule; SingularMatrix when det(m) tests zero,
+    ValueError when the solution is non-finite."""
+    d = _det2(m.a11, m.a12, m.a21, m.a22, tol)
+    if d is None:
         raise SingularMatrix(f"matrix {m.rows()} is singular within tolerance")
-    return Vec2(*x)
+    return Vec2((y.x * m.a22 - m.a12 * y.y) / d, (m.a11 * y.y - y.x * m.a21) / d)
 
 
 class Direction(_Record):

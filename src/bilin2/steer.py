@@ -13,9 +13,10 @@ bound, and accepted only when it holds.
 
 ``plan_transfer`` solves, escapes and replays on plain floats: the kernels
 ``_one_step``, ``_escape``, ``_escape_moves`` and ``_canonical_steps`` take and
-return floats, and the plan is the only value built.  Every one step answers
-None on the escape's test, a zero clearance.  The public ``one_step``,
-``escape_step`` and ``canonical_steer`` are thin wrappers over the same kernels.
+return floats, and the plan is the only value built.  One test decides every
+landing: the escape accepts one exactly when it solves the one step from it.
+The public ``one_step``, ``escape_step`` and ``canonical_steer`` are thin
+wrappers over the same kernels.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import math
 from math import isfinite
 
 from .classify import BilinearSystem, VerdictClass, _expand, analyze
-from .mat2 import Mat2, Vec2, _finite, _memo, _similar, _solve2
-from .quadform import LineSetKind, form_scale, gram_form, zero_lines
+from .mat2 import Mat2, Vec2, _det2, _finite, _memo, _similar
+from .quadform import LineSetKind, gram_form, zero_lines
 from .simulate import ControlPlan, _control_plan, _verify
 from .structure import zero_bottom_row_pair
 
@@ -43,8 +44,8 @@ class ZeroState(ValueError):
 
 
 class EscapeFailed(RuntimeError):
-    """No escape step left the singular set: no landing cleared the zero test,
-    or the one step after it, or the canonical pre-step, found none."""
+    """No escape step left the singular set: the one step exists from no
+    landing, or the canonical pre-step did not clear its degenerate coordinates."""
 
 
 class NotCanonicalClass(RuntimeError):
@@ -103,40 +104,29 @@ def _one_step(sys: BilinearSystem, x: float, y: float, ex: float, ey: float):
 class _Steering:
     """What the escape step and the two-step construction know of a two-input
     system before any state is given: the drift's entries (zeros without
-    drift), the inputs' norms, the steering form, its scale, zero lines and
-    principal axis, and on first use the zero-bottom-row frame; built once per
-    system, through ``BilinearSystem._steering``, with no reference back."""
+    drift), the inputs' norms, the steering form's zero lines and principal
+    axis, and on first use the zero-bottom-row frame; built once per system,
+    through ``BilinearSystem._steering``, with no reference back."""
 
     def __init__(self, sys: BilinearSystem):
-        a, (b1, b2) = sys.drift, sys.inputs
+        a = sys.drift
         self.drift, self.inputs, self.tol = a, sys.inputs, sys.tol
         self.drift_entries = (a.a11, a.a12, a.a21, a.a22) if a is not None else (0.0,) * 4
         self.drift_norm = math.hypot(*self.drift_entries)
-        self.form = q = gram_form(b1, b2)
-        self.form_scale = form_scale(b1, b2)
-        self.lines = zero_lines(q, sys.tol, scale=self.form_scale)
+        q = gram_form(*sys.inputs)
+        self.lines = zero_lines(q, sys.tol, scale=sys._form_scale)
         self.input_norms = tuple(math.hypot(b.a11, b.a12, b.a21, b.a22) for b in sys.inputs)
         # The eigenvector of [[a, b/2], [b/2, c]] whose eigenvalue has the
         # larger magnitude: the direction of largest |q(z)| / |z|^2.
         theta = 0.5 * (math.atan2(q.b, q.a - q.c) + (math.pi if q.a + q.c < 0.0 else 0.0))
         self.axis = (math.cos(theta), math.sin(theta))
 
-    def clears(self, x: float, y: float) -> bool:
-        """Whether the clearance |q(l)| / (form_scale * |l|^2) of the finite
-        l = (x, y) != 0 is not zero under the tolerance; taken on l / |l|_inf,
-        so it cannot overflow and does not depend on the scale of l."""
-        if self.form_scale == 0.0:
-            return False   # |B1|_F |B2|_F underflows: so does every coefficient of q
-        s, q = max(abs(x), abs(y)), self.form
-        x, y = x / s, y / s
-        return not self.tol.is_zero((q.a * x * x + q.b * x * y + q.c * y * y)
-                                    / (self.form_scale * (x * x + y * y)))
-
     @_memo
     def canonical(self) -> tuple:
-        """(P, M_sub, offset, A21, A22, |A-bar|_F) of the zero-bottom-row basis,
-        with P and M_sub as their entries in row order and offset as a pair,
-        or NotCanonicalClass (not kept) when the pair has none."""
+        """(P, M_sub, det M_sub, offset, A21, A22, |A-bar|_F) of the
+        zero-bottom-row basis, with P and M_sub as their entries in row order,
+        det M_sub None where its zero test calls M_sub singular, and offset as
+        a pair; or NotCanonicalClass (not kept) when the pair has none."""
         if self.drift is None:
             raise NotCanonicalClass("the two-step construction needs a drift term")
         b1, b2 = self.inputs
@@ -150,7 +140,8 @@ class _Steering:
         a_scale = a_bar.frob()
         if self.tol.is_zero(a_bar.a21, a_scale):
             raise NotCanonicalClass("drift has no coupling into the decoupled coordinate")
-        return ((p.a11, p.a12, p.a21, p.a22), (f1.a11, f2.a11, f1.a12, f2.a12),
+        m_sub = (f1.a11, f2.a11, f1.a12, f2.a12)
+        return ((p.a11, p.a12, p.a21, p.a22), m_sub, _det2(*m_sub, self.tol),
                 (a_bar.a11, a_bar.a12), a_bar.a21, a_bar.a22, a_scale)
 
 
@@ -164,19 +155,21 @@ def escape_step(sys: BilinearSystem, xi: Vec2) -> tuple[tuple[float, float], Vec
     p = A xi (zero without drift), c the B_i xi of larger |B_i xi| / |B_i|_F,
     and u = t in c's slot.  The drift alone (u = 0) is taken when it clears,
     else the landing on the form's principal axis, of largest clearance
-    |q(x)| / (form_scale |x|^2).  A landing clears when neither it, next to |M|_F |xi|
-    for its step M, nor its clearance is zero under the tolerance."""
+    |q(x)| / (form_scale |x|^2).  A landing clears when it is not zero next to
+    |M|_F |xi| for its step M, and the one step from it exists: here the one
+    step to the zero target, which exists exactly where one to any target does."""
     _require_pair(sys)
-    move = _escape(sys, xi.x, xi.y)
-    if not move[3]:
+    u, lx, ly, v = _escape(sys, xi.x, xi.y, 0.0, 0.0)
+    if v is None:
         raise EscapeFailed(_NO_ESCAPE)
-    return move[0], Vec2(move[1], move[2])
+    return u, Vec2(lx, ly)
 
 
-def _escape(sys: BilinearSystem, x: float, y: float):
-    """The landing :func:`escape_step` picks from (x, y), as (u, lx, ly,
-    clears), computed as the replay computes it; one that does not clear is p,
-    or c when p is zero.  ValueError when an image or the landing overflows."""
+def _escape(sys: BilinearSystem, x: float, y: float, tx: float, ty: float):
+    """The landing :func:`escape_step` picks from (x, y), as (u, lx, ly, v),
+    computed as the replay computes it, with v the one step from it to
+    (tx, ty); where no landing clears, v is None and the landing is p, or c's
+    when p is zero.  ValueError when an image, the landing or v overflows."""
     steering, tol = sys._steering, sys.tol
     (b1, b2), (a11, a12, a21, a22) = steering.inputs, steering.drift_entries
     px, py = a11 * x + a12 * y, a21 * x + a22 * y
@@ -186,13 +179,15 @@ def _escape(sys: BilinearSystem, x: float, y: float):
     xn, pn = math.hypot(x, y), math.hypot(px, py)
     if pn != 0.0 and tol.is_zero(pn / steering.drift_norm / xn):
         pn = 0.0   # p is lost next to |A|_F |x|: escape as without drift
-    if pn != 0.0 and steering.clears(px, py):
-        return (0.0, 0.0), px, py, True
+    if pn != 0.0:
+        v = _one_step(sys, px, py, tx, ty)
+        if v is not None:
+            return (0.0, 0.0), px, py, v
     n1, n2 = math.hypot(c1x, c1y), math.hypot(c2x, c2y)
     f1, f2 = steering.input_norms
     k, b, cx, cy, cn = (0, b1, c1x, c1y, n1) if n1 / f1 >= n2 / f2 else (1, b2, c2x, c2y, n2)
     if cn == 0.0:
-        return (0.0, 0.0), px, py, False
+        return (0.0, 0.0), px, py, None
     # Where p + t c crosses the axis (any t != 0 when p = 0; with p on c's
     # line, the origin, lost in round-off).  When c nearly lies on the axis
     # the crossing is far out, and the landing stops 2^-9 rad short.
@@ -207,22 +202,25 @@ def _escape(sys: BilinearSystem, x: float, y: float):
     m11, m12, m21, m22 = a11 + t * b.a11, a12 + t * b.a12, a21 + t * b.a21, a22 + t * b.a22
     lx, ly = m11 * x + m12 * y, m21 * x + m22 * y
     _finite(lx, ly)
-    cleared = ((lx != 0.0 or ly != 0.0) and steering.clears(lx, ly) and not tol.is_zero(
-        math.hypot(lx, ly) / math.hypot(m11, m12, m21, m22) / xn))
-    if cleared or pn == 0.0:
-        return ((t, 0.0) if k == 0 else (0.0, t)), lx, ly, cleared
-    return (0.0, 0.0), px, py, False
+    v = None
+    if (lx != 0.0 or ly != 0.0) and not tol.is_zero(
+            math.hypot(lx, ly) / math.hypot(m11, m12, m21, m22) / xn):
+        v = _one_step(sys, lx, ly, tx, ty)
+    if v is not None or pn == 0.0:
+        return ((t, 0.0) if k == 0 else (0.0, t)), lx, ly, v
+    return (0.0, 0.0), px, py, None
 
 
-def _escape_moves(sys: BilinearSystem, x: float, y: float) -> list:
-    """The escape steps from (x, y), as (u, lx, ly): one, or two when no
-    landing of the first clears, as when A and B map one zero line onto the other."""
+def _escape_moves(sys: BilinearSystem, x: float, y: float, tx: float, ty: float) -> list:
+    """The controls of the escape steps from (x, y), followed by the one step
+    to (tx, ty): one escape step, or two when no landing of the first clears,
+    as when A and B map one zero line onto the other."""
     moves = []
     while len(moves) < 2:
-        u, x, y, cleared = _escape(sys, x, y)
-        moves.append((u, x, y))
-        if cleared:
-            return moves
+        u, x, y, v = _escape(sys, x, y, tx, ty)
+        moves.append(u)
+        if v is not None:
+            return moves + [v]
     raise EscapeFailed(_NO_ESCAPE)
 
 
@@ -262,7 +260,8 @@ def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: flo
     yet replayed.  Every state and bar step is a pair of floats, checked
     finite where the construction would have built it as a ``Vec2``."""
     tol = sys.tol
-    (p11, p12, p21, p22), m_sub, (o1, o2), a21, a22, a_scale = sys._steering.canonical
+    ((p11, p12, p21, p22), (m11, m12, m21, m22), det, (o1, o2), a21, a22,
+     a_scale) = sys._steering.canonical
 
     x, y = p11 * x + p12 * y, p21 * x + p22 * y
     _finite(x, y)
@@ -302,10 +301,12 @@ def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: flo
     for v1, v2 in bar_steps:
         r1, r2 = v1 - o1, v2 - o2
         _finite(r1, r2)
-        u = _solve2(*m_sub, r1, r2, tol)
-        if u is None:
+        if det is None:
             raise SingularSubstitution("input substitution matrix is singular")
-        steps.append(u)
+        u1, u2 = (r1 * m22 - m12 * r2) / det, (m11 * r2 - r1 * m21) / det
+        if not (isfinite(u1) and isfinite(u2)):
+            raise ValueError(f"non-finite vector ({u1}, {u2})")
+        steps.append((u1, u2))
     return steps
 
 
@@ -348,9 +349,4 @@ def _pair_steps(sys: BilinearSystem, klass: VerdictClass, x: float, y: float,
     u = _one_step(eff, x, y, ex, ey)
     if u is not None:
         return [u]
-    moves = _escape_moves(eff, x, y)
-    _, lx, ly = moves[-1]
-    u = _one_step(eff, lx, ly, ex, ey)
-    if u is None:
-        raise EscapeFailed("escape landed back on the singular set")
-    return [v for v, _, _ in moves] + [u]
+    return _escape_moves(eff, x, y, ex, ey)

@@ -19,6 +19,7 @@ from bilin2 import (
     real_eigen_directions,
     solve2,
 )
+from bilin2 import mat2
 from bilin2.mat2 import _vec2s, canonical_direction, cross, is_eigenvector
 from bilin2.quadform import QuadraticForm
 from helpers import line_angle, line_gap, mat, xy
@@ -185,6 +186,15 @@ def test_canonical_direction_rejects_zero():
         canonical_direction(Vec2(0.0, 0.0))
     with pytest.raises(ZeroVector):
         canonical_direction(Vec2(1e-12, 0.0))
+
+
+def test_direction_refuses_the_zero_unit_of_an_overflowing_norm():
+    # |(1.5e308, 1.5e308)| overflows, so _unit divides by inf and returns
+    # (0.0, 0.0); only Direction's unit-norm check keeps that from being
+    # returned as a line.
+    assert mat2._unit(1.5e308, 1.5e308, DEFAULT_TOL) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="must be unit length, got norm 0.0"):
+        mat2._direction(1.5e308, 1.5e308, DEFAULT_TOL)
 
 
 @given(st.floats(min_value=-1e3, max_value=1e3), st.floats(min_value=-1e3, max_value=1e3),

@@ -14,7 +14,8 @@ behind.  The last properties need no reference: returned plans hold plain
 float controls and copy and pickle unchanged, plans replayed exactly in
 rational arithmetic (``exact.py``) land within the acceptance bound, the
 one-step routes commute with scaling the endpoints and the inputs by powers
-of two, and the escape commutes with scaling the state by 2^k.
+of two, the escape commutes with scaling the state by 2^k, and it accepts
+a landing exactly where the one step from it exists.
 """
 
 import copy
@@ -40,6 +41,7 @@ from bilin2 import (
     SingularMatrix,
     SingularSubstitution,
     SystemKind,
+    TolerancePolicy,
     Vec2,
     VerdictClass,
     ZeroState,
@@ -477,13 +479,13 @@ def test_escape_matches_reference(sys, xi):
             assert _clearance(pair, landing) >= best
         one_step_clears = True
     try:
-        moves = _escape_moves(pair, xi.x, xi.y)
+        moves = _escape_moves(pair, xi.x, xi.y, 0.0, 0.0)
     except ValueError:
         assert max(abs(xi.x), abs(xi.y)) > 2.0 ** 500   # the second landing overflows
         return
     except EscapeFailed:
         assert not one_step_clears
-        _, lx, ly, _ = _escape(pair, xi.x, xi.y)
+        _, lx, ly, _ = _escape(pair, xi.x, xi.y, 0.0, 0.0)
         # A first landing off the zero set, outside the escape's domain (one
         # that failed only the size test, as a driftless image tiny next to
         # |B_k|_F |xi| does), may leave a candidate that clears; plan_transfer
@@ -491,12 +493,54 @@ def test_escape_matches_reference(sys, xi):
         assert (not _some_candidate_clears(pair, Vec2(lx, ly))
                 or analyze(pair).klass is not VerdictClass.CONTROLLABLE)
         return
-    assert len(moves) == (1 if one_step_clears else 2)
+    # the escape controls, then the one step from the last landing
+    assert len(moves) == (2 if one_step_clears else 3)
     state = xi
-    for u, lx, ly in moves:
+    for u in moves[:-1]:
+        _, lx, ly, _ = _escape(pair, state.x, state.y, 0.0, 0.0)
         state = step(pair, state, u)
         assert state == Vec2(lx, ly)
     assert _clears(pair, state)
+
+
+# |B1|_F |B2|_F = 1e-340 is zero in floats: no one step exists, so no landing clears.
+UNDERFLOW = BilinearSystem(SystemKind.DRIFTLESS, None,
+                           (Mat2(1e-170, 0.0, 0.0, 0.0), Mat2(0.0, 0.0, 1e-170, 0.0)),
+                           tol=TolerancePolicy(1e-320, 1e-9))
+
+
+@given(systems, states(), st.lists(states(), min_size=1, max_size=3))
+@example(DRIFT3, Vec2(1.0, 1.0), [Vec2(1.7, -0.6)])       # escape + escape
+@example(UNDERFLOW, Vec2(1.0, 0.0), [Vec2(0.0, 1.0)])     # the form scale underflows
+def test_escape_is_its_one_step(sys, xi, etas):
+    """The escape accepts a landing exactly where the one step from it exists:
+    from the landing escape_step returns, one_step answers every finite target
+    (a control, or ValueError where one overflows), never None; and a plan from
+    a zero-line state is the escape controls followed by exactly that one step."""
+    pair = _pair(sys)
+    assume(pair is not None)
+    xi = _placed(pair, xi, True)
+    assume(_on_zero_set(pair, xi))
+    try:
+        _, landing = escape_step(pair, xi)
+    except (EscapeFailed, ValueError):
+        pass
+    else:
+        for eta in etas:
+            assert outcome(one_step, pair, landing, eta) != "None"
+    if (analyze(pair).klass is not VerdictClass.CONTROLLABLE
+            or pair_lines(*pair.inputs, pair.tol).kind is LineSetKind.ALL_OF_PLANE):
+        return   # no escape: a refusal, the nearly one step or the two-step construction
+    for eta in etas:
+        try:
+            plan = plan_transfer(pair, xi, eta)
+        except (EscapeFailed, ZeroState, ValueError):
+            continue
+        *escapes, last = plan.steps
+        state = xi
+        for u in escapes:
+            state = step(pair, state, u)
+        assert last == one_step(pair, state, eta)
 
 
 @given(canonical_systems, states(), states())

@@ -28,6 +28,7 @@ from bilin2 import (
 )
 from bilin2 import classify, mat2, quadform, steer, structure
 from exact import lands_within, share_left_null_direction
+import plan_golden
 from helpers import generic_drift_system, generic_driftless_system, mat, unit_vec, xy
 
 
@@ -85,7 +86,7 @@ def test_escape_step_raises_when_the_form_scale_underflows():
     sys = BilinearSystem(SystemKind.DRIFTLESS, None,
                          (mat([[1e-170, 0.0], [0.0, 0.0]]), mat([[0.0, 0.0], [1e-170, 0.0]])),
                          tol=TolerancePolicy(1e-320, 1e-9))
-    assert sys._steering.form_scale == 0.0
+    assert sys._form_scale == 0.0
     with pytest.raises(EscapeFailed):
         escape_step(sys, Vec2(1.0, 0.0))
 
@@ -364,6 +365,17 @@ def test_plan_transfer_raises_singular_substitution_on_badly_scaled_inputs():
     assert analyze(sys).klass is VerdictClass.CONTROLLABLE
     with pytest.raises(SingularSubstitution):
         plan_transfer(sys, Vec2(1.3, 0.4), Vec2(1.7, -0.6))
+
+
+def test_plan_outcomes_match_the_golden():
+    # A fixed, standard-library set of requests over every branch of the plan
+    # path, a quarter of them scaled by 2^k: each plan's steps and residual,
+    # each escape step's control and landing, bit for bit, or the refusal.
+    cases = plan_golden.cases()
+    outcomes = [plan_golden.outcome(c) for c in cases]
+    assert {c["branch"] for c in cases} == set(plan_golden.BRANCHES)
+    assert [c["name"] for c, o in zip(cases, outcomes) if not plan_golden.shows(c, o)] == []
+    assert plan_golden.mismatches() == []
 
 
 def test_plan_transfer_random_controllable_systems():
