@@ -4,15 +4,16 @@ The step map accumulates A + sum u_i B_i entry by entry in input order, so a
 zero control contributes exactly nothing and structurally zero entries stay
 exactly zero along the whole trajectory.  ``step``, ``run`` and
 ``verify_plan`` share one replay kernel, ``_replay``: it computes on plain
-floats, builds no intermediate ``Vec2``, and raises ValueError where such a
-state would have come out non-finite.  The sampling oracle advances all its
-trials at once as numpy arrays, with the same arithmetic in the same order,
-so each sample is bit for bit the ``step`` replay of its plan: there is no
-second integrator to drift out of agreement.  Its random plans come from one
-generator keyed by the seed, one row of uniforms per trial; the final states
-are built into ``Vec2`` samples in bulk, with one finiteness pass over the
-cloud, and their spread is summarized by a closed-form, scale-free
-covariance rank.
+floats, keeps only the states, builds no intermediate ``Vec2``, and raises
+ValueError where such a state would have come out non-finite; ``verify_plan``
+replays the step matrices only for a miss beyond 1e-8 |eta|.  The sampling
+oracle advances all its trials at once as numpy arrays, with the same
+arithmetic in the same order, so each sample is bit for bit the ``step``
+replay of its plan: there is no second integrator to drift out of agreement.
+Its random plans come from one generator keyed by the seed, one row of
+uniforms per trial; the final states are built into ``Vec2`` samples in bulk,
+with one finiteness pass over the cloud, and their spread is summarized by a
+closed-form, scale-free covariance rank.
 """
 
 from __future__ import annotations
@@ -37,13 +38,17 @@ class ControlPlan(_Record):
     measured when ``plan_transfer`` or ``canonical_steer`` accepted the plan,
     and None on a plan built elsewhere.  It is not part of equality or hashing.
     Like ``Vec2``, it has two constructors: ``__init__`` (callers, plan files,
-    copies) coerces every control to float and requires it finite, and
-    ``_control_plan`` builds a plan ``steer`` has just replayed, unchecked.
+    copies) refuses a string step and coerces every control to a finite float,
+    and ``_control_plan`` builds a plan ``steer`` has just replayed, unchecked.
     """
 
     __slots__ = _fields = ("steps", "residual")
 
     def __init__(self, steps, residual: Optional[float] = None):
+        steps = tuple(steps)
+        for k, step in enumerate(steps):
+            if isinstance(step, (str, bytes, bytearray)):
+                raise TypeError(f"step {k} is a {type(step).__name__}, not a control vector")
         try:
             steps = tuple(tuple(map(float, step)) for step in steps)
         except OverflowError as exc:
@@ -76,22 +81,19 @@ def _control_plan(steps: tuple, residual: float) -> ControlPlan:
     return plan
 
 
-def _replay(sys: BilinearSystem, x: float, y: float, steps) -> tuple[list, list]:
-    """The states of a plan replayed from (x, y), as floats x0, y0, x1, y1, ...,
-    and the step matrices it applied, as m11, m12, m21, m22 of each in turn.
+def _replay(sys: BilinearSystem, x: float, y: float, steps) -> list:
+    """The states of a plan replayed from (x, y), as floats x0, y0, x1, y1, ...
 
     Each step accumulates M_k = A + sum u_i B_i entry by entry in input order
     and applies it to x_k.  A control vector of the wrong length raises
     ArityMismatch, and a non-finite state the ValueError its ``Vec2`` would
-    raise, each at the step where it happens.
+    raise, each at the step where it happens; each control is a sequence.
     """
     drift = sys.drift
     inputs = sys.inputs
     m = len(inputs)
     states = [x, y]
-    matrices = []
     for u in steps:
-        u = tuple(u)
         if len(u) != m:
             raise ArityMismatch(f"expected {m} controls, got {len(u)}")
         if drift is not None:
@@ -107,19 +109,18 @@ def _replay(sys: BilinearSystem, x: float, y: float, steps) -> tuple[list, list]
         if not (isfinite(x) and isfinite(y)):
             raise ValueError(f"non-finite vector ({x}, {y})")
         states += (x, y)
-        matrices += (a11, a12, a21, a22)
-    return states, matrices
+    return states
 
 
 def step(sys: BilinearSystem, x: Vec2, u) -> Vec2:
     """One transition x -> (A + sum u_i B_i) x."""
-    states = _replay(sys, x.x, x.y, (u,))[0]
+    states = _replay(sys, x.x, x.y, (tuple(u),))
     return Vec2(states[2], states[3])
 
 
 def run(sys: BilinearSystem, x0: Vec2, plan: ControlPlan) -> tuple[Vec2, ...]:
     """Replay a plan from x0: the len(plan) + 1 states, starting with x0."""
-    states = _replay(sys, x0.x, x0.y, plan.steps)[0]
+    states = _replay(sys, x0.x, x0.y, plan.steps)
     return (x0,) + tuple(map(Vec2, states[2::2], states[3::2]))
 
 
@@ -148,8 +149,9 @@ def _verify(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
             steps) -> tuple[bool, float]:
     """:func:`verify_plan` of the plan ``steps`` from (x, y) to (ex, ey).  The
     bound without the reach can only be narrower, so an error within it passes
-    at once; only a miss takes the reach from the replayed steps."""
-    states, matrices = _replay(sys, x, y, steps)
+    at once; only a miss takes the reach, with M_k's columns replayed from e1
+    and e2: exact, as M_k is finite or x_k's replay raised."""
+    states = _replay(sys, x, y, steps)
     dx = states[-2] - ex
     dy = states[-1] - ey
     if not (isfinite(dx) and isfinite(dy)):
@@ -160,9 +162,10 @@ def _verify(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
     scale = max(math.hypot(ex, ey), 2.0 ** -1042)
     if error <= _LANDING_TOL * min(scale, float_info.max):
         return True, error
-    for k in range(0, len(matrices), 4):
-        scale = max(scale, math.hypot(*matrices[k:k + 4])
-                    * math.hypot(states[k // 2], states[k // 2 + 1]))
+    for k, u in enumerate(steps):
+        c1, c2 = _replay(sys, 1.0, 0.0, (u,)), _replay(sys, 0.0, 1.0, (u,))
+        scale = max(scale, math.hypot(c1[2], c2[2], c1[3], c2[3])
+                    * math.hypot(states[2 * k], states[2 * k + 1]))
     return error <= _LANDING_TOL * min(scale, float_info.max), error
 
 

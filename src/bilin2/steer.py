@@ -70,29 +70,30 @@ def one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):
     return _one_step(sys, xi.x, xi.y, eta.x, eta.y)
 
 
-def _one_step(sys: BilinearSystem, x: float, y: float, ex: float, ey: float):
+def _one_step(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
+              rescaled: bool = False):
     """:func:`one_step` from (x, y) to (ex, ey): [B1 xi, B2 xi] u = eta - A xi by
     Cramer's rule, or None where det / (form_scale |xi|^2) is zero; formed again
-    from f xi to f eta, a power of two f, where det is not a normal float."""
+    from f xi to f eta, a power of two f != 1, where det is not a normal float."""
     (b1, b2), a, scale = sys.inputs, sys.drift, sys._form_scale
-    for rescaled in (False, True):
-        c1x = b1.a11 * x + b1.a12 * y
-        c1y = b1.a21 * x + b1.a22 * y
-        c2x = b2.a11 * x + b2.a12 * y
-        c2y = b2.a21 * x + b2.a22 * y
-        rx, ry = ((ex - (a.a11 * x + a.a12 * y), ey - (a.a21 * x + a.a22 * y))
-                  if a is not None else (ex, ey))
-        # A non-finite drift image leaves a non-finite right-hand side.
-        if not (isfinite(c1x) and isfinite(c1y) and isfinite(c2x) and isfinite(c2y)
-                and isfinite(rx) and isfinite(ry)):
-            raise ValueError(f"non-finite one-step system ({c1x}, {c2x}, {c1y}, {c2y}), "
-                             f"({rx}, {ry})")
-        d, n = c1x * c2y - c2x * c1y, math.hypot(x, y)
-        if 2.0 ** -1022 <= abs(d) < math.inf or rescaled or scale == 0.0:
-            break
-        e = 1 - math.frexp(math.sqrt(scale) * max(abs(x), abs(y)))[1]
-        f = math.ldexp(1.0, max(-1022, min(e, 1023)))
-        x, y, ex, ey = x * f, y * f, ex * f, ey * f
+    c1x = b1.a11 * x + b1.a12 * y
+    c1y = b1.a21 * x + b1.a22 * y
+    c2x = b2.a11 * x + b2.a12 * y
+    c2y = b2.a21 * x + b2.a22 * y
+    rx, ry = ((ex - (a.a11 * x + a.a12 * y), ey - (a.a21 * x + a.a22 * y))
+              if a is not None else (ex, ey))
+    # A non-finite drift image leaves a non-finite right-hand side.
+    if not (isfinite(c1x) and isfinite(c1y) and isfinite(c2x) and isfinite(c2y)
+            and isfinite(rx) and isfinite(ry)):
+        raise ValueError(f"non-finite one-step system ({c1x}, {c2x}, {c1y}, {c2y}), "
+                         f"({rx}, {ry})")
+    d = c1x * c2y - c2x * c1y
+    if not (2.0 ** -1022 <= abs(d) < math.inf or rescaled or scale == 0.0):
+        e = max(-1022, min(1 - math.frexp(math.sqrt(scale) * max(abs(x), abs(y)))[1], 1023))
+        if e != 0:
+            f = math.ldexp(1.0, e)
+            return _one_step(sys, x * f, y * f, ex * f, ey * f, True)
+    n = math.hypot(x, y)
     if d == 0.0 or scale == 0.0 or sys.tol.is_zero(d / scale / n / n):
         return None
     u1, u2 = (rx * c2y - c2x * ry) / d, (c1x * ry - rx * c1y) / d
@@ -326,7 +327,7 @@ def plan_transfer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
         raise NotControllablePair("system is uncontrollable; no transfers are synthesized")
     x, y, ex, ey = xi.x, xi.y, eta.x, eta.y
     steps = _pair_steps(sys, verdict.klass, x, y, ex, ey)
-    if not verdict.reduction.is_identity():
+    if sys._effective is not sys:   # only the identity reduction leaves sys itself
         steps = [_expand(sys._control_layout, v1, v2) for v1, v2 in steps]
     return _verified(sys, x, y, ex, ey, steps)
 

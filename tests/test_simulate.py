@@ -58,6 +58,13 @@ def test_control_plan_rejects_non_finite():
         ControlPlan(((1.0, float("nan")),))
 
 
+@pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12")],
+                         ids=["str", "bytes", "bytearray"])
+def test_control_plan_refuses_a_string_step(text):
+    with pytest.raises(TypeError, match=f"step 1 is a {type(text).__name__}"):
+        ControlPlan(((1.0, 2.0), text))
+
+
 def test_step_known_transitions(rotation_drift_system):
     assert step(rotation_drift_system, Vec2(1.0, 1.0), (0.0, 0.0)) == Vec2(-1.0, 1.0)
     assert step(rotation_drift_system, Vec2(-1.0, 1.0), (5.0, 16.0)) == Vec2(-11.0, -7.0)
@@ -129,6 +136,24 @@ def test_verify_plan_bound_scales_with_the_states(rotation_drift_system, k):
     for rel, accepted in ((1e-7, False), (1e-9, True)):
         eta = Vec2(-11.0 * f * (1.0 + rel), -7.0 * f)
         assert verify_plan(rotation_drift_system, xi, eta, plan)[0] is accepted
+
+
+def test_verify_plan_pairs_each_step_matrix_with_the_state_it_applies_to():
+    # M_1 = [[1e-3, 1e3], [0, 1e-3]] takes xi = (1, 0) to x_1 = (1e-3, 0), and
+    # M_2 = M_3 = I keep it.  The reach max_k |M_k|_F |x_k| is |M_1|_F |xi|,
+    # against 1.4e-3 for the other steps and |eta| ~ 1e-3: a miss up to 1e-8
+    # times it passes, the next float fails.  Pairing M_1 with x_1, or M_3
+    # with xi, would put the bound near 1e-8 and fail both.
+    sys = BilinearSystem(SystemKind.DRIFTLESS, None,
+                         (Mat2(0.0, 1.0, 0.0, 0.0), Mat2(1.0, 0.0, 0.0, 1.0)))
+    xi, plan = Vec2(1.0, 0.0), ControlPlan(((1e3, 1e-3), (0.0, 1.0), (0.0, 1.0)))
+    assert run(sys, xi, plan)[-1] == Vec2(1e-3, 0.0)
+    bound = 1e-8 * (math.hypot(1e-3, 1e3, 0.0, 1e-3) * xi.norm())
+    # Each miss below is far beyond 1e-8 |eta|: only the reach admits it.
+    assert bound / 2.0 > 1e3 * (1e-8 * math.hypot(1e-3, bound))
+    for miss, accepted in ((bound / 2.0, True), (bound, True),
+                           (math.nextafter(bound, math.inf), False)):
+        assert verify_plan(sys, xi, Vec2(1e-3, miss), plan) == (accepted, miss)
 
 
 def test_verify_plan_empty_plan(rotation_drift_system):

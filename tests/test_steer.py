@@ -49,6 +49,34 @@ def test_one_step_fails_on_singular_state(rotation_drift_system):
     assert one_step(rotation_drift_system, Vec2(1.0, 1.0), Vec2(3.0, 4.0)) is None
 
 
+def test_one_step_forms_its_system_again_only_at_a_power_of_two_other_than_one():
+    reads = []
+
+    class CountedMat2(mat2.Mat2):
+        """A Mat2 that records each read of its a11 entry."""
+
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            if name == "a11":
+                reads.append(name)
+            return super().__getattribute__(name)
+
+    # q(z) = z1 z2: xi = (c, 0) is on a zero line, where det = 0 is not a
+    # normal float.  sqrt(|B1|_F |B2|_F) |xi|_max = 2^(1/4) c lies in [1, 2)
+    # at c = 1, so f = 1 and the one pass is the answer; at c = 2^-600 the
+    # system is formed again from f xi = (1, 0).
+    sys = BilinearSystem(SystemKind.DRIFTLESS, None,
+                         (CountedMat2(1.0, 0.0, 0.0, 1.0), mat([[0.0, 0.0], [0.0, 1.0]])))
+    assert sys._form_scale == math.sqrt(2.0)
+    answers = []
+    for c, passes in ((1.0, 1), (2.0 ** -600, 2)):
+        reads.clear()
+        answers.append(steer._one_step(sys, c, 0.0, 2.0 * c, 3.0 * c))
+        assert len(reads) == passes
+    assert answers == [None, None]
+
+
 def test_one_step_requires_two_inputs(rotation_drift_system):
     sys = BilinearSystem(SystemKind.WITH_DRIFT, rotation_drift_system.drift,
                          rotation_drift_system.inputs + (mat([[1.0, 0.0], [0.0, 0.0]]),))
