@@ -150,9 +150,7 @@ def _integer_form(d: Direction) -> Optional[list[int]]:
     else:
         fr = Fraction(d.x / d.y).limit_denominator(32)
         cand = (fr.numerator, fr.denominator) if d.y > 0 else (-fr.numerator, -fr.denominator)
-    norm = (cand[0] ** 2 + cand[1] ** 2) ** 0.5
-    if norm == 0.0:
-        return None
+    norm = (cand[0] ** 2 + cand[1] ** 2) ** 0.5  # >= 1: one entry is a denominator
     sin_gap = abs(cross(Vec2(cand[0] / norm, cand[1] / norm), d.vector))
     return [cand[0], cand[1]] if sin_gap <= 1e-9 else None
 

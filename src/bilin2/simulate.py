@@ -19,6 +19,7 @@ closed-form, scale-free covariance rank.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
 from math import isfinite
 from sys import float_info
 from typing import Optional
@@ -38,19 +39,16 @@ class ControlPlan(_Record):
     measured when ``plan_transfer`` or ``canonical_steer`` accepted the plan,
     and None on a plan built elsewhere.  It is not part of equality or hashing.
     Like ``Vec2``, it has two constructors: ``__init__`` (callers, plan files,
-    copies) refuses a string step and coerces every control to a finite float,
-    and ``_control_plan`` builds a plan ``steer`` has just replayed, unchecked.
+    copies) refuses a step of text, bytes or an unordered container and
+    coerces every control to a finite float, and ``_control_plan`` builds a
+    plan ``steer`` has just replayed, unchecked.
     """
 
     __slots__ = _fields = ("steps", "residual")
 
     def __init__(self, steps, residual: Optional[float] = None):
-        steps = tuple(steps)
-        for k, step in enumerate(steps):
-            if isinstance(step, (str, bytes, bytearray)):
-                raise TypeError(f"step {k} is a {type(step).__name__}, not a control vector")
         try:
-            steps = tuple(tuple(map(float, step)) for step in steps)
+            steps = tuple(tuple(map(float, _controls(k, u))) for k, u in enumerate(steps))
         except OverflowError as exc:
             raise ValueError("control value beyond the float range") from exc
         for step in steps:
@@ -71,6 +69,14 @@ class ControlPlan(_Record):
 
 
 _set_steps, _set_residual = ControlPlan.steps.__set__, ControlPlan.residual.__set__
+
+
+def _controls(k: int, u):
+    """u, the control vector of step k; TypeError where u is text, bytes or
+    an unordered container, whose items would be read as controls."""
+    if isinstance(u, (str, bytes, bytearray, Mapping, Set)):
+        raise TypeError(f"step {k} is a {type(u).__name__}, not a control vector")
+    return u
 
 
 def _control_plan(steps: tuple, residual: float) -> ControlPlan:
@@ -113,8 +119,8 @@ def _replay(sys: BilinearSystem, x: float, y: float, steps) -> list:
 
 
 def step(sys: BilinearSystem, x: Vec2, u) -> Vec2:
-    """One transition x -> (A + sum u_i B_i) x."""
-    states = _replay(sys, x.x, x.y, (tuple(u),))
+    """One transition x -> (A + sum u_i B_i) x; u is refused as a plan step is."""
+    states = _replay(sys, x.x, x.y, (tuple(_controls(0, u)),))
     return Vec2(states[2], states[3])
 
 

@@ -6,17 +6,17 @@ lines of the pair's steering form q.  Off-line states steer in one step.  From
 an on-line state every landing lies on one line, and the escape step takes its
 best point in closed form: the drift alone when it clears, else the crossing
 with q's principal axis.  Only when q vanishes on that whole line does a
-second escape step come first.  Pairs whose q vanishes identically take a
-two-step construction in a zero-bottom-row basis.  Every returned plan is
-replayed once, by ``simulate``'s replay kernel under the ``verify_plan``
-bound, and accepted only when it holds.
+second escape step come first.  Pairs whose q vanishes on its principal axis,
+and so on the whole plane, take a two-step construction in a zero-bottom-row
+basis.  Every returned plan is replayed once, by ``simulate``'s replay kernel
+under the ``verify_plan`` bound, and accepted only when it holds.
 
 ``plan_transfer`` solves, escapes and replays on plain floats: the kernels
 ``_one_step``, ``_escape``, ``_escape_moves`` and ``_canonical_steps`` take and
 return floats, and the plan is the only value built.  One test decides every
-landing: the escape accepts one exactly when it solves the one step from it.
-The public ``one_step``, ``escape_step`` and ``canonical_steer`` are thin
-wrappers over the same kernels.
+landing and the route: whether the one step from the landing, or from q's
+axis, exists.  The public ``one_step``, ``escape_step`` and ``canonical_steer``
+are thin wrappers over the same kernels.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import isfinite
 
 from .classify import BilinearSystem, VerdictClass, _expand, analyze
 from .mat2 import Mat2, Vec2, _det2, _finite, _memo, _similar
-from .quadform import LineSetKind, gram_form, zero_lines
+from .quadform import gram_form
 from .simulate import ControlPlan, _control_plan, _verify
 from .structure import zero_bottom_row_pair
 
@@ -105,22 +105,25 @@ def _one_step(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
 class _Steering:
     """What the escape step and the two-step construction know of a two-input
     system before any state is given: the drift's entries (zeros without
-    drift), the inputs' norms, the steering form's zero lines and principal
-    axis, and on first use the zero-bottom-row frame; built once per system,
-    through ``BilinearSystem._steering``, with no reference back."""
+    drift), the inputs' norms, q's principal axis, the route, and on first use
+    the zero-bottom-row frame; built once per system, through
+    ``BilinearSystem._steering``, with no reference back.  The route is the
+    two-step construction exactly where the one step from the axis, where
+    |q(z)| / |z|^2 is largest, to the axis's own drift image does not exist:
+    under that one clearance test q vanishes on the plane exactly where it
+    vanishes on its axis, and the step, u = 0 where it exists, reads no drift."""
 
     def __init__(self, sys: BilinearSystem):
         a = sys.drift
         self.drift, self.inputs, self.tol = a, sys.inputs, sys.tol
-        self.drift_entries = (a.a11, a.a12, a.a21, a.a22) if a is not None else (0.0,) * 4
+        self.drift_entries = e = (a.a11, a.a12, a.a21, a.a22) if a is not None else (0.0,) * 4
         self.drift_norm = math.hypot(*self.drift_entries)
         q = gram_form(*sys.inputs)
-        self.lines = zero_lines(q, sys.tol, scale=sys._form_scale)
         self.input_norms = tuple(math.hypot(b.a11, b.a12, b.a21, b.a22) for b in sys.inputs)
-        # The eigenvector of [[a, b/2], [b/2, c]] whose eigenvalue has the
-        # larger magnitude: the direction of largest |q(z)| / |z|^2.
+        # The eigenvector of [[a, b/2], [b/2, c]] of larger |eigenvalue|.
         theta = 0.5 * (math.atan2(q.b, q.a - q.c) + (math.pi if q.a + q.c < 0.0 else 0.0))
-        self.axis = (math.cos(theta), math.sin(theta))
+        x, y = self.axis = (math.cos(theta), math.sin(theta))
+        self.two_step = _one_step(sys, x, y, e[0] * x + e[1] * y, e[2] * x + e[3] * y) is None
 
     @_memo
     def canonical(self) -> tuple:
@@ -342,12 +345,9 @@ def _pair_steps(sys: BilinearSystem, klass: VerdictClass, x: float, y: float,
         if u is None:
             raise InExcludedSet("initial state in excluded set")
         return [u]
-    tol = sys.tol
-    if tol.is_zero(math.hypot(x, y)) or tol.is_zero(math.hypot(ex, ey)):
+    if sys.tol.is_zero(math.hypot(x, y)) or sys.tol.is_zero(math.hypot(ex, ey)):
         raise ZeroState("controllable transfers connect nonzero states only")
-    if eff._steering.lines.kind is LineSetKind.ALL_OF_PLANE:
+    if eff._steering.two_step:
         return _canonical_steps(eff, x, y, ex, ey)
     u = _one_step(eff, x, y, ex, ey)
-    if u is not None:
-        return [u]
-    return _escape_moves(eff, x, y, ex, ey)
+    return [u] if u is not None else _escape_moves(eff, x, y, ex, ey)

@@ -39,7 +39,6 @@ from bilin2 import (
     form_scale,
     gram_form,
     zero_bottom_row_pair,
-    zero_lines,
 )
 from bilin2.classify import expand_controls
 from bilin2.mat2 import canonical_direction, cross
@@ -558,12 +557,11 @@ ESCAPE_MARGIN_FACTOR = 1e3
 
 
 def _ref_steering(sys: BilinearSystem):
-    """(form, its scale, its zero lines, candidate (u, step matrix) pairs),
+    """(form, its scale, candidate (u, step matrix) pairs),
     built in the order the library builds them, once per system."""
     b1, b2 = sys.inputs
     q = gram_form(b1, b2)
     fscale = form_scale(b1, b2)
-    lines = zero_lines(q, sys.tol, scale=fscale)
     candidates = (ESCAPE_CANDIDATES_DRIFT if sys.kind is SystemKind.WITH_DRIFT
                   else ESCAPE_CANDIDATES_DRIFTLESS)
     steps = []
@@ -574,18 +572,18 @@ def _ref_steering(sys: BilinearSystem):
         if a is not None:
             m = Mat2(a.a11 + m.a11, a.a12 + m.a12, a.a21 + m.a21, a.a22 + m.a22)
         steps.append((u, m))
-    return q, fscale, lines, steps
+    return q, fscale, steps
 
 
 def _ref_landings(sys: BilinearSystem, xi: Vec2):
-    for u, m in _ref_steering(sys)[3]:
+    for u, m in _ref_steering(sys)[2]:
         x = m @ xi
         if x.x * x.x + x.y * x.y != 0.0:
             yield u, x
 
 
 def ref_escape_step(sys: BilinearSystem, xi: Vec2):
-    q, fscale, _, _ = _ref_steering(sys)
+    q, fscale, _ = _ref_steering(sys)
     best, best_score = None, 0.0
     for u, x in _ref_landings(sys, xi):
         nrm2 = x.x * x.x + x.y * x.y
@@ -668,6 +666,16 @@ def _ref_verified(sys: BilinearSystem, xi: Vec2, eta: Vec2, steps) -> ControlPla
     return ControlPlan(plan.steps, error)
 
 
+def ref_takes_two_steps(sys: BilinearSystem) -> bool:
+    """Whether a controllable pair takes the two-step construction: where its
+    form scale is zero, or where q's eigenvalue of larger magnitude,
+    (|a + c| + hypot(a - c, b)) / 2, is zero next to the form scale."""
+    q = gram_form(*sys.inputs)
+    fscale = form_scale(*sys.inputs)
+    return fscale == 0.0 or sys.tol.is_zero(
+        0.5 * (abs(q.a + q.c) + math.hypot(q.a - q.c, q.b)) / fscale)
+
+
 def ref_plan_transfer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
     verdict = analyze(sys)
     if verdict.klass is VerdictClass.UNCONTROLLABLE:
@@ -684,7 +692,7 @@ def ref_plan_transfer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
         return _ref_verified(sys, xi, eta, [expand(u)])
     if sys.tol.is_zero(xi.norm()) or sys.tol.is_zero(eta.norm()):
         raise ZeroState("controllable transfers connect nonzero states only")
-    if _ref_steering(eff)[2].kind is LineSetKind.ALL_OF_PLANE:
+    if ref_takes_two_steps(eff):
         return _ref_verified(sys, xi, eta,
                              [expand(u) for u in ref_canonical_steps(eff, xi, eta)])
     u = ref_one_step(eff, xi, eta)

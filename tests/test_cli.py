@@ -17,8 +17,8 @@ SHARED_LINE = {"kind": "drift", "A": [[5, 3], [-4, -2]],
 SWAP_PAIR = {"kind": "driftless", "B": [[[-1, 0], [3, 1]], [[4, 3], [-6, -4]]]}
 TRAPPED = {"kind": "drift", "A": [[1, 2], [0, 3]],
            "B": [[[1, 1], [0, 0]], [[0, 1], [0, 0]]]}
-# Controllable, with inputs so small that the steering form is zero within the
-# absolute floor: the two-step construction is asked for, without a drift.
+# Controllable, with inputs so small that every coefficient of the steering
+# form is under the absolute floor 1e-9; its largest clearance is not zero.
 TINY_DRIFTLESS = {"kind": "driftless", "B": [[[0, -1e-5], [1e-5, 0]], [[1e-5, 0], [0, 2e-5]]]}
 # Controllable, with a substitution matrix diag(1e-3, 1e-8) whose determinant
 # falls under the absolute zero floor.
@@ -260,16 +260,29 @@ def test_steer_refuses_zero_endpoint(write_doc, capsys):
 
 
 @pytest.mark.parametrize("doc, start, target, reason", [
-    # Under a zero threshold of 0.5 no landing's clearance |q(l)| /
-    # (form_scale |l|^2), at most 0.49 for this form, counts as nonzero.
+    # Under a zero threshold of 0.4 the form's largest clearance |q(z)| /
+    # (form_scale |z|^2), 0.52, is not zero, so the pair takes the one-step
+    # route; but (1, 0) clears only 0.066, and no driftless landing clears.
+    ({"kind": "driftless", "tolerance": {"abs": 0.4, "rel": 1e-9},
+      "B": [[[-1.25, 0.75], [0.25, -1.75]], [[1.25, -1.5], [-0.5, 0.5]]]},
+     "1,0", "-110,-70", "no escape step cleared the singular set"),
+    # Under a zero threshold of 0.5 the form's largest clearance, 0.49, is
+    # zero, so the two-step construction is asked for on inputs it cannot use.
     (dict(ROTATION_DRIFT, tolerance={"abs": 0.5, "rel": 1e-9}), "10,10", "-110,-70",
-     "no escape step cleared the singular set"),
-    (TINY_DRIFTLESS, "1,1", "2,1", "the two-step construction needs a drift term"),
+     "inputs do not share a left null direction"),
     (SINGULAR_SUBSTITUTION, "1.3,0.4", "1.7,-0.6", "input substitution matrix is singular"),
 ], ids=["EscapeFailed", "NotCanonicalClass", "SingularSubstitution"])
 def test_steer_refuses_when_no_plan_is_found(doc, start, target, reason, write_doc, capsys):
     assert cli.main(["steer", write_doc(doc), "--from", start, "--to", target]) == 3
     assert json.loads(capsys.readouterr().out) == {"reason": reason}
+
+
+def test_steer_plans_on_small_inputs(write_doc, capsys):
+    # The route does not depend on the size of the inputs: the pair steers in
+    # one step, as it does scaled by 1e5.
+    assert cli.main(["steer", write_doc(TINY_DRIFTLESS), "--from", "1,1", "--to", "2,1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"steps": [[-100000.0, 100000.0]],
+                                                    "residual": 0.0}
 
 
 def test_steer_reports_overflow(write_doc, capsys):
@@ -406,6 +419,31 @@ def test_file_validation_errors(write_doc, tmp_path, capsys):
         assert fragment in capsys.readouterr().err
     assert cli.main(["analyze", str(tmp_path / "missing.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system, plan, start, message", [
+    ("{", [], "1,1", "invalid JSON at line 1 column 2"),
+    ("[1]", [], "1,1", "top level must be an object"),
+    (dict(ROTATION_DRIFT, tolerance=[1]), [], "1,1",
+     "tolerance must be an object with keys 'abs' and 'rel'"),
+    (dict(ROTATION_DRIFT, tolerance={"abs": 0}), [], "1,1", "abs_eps must be positive and finite"),
+    (ROTATION_DRIFT, [], "a,b", "--from expects two numbers, got 'a,b'"),
+    (ROTATION_DRIFT, {"steps": 5}, "1,1", "plan must be a list of control tuples"),
+    (ROTATION_DRIFT, "[[1e400, 0]]", "1,1", "non-finite control value inf"),
+], ids=["invalid-json", "top-level", "tolerance-type", "tolerance-value", "state",
+        "plan-type", "plan-overflow"])
+def test_simulate_reports_bad_input(system, plan, start, message, tmp_path, capsys):
+    def write(doc, name):
+        path = tmp_path / name
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    assert cli.main(["simulate", write(system, "system.json"), "--from", start,
+                     "--plan", write(plan, "plan.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
 
 
 def test_bad_state_argument(write_doc, capsys):

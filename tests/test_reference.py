@@ -34,7 +34,6 @@ from bilin2 import (
     ControlPlan,
     EscapeFailed,
     InExcludedSet,
-    LineSetKind,
     Mat2,
     NotCanonicalClass,
     NotControllablePair,
@@ -59,7 +58,7 @@ from bilin2 import (
     step,
     verify_plan,
 )
-from exact import lands_within, share_left_null_direction
+from exact import lands_within
 from bilin2.mat2 import (
     _similar,
     canonical_direction,
@@ -89,6 +88,7 @@ from helpers import (
     ref_run,
     ref_step,
     ref_step_matrix,
+    ref_takes_two_steps,
     ref_verify_plan,
 )
 
@@ -350,6 +350,15 @@ def _pair(sys):
     return apply_reduction(sys, verdict.reduction)
 
 
+def _takes_two_steps(pair):
+    """Whether plan_transfer routes the pair to the two-step construction,
+    or the type of the exception deciding it raises."""
+    try:
+        return pair._steering.two_step
+    except ValueError as exc:
+        return type(exc)
+
+
 def _placed(pair, xi, on_line):
     """xi, or with on_line its first coordinate times a zero line of the pair."""
     if on_line:
@@ -528,8 +537,7 @@ def test_escape_is_its_one_step(sys, xi, etas):
     else:
         for eta in etas:
             assert outcome(one_step, pair, landing, eta) != "None"
-    if (analyze(pair).klass is not VerdictClass.CONTROLLABLE
-            or pair_lines(*pair.inputs, pair.tol).kind is LineSetKind.ALL_OF_PLANE):
+    if analyze(pair).klass is not VerdictClass.CONTROLLABLE or _takes_two_steps(pair):
         return   # no escape: a refusal, the nearly one step or the two-step construction
     for eta in etas:
         try:
@@ -595,7 +603,7 @@ def _reference_escapes(sys, pair, xi, eta) -> bool:
             return False
         if sys.tol.is_zero(xi.norm()) or sys.tol.is_zero(eta.norm()):
             return False
-        if pair_lines(*pair.inputs, pair.tol).kind is LineSetKind.ALL_OF_PLANE:
+        if ref_takes_two_steps(pair):
             return False
         return ref_one_step(pair, xi, eta) is None
     except Exception:  # noqa: BLE001 - the reference stops before any escape
@@ -668,7 +676,7 @@ def test_returned_plans_are_plain_float_plans():
         if pair is None:
             continue
         klass, reduced = analyze(sys).klass, sys.m != 2
-        kind = pair_lines(*pair.inputs, pair.tol).kind
+        two_steps = _takes_two_steps(pair)
         starts = [(1.3, 0.4)] + [(d.x, d.y) for d in pair_lines(*pair.inputs, pair.tol).lines]
         for (x, y), k in itertools.product(starts, (-30, 0, 30)):
             f = 2.0 ** k
@@ -678,7 +686,7 @@ def test_returned_plans_are_plain_float_plans():
             except PLAN_REFUSALS:
                 continue
             _assert_plain_plan(plan)
-            if kind is LineSetKind.ALL_OF_PLANE:
+            if two_steps:
                 routes.add("canonical")
                 _assert_plain_plan(canonical_steer(pair, xi, eta))
             elif klass is VerdictClass.NEARLY_CONTROLLABLE:
@@ -719,13 +727,6 @@ def test_plan_transfer_lands_within_the_bound_under_exact_replay(sys, xi, eta, a
         return
     except ValueError as exc:
         assert not isinstance(exc, SingularMatrix)
-        return
-    except RuntimeError:
-        # Only where the absolute floors of the zero tests call a pair of
-        # small inputs canonical although its inputs share no left null
-        # direction, so that the two-step construction misses.
-        assert pair_lines(*pair.inputs, pair.tol).kind is LineSetKind.ALL_OF_PLANE
-        assert not share_left_null_direction(*pair.inputs)
         return
     assert lands_within(sys, xi, eta, plan.steps, _LANDING_TOL)
 
@@ -792,8 +793,7 @@ def test_one_step_routes_are_scale_free(sys, xi, eta, k, j1, j2, on_line):
     # floors of classification (ROADMAP item 2) are not what is tested here.
     klass = _verdict_class(pair)
     assume(klass not in (None, VerdictClass.UNCONTROLLABLE) and _verdict_class(scaled) is klass)
-    assume(all(pair_lines(*p.inputs, p.tol).kind is not LineSetKind.ALL_OF_PLANE
-               for p in (pair, scaled)))
+    assume(all(_takes_two_steps(p) is False for p in (pair, scaled)))
     xi = _placed(pair, xi, on_line)
     f = 2.0 ** k
     scaled_xi, scaled_eta = Vec2(xi.x * f, xi.y * f), Vec2(eta.x * f, eta.y * f)
@@ -816,6 +816,31 @@ def test_one_step_routes_are_scale_free(sys, xi, eta, k, j1, j2, on_line):
             and len(got) == len(expected) and all(
                 u == v or abs(v) < float_info.min
                 for gu, eu in zip(got, expected) for u, v in zip(gu, eu)))
+
+
+# Controllable pairs of inputs near 3e-5 and 1e-5: every coefficient of their
+# steering forms is under the absolute floor 1e-9, and neither pair shares a
+# left null direction.
+SMALL_INPUTS = _system((0.0, 0.0, 2.0 ** -18, 0.0), (0.0, 2.0 ** -15, 0.0, 7.0 * 2.0 ** -18),
+                       (-3.0 * 2.0 ** -17, 0.0, -3.0 * 2.0 ** -18, 0.0))
+TINY_DRIFTLESS = _system(None, (0.0, -1e-5, 1e-5, 0.0), (1e-5, 0.0, 0.0, 2e-5))
+
+
+@given(systems, st.integers(-40, 40), st.integers(-40, 40))
+@example(SMALL_INPUTS, 15, 15)
+@example(TINY_DRIFTLESS, 17, 17)
+def test_route_is_scale_free(sys, j1, j2):
+    """With input B_i scaled by 2^j_i, the pair takes the two-step
+    construction exactly where the unscaled pair does, wherever both get the
+    same verdict and a normal form scale."""
+    pair = _pair(sys)
+    assume(pair is not None)
+    scaled = _inputs_scaled(pair, j1, j2)
+    assume(scaled is not None)
+    klass = _verdict_class(pair)
+    assume(klass is not None and _verdict_class(scaled) is klass)
+    assume(all(float_info.min <= p._form_scale < math.inf for p in (pair, scaled)))
+    assert _takes_two_steps(scaled) == _takes_two_steps(pair)
 
 
 @given(st.sampled_from(GOLDEN), st.integers(0, 1),

@@ -65,6 +65,29 @@ def test_control_plan_refuses_a_string_step(text):
         ControlPlan(((1.0, 2.0), text))
 
 
+NOT_CONTROL_VECTORS = ["12", b"12", bytearray(b"12"), {0.5: "a", 2.0: "b"}, {1.0, 2.0},
+                       frozenset({1.0, 2.0}), {1.0: 5, 2.0: 6}.keys()]
+
+
+@pytest.mark.parametrize("u", NOT_CONTROL_VECTORS,
+                         ids=["str", "bytes", "bytearray", "dict", "set", "frozenset", "keys"])
+def test_step_and_plans_refuse_text_and_unordered_controls(u, rotation_drift_system):
+    # Their items are characters, byte values or keys in no set order, not
+    # controls: b"12" would step with (49, 50), a dict with its keys.
+    name = type(u).__name__
+    with pytest.raises(TypeError, match=f"step 0 is a {name}, not a control vector"):
+        step(rotation_drift_system, Vec2(1.0, 1.0), u)
+    with pytest.raises(TypeError, match=f"step 1 is a {name}, not a control vector"):
+        ControlPlan(((1.0, 2.0), u))
+
+
+def test_step_and_plans_take_sequences_arrays_and_generators(rotation_drift_system):
+    for u in ([5.0, 16.0], (5, 16), np.array([5.0, 16.0]), (c for c in (5.0, 16.0))):
+        assert step(rotation_drift_system, Vec2(-1.0, 1.0), u) == Vec2(-11.0, -7.0)
+    plan = ControlPlan([[0, 0], np.array([5.0, 16.0]), (c for c in (1.0, 2.0))])
+    assert plan.steps == ((0.0, 0.0), (5.0, 16.0), (1.0, 2.0))
+
+
 def test_step_known_transitions(rotation_drift_system):
     assert step(rotation_drift_system, Vec2(1.0, 1.0), (0.0, 0.0)) == Vec2(-1.0, 1.0)
     assert step(rotation_drift_system, Vec2(-1.0, 1.0), (5.0, 16.0)) == Vec2(-11.0, -7.0)

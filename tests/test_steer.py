@@ -344,19 +344,33 @@ def test_plan_transfer_after_a_small_escape_landing():
     assert lands_within(sys, xi, eta, plan.steps, 1e-8)
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="absolute floors in the steering-form and shared-null-direction "
-                          "zero tests call this pair of small inputs canonical")
 def test_plan_transfer_on_small_inputs_that_share_no_null_direction():
+    # Inputs of size 3e-5: every form coefficient is under the absolute floor
+    # 1e-9, but the form's largest clearance is not zero, so the pair is not
+    # canonical; the state sits on a zero line, and the plan escapes first.
     sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 0.0], [2.0 ** -18, 0.0]]),
                          (mat([[0.0, 2.0 ** -15], [0.0, 7.0 * 2.0 ** -18]]),
                           mat([[-3.0 * 2.0 ** -17, 0.0], [-3.0 * 2.0 ** -18, 0.0]])))
+    xi, eta = Vec2(1.0, 0.0), Vec2(0.0, 1.0)
     assert not share_left_null_direction(*sys.inputs)
-    try:
-        plan = plan_transfer(sys, Vec2(1.0, 0.0), Vec2(0.0, 1.0))
-    except NotCanonicalClass:
-        return
-    assert verify_plan(sys, Vec2(1.0, 0.0), Vec2(0.0, 1.0), plan)[0]
+    plan = plan_transfer(sys, xi, eta)
+    assert len(plan) == 2
+    assert verify_plan(sys, xi, eta, plan) == (True, plan.residual)
+    assert lands_within(sys, xi, eta, plan.steps, 1e-8)
+
+
+def test_plan_transfer_route_reads_no_drift():
+    # q(z) = 2^-540 x^2 clears under this tolerance, so the pair steps in one
+    # step.  The one step from q's axis (1, 0) to the zero target would need
+    # u2 = 1e150 / 2^-540, beyond the float range; the route must not ask for
+    # it.  (1, 1) is off the zero line and the drift sends it to 0.
+    sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 0.0], [1e150, -1e150]]),
+                         (mat([[1.0, 0.0], [0.0, 0.0]]), mat([[0.0, 1.0], [2.0 ** -540, 0.0]])),
+                         tol=TolerancePolicy(1e-200, 1e-200))
+    assert analyze(sys).klass is VerdictClass.CONTROLLABLE
+    assert sys._steering.axis == (1.0, 0.0) and not sys._steering.two_step
+    plan = plan_transfer(sys, Vec2(1.0, 1.0), Vec2(1.0, 0.0))
+    assert plan.steps == ((1.0, 0.0),) and plan.residual == 0.0
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeError,
@@ -457,11 +471,13 @@ def test_plan_transfer_reduces_and_finds_zero_lines_once_per_system(name, reques
     sys = built[name]() if name in built else request.getfixturevalue(name)
     reductions = _counting(monkeypatch, "apply_reduction")
     line_sets = _counting(monkeypatch, "_zero_lines")
-    # The verdict comes first and reduces nothing: classifying a
-    # nearly-controllable system builds its excluded lines on its own, once,
-    # and the plans reuse them.
+    # The verdict comes first, reduces nothing and finds the zero lines at
+    # most once.  The plans find none: the clearance of a state decides its
+    # one step, and the clearance of the form's principal axis the route.
     analyze(sys)
     assert reductions == []
+    found = len(line_sets)
+    assert found <= 1
     rng = np.random.default_rng(3)
     for k in range(100):
         xi = Vec2(1.0, 1.0) if k % 10 == 0 else unit_vec(rng)
@@ -471,7 +487,7 @@ def test_plan_transfer_reduces_and_finds_zero_lines_once_per_system(name, reques
             continue
         assert plan.residual is not None
     assert len(reductions) <= 1
-    assert len(line_sets) <= 1
+    assert len(line_sets) == found
 
 
 def test_each_memo_runs_once_per_instance(request, monkeypatch):
