@@ -7,13 +7,14 @@ exactly zero along the whole trajectory.  ``step``, ``run`` and
 floats, keeps only the states, builds no intermediate ``Vec2``, and raises
 ValueError where such a state would have come out non-finite; ``verify_plan``
 replays the step matrices only for a miss beyond 1e-8 |eta|.  The sampling
-oracle advances all its trials at once as numpy arrays, with the same
+oracle advances all its trials at once, each numpy call on the whole cloud
+(column-stacked step matrices, one (2, trials) state), with the same
 arithmetic in the same order, so each sample is bit for bit the ``step``
 replay of its plan: there is no second integrator to drift out of agreement.
 Its random plans come from one generator keyed by the seed, one row of
-uniforms per trial; the final states are built into ``Vec2`` samples in bulk,
-with one finiteness pass over the cloud, and their spread is summarized by a
-closed-form, scale-free covariance rank.
+uniforms per trial; the states leave numpy in one ``tolist``, are built into
+``Vec2`` samples in bulk, with one finiteness pass over the cloud, and their
+spread is summarized by a closed-form, scale-free covariance rank.
 """
 
 from __future__ import annotations
@@ -195,12 +196,14 @@ def reachability_oracle(sys: BilinearSystem, xi: Vec2, trials: int,
     k, so control components are uniform on [-3, 3].  Trial t depends only
     on (seed, t): the cloud of n trials is a prefix of the cloud of N > n.
 
-    All trials advance together as arrays.  Each step matrix is accumulated
-    like ``step`` does it, from the drift entries (or 0.0) adding u_i B_i in
-    input order, so every sample equals the replay of its plan through
-    ``step`` bit for bit.  The cloud is checked for finiteness once, in
-    numpy, and the samples are built in bulk by ``mat2``; a non-finite sample
-    raises the ValueError that ``Vec2`` raises for the first such sample.
+    All trials advance together, each numpy call on the whole cloud: the
+    step matrices stacked column by column, from the drift entries (or 0.0)
+    adding u_i B_i in input order like ``step``, and one (2, trials) state
+    updated in place where a plan still runs, so every sample equals its
+    plan's ``step`` replay bit for bit.  The cloud is checked for finiteness
+    once and leaves numpy in one ``tolist``; the samples, ``Vec2`` values by
+    contract and about half a call's cost, are built in bulk by ``mat2``, and
+    a non-finite one raises the ValueError ``Vec2`` raises for the first such.
 
     The covariance rank of the cloud separates line-trapped systems (rank 1)
     from ones that spread over the plane (rank 2); it is 0 when every sample
@@ -214,43 +217,38 @@ def reachability_oracle(sys: BilinearSystem, xi: Vec2, trials: int,
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     m = sys.m
-    draws = np.random.default_rng(seed).random((trials, 1 + 3 * m))
-    length = 1 + (3.0 * draws[:, 0]).astype(np.intp)
-    controls = -3.0 + 6.0 * draws[:, 1:]
-    x = np.full(trials, xi.x)
-    y = np.full(trials, xi.y)
+    r = np.random.default_rng(seed).random((trials, 1 + 3 * m))
+    r3 = 3.0 * r[:, 0]  # plan length 1 + floor(r3): step k runs where r3 >= k
+    u = np.multiply(6.0, r.T[1:].reshape(3, m, trials), order="C")
+    u -= 3.0  # u[k, i] is control i of step k for every trial
+    # cols[k, j] is column j of every trial's step-k matrix, a (2, trials) array.
     a = sys.drift
-    start = (a.a11, a.a12, a.a21, a.a22) if a is not None else (0.0, 0.0, 0.0, 0.0)
+    cols = np.empty((3, 2, 2, trials))
+    cols[...] = [[[a.a11], [a.a21]], [[a.a12], [a.a22]]] if a is not None else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(3):
-            a11, a12, a21, a22 = start
-            for i, b in enumerate(sys.inputs):
-                ui = controls[:, k * m + i]
-                a11 = a11 + ui * b.a11
-                a12 = a12 + ui * b.a12
-                a21 = a21 + ui * b.a21
-                a22 = a22 + ui * b.a22
-            x_next, y_next = a11 * x + a12 * y, a21 * x + a22 * y
-            if k == 0:  # every plan takes its first step
-                x, y = x_next, y_next
-            else:
-                live = length > k
-                x, y = np.where(live, x_next, x), np.where(live, y_next, y)
-    finite = bool(np.isfinite(x).all() and np.isfinite(y).all())
-    samples = _vec2s(x.tolist(), y.tolist(), finite)
-    return OracleReport(samples, _covariance_rank(x, y, sys.tol))
+        for i, b in enumerate(sys.inputs):
+            cols += u[:, i, None, None] * [[[b.a11], [b.a21]], [[b.a12], [b.a22]]]
+        s = cols[0, 0] * xi.x
+        s += cols[0, 1] * xi.y
+        for k in (1, 2):
+            nxt = cols[k, 0] * s[0]
+            nxt += cols[k, 1] * s[1]
+            np.copyto(s, nxt, where=r3 >= k)
+    xs, ys = s.tolist()
+    samples = _vec2s(xs, ys, bool(np.isfinite(s).all()))
+    return OracleReport(samples, _covariance_rank(s, sys.tol))
 
 
-def _covariance_rank(x, y, tol) -> int:
-    """Rank of the 2x2 covariance of the finite cloud (x, y), from its
-    closed-form eigenvalues, each measured against the mean squared norm."""
+def _covariance_rank(s, tol) -> int:
+    """Rank of the 2x2 covariance of the finite cloud s, of shape (2, n), from
+    its closed-form eigenvalues, each measured against the mean squared norm."""
     import numpy as np
 
-    scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+    scale = float(np.max(np.abs(s)))
     if scale == 0.0:
         return 0
-    x = x / scale
-    y = y / scale
+    x = s[0] / scale
+    y = s[1] / scale
     n = x.size
     # Sums, not means: the trial count cancels in the ratio of an eigenvalue
     # to the mean squared norm.

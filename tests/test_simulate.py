@@ -1,6 +1,7 @@
 """Plan replay, verification, and the Monte-Carlo reachability probe."""
 
 import copy
+import hashlib
 import math
 import pickle
 import warnings
@@ -239,6 +240,41 @@ def test_oracle_samples_are_step_replays_bit_for_bit(name):
     assert lengths == {1, 2, 3}
 
 
+# The drift's first column is -0.0 and the inputs' bottom rows are 0.0, so from
+# the zero start the signs of zero products and sums reach the samples.
+SIGNED_ZERO_DRIFT = BilinearSystem(SystemKind.WITH_DRIFT, Mat2(-0.0, 2.0, -0.0, 3.0),
+                                   (Mat2(1.0, 1.0, 0.0, 0.0), Mat2(0.0, 1.0, 0.0, 0.0)))
+# sha256 over float.hex of every sample and the rank, for the starts, seeds and
+# trial counts of _oracle_digest.  They pin the stream itself: the bit-for-bit
+# replay test above compares the oracle with run, and a change to the
+# arithmetic they share would pass it.
+ORACLE_DIGESTS = {
+    "drift2": "21c054c441b977c5c4b3bef71c60e07294668f5b74331244f8306f0211ada43a",
+    "drift3": "7e6f5975c0550b43f1762ca4a7cb0cbd1754d5744b1a87f1b2eb5266a404a676",
+    "driftless2": "9c0a18ab898bcf255ea7ba8f2e178369147a4ec2985cd38e3eca76ec38bb5b6e",
+    "driftless4": "fc26c07f7277d94e63a893fa2d3d627896fbbf04b6170a81053f5ee4dacfbacd",
+    "signed_zero_drift": "e11b508d28a153e0cae9ff64b3ee2504cfb1a8584df2b82b6170fa507e3582ac",
+}
+
+
+def _oracle_digest(sys) -> str:
+    h = hashlib.sha256()
+    for xi in (Vec2(0.3, -0.7), Vec2(-0.0, 0.0), Vec2(1e200, 1e200)):
+        for seed in range(4):
+            for trials in (1, 2, 1000):
+                report = reachability_oracle(sys, xi, trials, seed=seed)
+                for s in report.samples:
+                    h.update(f"{s.x.hex()} {s.y.hex()};".encode())
+                h.update(f"rank {report.covariance_rank};".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DIGESTS))
+def test_oracle_stream_matches_its_recorded_digest(name):
+    sys = KERNEL_SYSTEMS.get(name, SIGNED_ZERO_DRIFT)
+    assert _oracle_digest(sys) == ORACLE_DIGESTS[name]
+
+
 def test_oracle_samples_behave_like_constructed_vectors():
     # The samples are built in bulk, without a constructor call each.
     samples = reachability_oracle(README, Vec2(0.3, -0.7), 60, seed=5).samples
@@ -290,9 +326,11 @@ def test_oracle_overflow_raises_value_error_without_warnings():
                                 for b in README_INPUTS))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError) as raised:
             reachability_oracle(loud, Vec2(1e300, 1e300), 1000)
     assert caught == []
+    # The message Vec2 raises for the first non-finite sample in trial order.
+    assert str(raised.value) == "non-finite vector (-inf, nan)"
 
 
 def test_oracle_rank_of_a_single_point_is_zero():

@@ -464,7 +464,7 @@ def _pinned_nearly_system() -> BilinearSystem:
 @pytest.mark.parametrize("name", ["rotation_drift_system", "coupled_shift_system",
                                   "shared_line_drift_system", "swap_pair_system",
                                   "escape_twice", "driftless4", "pinned_nearly"])
-def test_plan_transfer_reduces_and_finds_zero_lines_once_per_system(name, request, monkeypatch):
+def test_plan_transfer_reduces_once_and_finds_no_zero_lines(name, request, monkeypatch):
     built = {"escape_twice": _escape_twice_system,
              "driftless4": lambda: generic_driftless_system(np.random.default_rng(7), m=4),
              "pinned_nearly": _pinned_nearly_system}
