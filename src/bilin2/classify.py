@@ -264,8 +264,8 @@ def _nearly(lines: LineUnion, report: StructureReport, red: Reduction) -> Verdic
 
 def _verdict_with_common_vector(sys: BilinearSystem, common: Direction) -> Verdict:
     report = _triangular(sys.matrices(), common, sys.tol)
-    forms = report.canonical_forms[-sys.m:]   # those of the inputs
-    if all([sys.tol.is_zero(f.a22, b.frob()) for f, b in zip(forms, sys.inputs)]):
+    forms = zip(report.canonical_forms[-sys.m:], sys.inputs)   # the inputs' forms
+    if all([f.a22 == 0.0 or sys.tol.is_zero(f.a22 / b.frob()) for f, b in forms]):
         return Verdict(VerdictClass.UNCONTROLLABLE, None, common, report, _IDENTITY)
     if sys.m == 2:
         return _nearly(pair_lines(*sys.inputs, sys.tol), report, _IDENTITY)

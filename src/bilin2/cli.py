@@ -9,14 +9,15 @@ System files are JSON:
 
 ``steer`` prints the plan and the replay residual it was accepted on, within
 ``verify_plan``'s bound 1e-8 * max(|eta|, max_k |M_k|_F |x_k|, 2^-1042).  Exit
-codes: 0 on success, 2 on parse or validation failure, on a verdict whose zero
-tests cannot be made (such as a ZeroVector), or on a simulated, sampled or
-replayed state that overflows to a non-finite value, 3 when a steering request
-is refused (uncontrollable verdict, excluded initial state, zero endpoint
-under a controllable verdict, or no plan found: no closed-form escape step
-cleared the singular set, no usable two-step construction, or a singular
-input substitution).  BILIN2_TOL_ABS /
-BILIN2_TOL_REL override the tolerance from the environment, over the file.
+codes: 0 on success, 2 on parse or validation failure, on a verdict whose
+certificate leaves the float range, or on a simulated, sampled or replayed
+state that overflows, 3 when a steering request is refused (uncontrollable
+verdict, excluded initial state, zero endpoint under a controllable verdict,
+or no plan found: no closed-form escape step cleared the singular set, no
+usable two-step construction, or a singular input substitution).
+BILIN2_TOL_ABS / BILIN2_TOL_REL override the tolerance from the environment,
+over the file.  Every zero test compares a dimensionless ratio with ``abs``;
+``rel`` still parses, and decides nothing.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def _emit(doc) -> None:
 def _analyze(sys: BilinearSystem) -> Verdict:
     try:
         return analyze(sys)
-    except ValueError as exc:  # e.g. ZeroVector: a direction inside the zero band
+    except ValueError as exc:  # e.g. a certificate beyond the float range
         raise SystemFileError(str(exc)) from exc
 
 

@@ -30,13 +30,11 @@ and the residual test ``_invariant``, under ``real_eigen_directions`` and
 ``is_eigenvector``; a ``Direction`` is built only for a certified vector),
 ``structure._antidiagonal``, ``canonical_direction``, ``_similar`` and ``_lincomb``;
 on the plan path the ``steer`` kernels and the replay kernel ``simulate._replay``.
-A singular 2x2 system is a zero test in ``_det2`` that answers None; only
-``solve2`` turns that into ``SingularMatrix``, so neither path raises one to
-catch.  No 2x2 solve is left on the plan path: ``_det2`` decides the two-step
-construction's input substitution matrix once per system.  Where an
-intermediate would have come out non-finite, the kernel raises ValueError as
-that value's constructor would have (``_finite``), and it never returns a
-decision made on inf or nan.
+A singular 2x2 system is a zero test in ``_det2`` that answers None (only
+``solve2`` raises ``SingularMatrix``), made once per system for the two-step
+construction's input substitution.  Where an intermediate would have come
+out non-finite, the kernel raises ValueError as that value's constructor
+would have (``_finite``), and it never returns a decision made on inf or nan.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import repeat
-from math import isfinite, sqrt
+from math import isfinite
 from typing import Optional
 
 
@@ -108,12 +106,9 @@ class _memo:
 
 
 class TolerancePolicy(_Record):
-    """Absolute/relative floor for deciding when a float counts as zero.
-
-    ``is_zero(x, scale)`` tests ``|x| <= abs_eps + rel_eps * |scale|``; callers
-    pass the natural magnitude of the quantity (row norms, Frobenius products,
-    squared state norms) as ``scale``.
-    """
+    """The one zero test of the library: ``is_zero(r)`` tests ``|r| <= abs_eps``
+    on a dimensionless ratio r, after an exact-zero test where the magnitude r
+    divides by can be 0.  ``rel_eps`` still validates, and decides nothing."""
 
     _fields = ("abs_eps", "rel_eps")
 
@@ -130,11 +125,8 @@ class TolerancePolicy(_Record):
         _setfield(self, "abs_eps", abs_eps)
         _setfield(self, "rel_eps", rel_eps)
 
-    def threshold(self, scale: float = 0.0) -> float:
-        return self.abs_eps + self.rel_eps * abs(scale)
-
-    def is_zero(self, x: float, scale: float = 0.0) -> bool:
-        return abs(x) <= self.abs_eps + self.rel_eps * abs(scale)
+    def is_zero(self, x: float) -> bool:
+        return abs(x) <= self.abs_eps
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -220,7 +212,10 @@ class Mat2(_Record):
         return self.a11 + self.a22
 
     def frob(self) -> float:
-        return math.sqrt(self.a11**2 + self.a12**2 + self.a21**2 + self.a22**2)
+        n = math.hypot(self.a11, self.a12, self.a21, self.a22)
+        if n == math.inf:
+            raise ValueError(f"non-finite matrix norm of {self.rows()}")
+        return n
 
     def __matmul__(self, other):
         if isinstance(other, Vec2):
@@ -263,18 +258,36 @@ def _lincomb(ca: float, m: Mat2, cb: float = 0.0, n: Optional[Mat2] = None) -> M
                 ca * m.a21 + cb * n.a21, ca * m.a22 + cb * n.a22)
 
 
-def _det2(a11: float, a12: float, a21: float, a22: float,
-          tol: TolerancePolicy) -> Optional[float]:
-    """det [[a11, a12], [a21, a22]], or None when it is zero or fails the zero test.
+def _pow2_exponent(top: float, k: int = 0) -> int:
+    """The e in [-1022, 1023] that puts top * 2^e in [2^(k-1), 2^k)."""
+    return max(-1022, min(k - math.frexp(top)[1], 1023))
 
-    The test is scaled by the product of the row norms, so a uniformly scaled
-    matrix makes the same singular/nonsingular decision.  That product is nan
-    for an infinite row norm times a zero one, hence the exact check first.
-    """
+
+def _pow2(m: Mat2) -> tuple[float, float, float, float]:
+    """m's entries times the power of two putting the largest in [1/2, 1), exact above 2^-1022."""
+    f = math.ldexp(1.0, _pow2_exponent(max(abs(m.a11), abs(m.a12), abs(m.a21), abs(m.a22))))
+    return m.a11 * f, m.a12 * f, m.a21 * f, m.a22 * f
+
+
+def _det2(a11: float, a12: float, a21: float, a22: float,
+          tol: TolerancePolicy) -> Optional[tuple]:
+    """[[a11, a12], [a21, a22]] x = y for :func:`_cramer`, column j times a power
+    of two f_j as in :func:`_pow2`; or None where det over the column norms tests zero."""
+    f1, f2 = [math.ldexp(1.0, _pow2_exponent(max(abs(p), abs(q))))
+              for p, q in ((a11, a21), (a12, a22))]
+    a11, a21, a12, a22 = a11 * f1, a21 * f1, a12 * f2, a22 * f2
     d = a11 * a22 - a12 * a21
-    if d == 0.0 or tol.is_zero(d, math.hypot(a11, a12) * math.hypot(a21, a22)):
+    if d == 0.0 or tol.is_zero(d / math.hypot(a11, a21) / math.hypot(a12, a22)):
         return None
-    return d
+    return d, f1, f2, a11, a12, a21, a22
+
+
+def _cramer(s: tuple, y1: float, y2: float) -> tuple[float, float]:
+    """x with m x = y for the system s that :func:`_det2` made of m, or Vec2's ValueError."""
+    d, f1, f2, a11, a12, a21, a22 = s
+    x1, x2 = f1 * ((y1 * a22 - a12 * y2) / d), f2 * ((a11 * y2 - y1 * a21) / d)
+    _finite(x1, x2)
+    return x1, x2
 
 
 def _finite(*values: float) -> None:
@@ -284,12 +297,11 @@ def _finite(*values: float) -> None:
 
 
 def solve2(m: Mat2, y: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Vec2:
-    """Solve m @ x = y by Cramer's rule; SingularMatrix when det(m) tests zero,
-    ValueError when the solution is non-finite."""
-    d = _det2(m.a11, m.a12, m.a21, m.a22, tol)
-    if d is None:
+    """Solve m @ x = y by :func:`_cramer`; SingularMatrix when det(m) tests zero."""
+    s = _det2(m.a11, m.a12, m.a21, m.a22, tol)
+    if s is None:
         raise SingularMatrix(f"matrix {m.rows()} is singular within tolerance")
-    return Vec2((y.x * m.a22 - m.a12 * y.y) / d, (m.a11 * y.y - y.x * m.a21) / d)
+    return Vec2(*_cramer(s, y.x, y.y))
 
 
 class Direction(_Record):
@@ -319,10 +331,9 @@ class Direction(_Record):
 def canonical_direction(v: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Direction:
     """Normalize v to the canonical representative of its line.
 
-    The representative has unit norm and a positive first component; when the
-    first component sits inside the zero band the sign is fixed by making the
-    second component positive.  Raises ZeroVector for vectors with norm inside
-    the absolute zero band.
+    The representative has unit norm and a positive first component, or a
+    positive second one where the first is inside the zero band.  Raises
+    ZeroVector for the zero vector only, however small the others are.
     """
     return _direction(v.x, v.y, tol)
 
@@ -335,7 +346,7 @@ def _direction(x: float, y: float, tol: TolerancePolicy) -> Direction:
 def _unit(x: float, y: float, tol: TolerancePolicy) -> tuple[float, float]:
     """The coordinates of :func:`_direction`'s representative of (x, y)."""
     n = math.hypot(x, y)
-    if tol.is_zero(n):
+    if n == 0.0:
         raise ZeroVector(f"cannot orient zero vector ({x}, {y})")
     ux, uy = x / n, y / n
     if ux > tol.abs_eps:
@@ -348,13 +359,10 @@ def _unit(x: float, y: float, tol: TolerancePolicy) -> tuple[float, float]:
     return s * ux + 0.0, s * uy + 0.0
 
 
-def _eigvec_for(m: Mat2, lam: float, tol: TolerancePolicy) -> tuple[float, float]:
-    # Kernel vector of (m - lam*I): orthogonal to either row; both candidates
-    # are parallel in exact arithmetic, so take the numerically larger one.
-    ax, ay = m.a12, lam - m.a11
-    bx, by = lam - m.a22, m.a21
-    if not (isfinite(ay) and isfinite(bx)):
-        raise ValueError(f"non-finite eigenvector candidates ({ax}, {ay}), ({bx}, {by})")
+def _eigvec_for(a: tuple, lam: float, tol: TolerancePolicy) -> tuple[float, float]:
+    # The larger of the two row normals of m - lam*I (m's entries a), parallel in exact arithmetic.
+    ax, ay = a[1], lam - a[0]
+    bx, by = lam - a[3], a[2]
     if math.hypot(bx, by) > math.hypot(ax, ay):
         return _unit(bx, by, tol)
     return _unit(ax, ay, tol)
@@ -375,19 +383,19 @@ def real_eigen_directions(m: Mat2,
 
 
 def _eigen_units(m: Mat2, tol: TolerancePolicy) -> Optional[tuple[tuple[float, float], ...]]:
-    """:func:`real_eigen_directions` as the (x, y) pairs of its unit vectors."""
-    scale = m.frob()
-    if (tol.is_zero(m.a12, scale) and tol.is_zero(m.a21, scale)
-            and tol.is_zero(m.a11 - m.a22, scale)):
+    """:func:`real_eigen_directions` as unit (x, y) pairs, found on ``_pow2`` of m."""
+    a = a11, a12, a21, a22 = _pow2(m)
+    scale = math.hypot(*a)
+    if scale == 0.0 or tol.is_zero(max(abs(a12), abs(a21), abs(a11 - a22)) / scale):
         return None
-    tr = m.trace()
-    disc = tr * tr - 4.0 * m.det()
-    if tol.is_zero(disc, scale * scale):
-        return (_eigvec_for(m, 0.5 * tr, tol),)
+    tr = a11 + a22
+    disc = tr * tr - 4.0 * (a11 * a22 - a12 * a21)
+    if tol.is_zero(disc / scale / scale):
+        return (_eigvec_for(a, 0.5 * tr, tol),)
     if disc < 0.0:
         return ()
     sq = math.sqrt(disc)
-    return _eigvec_for(m, 0.5 * (tr + sq), tol), _eigvec_for(m, 0.5 * (tr - sq), tol)
+    return _eigvec_for(a, 0.5 * (tr + sq), tol), _eigvec_for(a, 0.5 * (tr - sq), tol)
 
 
 def is_eigenvector(m: Mat2, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -404,23 +412,22 @@ def _invariant(m: Mat2, x: float, y: float, tol: TolerancePolicy) -> bool:
     # component, so this one test stands for a check on every intermediate.
     if not (isfinite(rx) and isfinite(ry)):
         raise ValueError(f"non-finite eigenvector residual ({rx}, {ry})")
-    return tol.is_zero(math.hypot(rx, ry), m.frob())
+    r = math.hypot(rx, ry)
+    return r == 0.0 or tol.is_zero(r / m.frob())
 
 
 def linearly_independent(ms, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Linear independence of up to four matrices, viewed as vectors in R^4.
 
-    Gaussian elimination with full pivoting; every pivot test is scaled by the
-    largest original row norm, which keeps the decision invariant under
-    permutations of the input list.  Pivot ties go to the first entry in row
-    then column order.
+    Gaussian elimination with full pivoting on the rows divided by their own
+    norms, so scaling one matrix, or permuting the list, leaves the decision
+    as it is; a zero matrix has no row, so the rank falls short.  Pivot ties
+    go to the first entry in row then column order.
     """
     ms = list(ms)
     if not 1 <= len(ms) <= 4:
         raise ValueError(f"expected between 1 and 4 matrices, got {len(ms)}")
-    rows = [[m.a11, m.a12, m.a21, m.a22] for m in ms]
-    # sum(), not +: it adds as sum over a generator does (compensated on 3.12+)
-    floor = tol.threshold(max([sqrt(sum((a * a, b * b, c * c, d * d))) for a, b, c, d in rows]))
+    rows = [[m.a11 / n, m.a12 / n, m.a21 / n, m.a22 / n] for m in ms if (n := m.frob())]
     live = list(range(len(rows)))
     cols = [0, 1, 2, 3]
     rank = 0
@@ -433,7 +440,7 @@ def linearly_independent(ms, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
                 if abs(row[j]) > best:
                     best, pi, pj = abs(row[j]), i, j
         pivot = rows[pi][pj]
-        if abs(pivot) <= floor:
+        if tol.is_zero(pivot):
             break
         rank += 1
         live.remove(pi)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .mat2 import DEFAULT_TOL, Direction, Mat2, TolerancePolicy, _direction, _Record, _setfield
+from .mat2 import (DEFAULT_TOL, Direction, Mat2, TolerancePolicy, _direction, _pow2,
+                   _pow2_exponent, _Record, _setfield)
 
 
 class QuadraticForm(_Record):
@@ -60,14 +61,14 @@ def gram_form(b1: Mat2, b2: Mat2) -> QuadraticForm:
     Writing ai, bi for the columns of bi: a = det[a1 a2],
     b = det[a1 b2] + det[b1 a2], c = det[b1 b2].
     """
-    return QuadraticForm(*_gram(b1, b2))
+    return QuadraticForm(*_gram(b1.a11, b1.a12, b1.a21, b1.a22, b2.a11, b2.a12, b2.a21, b2.a22))
 
 
-def _gram(b1: Mat2, b2: Mat2) -> tuple[float, float, float]:
-    """The coefficients of :func:`gram_form`, as floats."""
-    return (b1.a11 * b2.a21 - b1.a21 * b2.a11,
-            (b1.a11 * b2.a22 - b1.a21 * b2.a12) + (b1.a12 * b2.a21 - b1.a22 * b2.a11),
-            b1.a12 * b2.a22 - b1.a22 * b2.a12)
+def _gram(a11: float, a12: float, a21: float, a22: float,
+          b11: float, b12: float, b21: float, b22: float) -> tuple[float, float, float]:
+    """The coefficients of :func:`gram_form` of the pair's entries, as floats."""
+    return (a11 * b21 - a21 * b11, (a11 * b22 - a21 * b12) + (a12 * b21 - a22 * b11),
+            a12 * b22 - a22 * b12)
 
 
 def form_scale(b1: Mat2, b2: Mat2) -> float:
@@ -84,28 +85,29 @@ def zero_lines(q: QuadraticForm, tol: TolerancePolicy = DEFAULT_TOL,
     """Classify and extract the real zero lines of q.
 
     ``scale`` is the coefficient magnitude reference (pass form_scale(b1, b2)
-    for a steering form).  The discriminant zero test is scaled by
-    a^2 + b^2 + c^2 since the form is homogeneous in its coefficients.  Root
-    extraction parametrizes by whichever slope variable keeps the leading
-    quadratic coefficient large, so near-axis lines come out without
-    cancellation or overflow.
+    for a steering form): q vanishes on the plane where every coefficient over
+    it is zero, or with ``scale`` 0 where every one is exactly zero.  The
+    discriminant, on the coefficients over a power of two, is tested over
+    a^2 + b^2 + c^2; roots are taken in the slope variable that keeps the
+    leading coefficient large, so near-axis lines avoid cancellation and overflow.
     """
     return _zero_lines(q.a, q.b, q.c, tol, scale)
 
 
 def _zero_lines(a: float, b: float, c: float, tol: TolerancePolicy, scale: float) -> LineUnion:
     """:func:`zero_lines` of the form with finite coefficients a, b, c."""
-    if tol.is_zero(a, scale) and tol.is_zero(b, scale) and tol.is_zero(c, scale):
+    top = max(abs(a), abs(b), abs(c))
+    if top == 0.0 or scale != 0.0 and tol.is_zero(top / scale):
         return LineUnion(LineSetKind.ALL_OF_PLANE)
+    f = math.ldexp(1.0, _pow2_exponent(top))
+    a, b, c = a * f, b * f, c * f
     if a == 0.0 and c == 0.0:
-        # Exactly b*z1*z2: the two coordinate axes.  Decided before the
-        # discriminant test, whose absolute floor can swallow b^2 when b is
-        # tiny, and whose root extraction would divide by the zero ends.
+        # Exactly b*z1*z2, or ends lost next to b: the two coordinate axes,
+        # without the root extraction's division by the zero ends.
         dirs = (_direction(1.0, 0.0, tol), _direction(0.0, 1.0, tol))
         return LineUnion(LineSetKind.TWO_LINES, tuple(sorted(dirs, key=_angle_key)))
     disc = b * b - 4.0 * a * c
-    disc_scale = a * a + b * b + c * c
-    if tol.is_zero(disc, disc_scale):
+    if tol.is_zero(disc / (a * a + b * b + c * c)):
         # One repeated line; at least one end coefficient is exactly nonzero
         # here, and the dominant one carries the root without cancellation.
         # Its slope overflows only when that coefficient is subnormal; the
@@ -139,8 +141,6 @@ def _zero_lines(a: float, b: float, c: float, tol: TolerancePolicy, scale: float
 
 
 def pair_lines(b1: Mat2, b2: Mat2, tol: TolerancePolicy = DEFAULT_TOL) -> LineUnion:
-    """The zero lines of the pair's steering form, tested at its own scale."""
-    a, b, c = _gram(b1, b2)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise ValueError(f"non-finite steering form coefficients ({a}, {b}, {c})")
-    return _zero_lines(a, b, c, tol, form_scale(b1, b2))
+    """The zero lines of the pair's steering form, found on ``_pow2`` of each input."""
+    s1, s2 = _pow2(b1), _pow2(b2)
+    return _zero_lines(*_gram(*s1, *s2), tol, math.hypot(*s1) * math.hypot(*s2))

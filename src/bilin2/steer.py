@@ -25,7 +25,7 @@ import math
 from math import isfinite
 
 from .classify import BilinearSystem, VerdictClass, _expand, analyze
-from .mat2 import Mat2, Vec2, _det2, _finite, _memo, _similar
+from .mat2 import Mat2, Vec2, _cramer, _det2, _finite, _memo, _pow2_exponent, _similar
 from .quadform import gram_form
 from .simulate import ControlPlan, _control_plan, _verify
 from .structure import zero_bottom_row_pair
@@ -53,8 +53,8 @@ class NotCanonicalClass(RuntimeError):
 
 
 class SingularSubstitution(RuntimeError):
-    """The input substitution matrix of the two-step construction failed the
-    determinant zero test; badly scaled independent inputs can cause it."""
+    """The two-step construction's input substitution matrix failed its det zero
+    test, which near the threshold can differ from the independence test by about sqrt(2)."""
 
 
 def _require_pair(sys: BilinearSystem) -> None:
@@ -89,7 +89,7 @@ def _one_step(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
                          f"({rx}, {ry})")
     d = c1x * c2y - c2x * c1y
     if not (2.0 ** -1022 <= abs(d) < math.inf or rescaled or scale == 0.0):
-        e = max(-1022, min(1 - math.frexp(math.sqrt(scale) * max(abs(x), abs(y)))[1], 1023))
+        e = _pow2_exponent(math.sqrt(scale) * max(abs(x), abs(y)), 1)
         if e != 0:
             f = math.ldexp(1.0, e)
             return _one_step(sys, x * f, y * f, ex * f, ey * f, True)
@@ -127,10 +127,9 @@ class _Steering:
 
     @_memo
     def canonical(self) -> tuple:
-        """(P, M_sub, det M_sub, offset, A21, A22, |A-bar|_F) of the
-        zero-bottom-row basis, with P and M_sub as their entries in row order,
-        det M_sub None where its zero test calls M_sub singular, and offset as
-        a pair; or NotCanonicalClass (not kept) when the pair has none."""
+        """(P, M_sub, offset, A21, A22, |A-bar|_F) of the zero-bottom-row basis:
+        P's entries in row order, M_sub as ``_det2`` gives it (None where
+        singular), offset a pair; or NotCanonicalClass (not kept) if none."""
         if self.drift is None:
             raise NotCanonicalClass("the two-step construction needs a drift term")
         b1, b2 = self.inputs
@@ -142,10 +141,9 @@ class _Steering:
         f1 = _similar(p, b1, p_inv)
         f2 = _similar(p, b2, p_inv)
         a_scale = a_bar.frob()
-        if self.tol.is_zero(a_bar.a21, a_scale):
+        if a_bar.a21 == 0.0 or self.tol.is_zero(a_bar.a21 / a_scale):
             raise NotCanonicalClass("drift has no coupling into the decoupled coordinate")
-        m_sub = (f1.a11, f2.a11, f1.a12, f2.a12)
-        return ((p.a11, p.a12, p.a21, p.a22), m_sub, _det2(*m_sub, self.tol),
+        return ((p.a11, p.a12, p.a21, p.a22), _det2(f1.a11, f2.a11, f1.a12, f2.a12, self.tol),
                 (a_bar.a11, a_bar.a12), a_bar.a21, a_bar.a22, a_scale)
 
 
@@ -170,9 +168,9 @@ def escape_step(sys: BilinearSystem, xi: Vec2) -> tuple[tuple[float, float], Vec
 
 
 def _escape(sys: BilinearSystem, x: float, y: float, tx: float, ty: float):
-    """The landing :func:`escape_step` picks from (x, y), as (u, lx, ly, v),
-    computed as the replay computes it, with v the one step from it to
-    (tx, ty); where no landing clears, v is None and the landing is p, or c's
+    """The landing :func:`escape_step` picks from (x, y), as (u, lx, ly, v), as
+    the replay computes it, with v the one step from it to (tx, ty); where no
+    landing clears or t is not finite, v is None and the landing is p, or c's
     when p is zero.  ValueError when an image, the landing or v overflows."""
     steering, tol = sys._steering, sys.tol
     (b1, b2), (a11, a12, a21, a22) = steering.inputs, steering.drift_entries
@@ -203,6 +201,8 @@ def _escape(sys: BilinearSystem, x: float, y: float, tx: float, ty: float):
         t = -cp / cc
     else:
         t = math.copysign(1024.0 * pn / cn, -cp * cc)
+    if not isfinite(t):   # c is too small next to p for any landing near the axis
+        return (0.0, 0.0), px, py, None
     m11, m12, m21, m22 = a11 + t * b.a11, a12 + t * b.a12, a21 + t * b.a21, a22 + t * b.a22
     lx, ly = m11 * x + m12 * y, m21 * x + m22 * y
     _finite(lx, ly)
@@ -264,8 +264,7 @@ def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: flo
     yet replayed.  Every state and bar step is a pair of floats, checked
     finite where the construction would have built it as a ``Vec2``."""
     tol = sys.tol
-    ((p11, p12, p21, p22), (m11, m12, m21, m22), det, (o1, o2), a21, a22,
-     a_scale) = sys._steering.canonical
+    (p11, p12, p21, p22), m_sub, (o1, o2), a21, a22, a_scale = sys._steering.canonical
 
     x, y = p11 * x + p12 * y, p21 * x + p22 * y
     _finite(x, y)
@@ -275,7 +274,7 @@ def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: flo
     if tol.is_zero(state_scale):
         raise ZeroState("cannot steer from the zero state")
     bar_steps = []
-    if tol.is_zero(x, state_scale) or tol.is_zero(a21 * x + a22 * y, a_scale * state_scale):
+    if tol.is_zero(x / state_scale) or tol.is_zero((a21 * x + a22 * y) / a_scale / state_scale):
         # x2 is nonzero in both degenerate cases, so (0, c) restores them; c,
         # of the drift's size, must not turn the new A21 x1 + A22 x2 into zero.
         c = next((cc for cc in (a_scale, 2.0 * a_scale) if not tol.is_zero(
@@ -285,7 +284,7 @@ def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: flo
         _finite(x, y)
     s = a21 * x + a22 * y
     n = math.hypot(x, y)
-    if tol.is_zero(x, n) or tol.is_zero(s, a_scale * n):
+    if x == 0.0 or tol.is_zero(x / n) or tol.is_zero(s / a_scale / n):
         raise EscapeFailed("pre-step failed to clear the degenerate coordinates")
     t = ty - a22 * s
     # t is zero exactly when ty and a22 * s are, so the ratio is defined.
@@ -305,12 +304,9 @@ def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: flo
     for v1, v2 in bar_steps:
         r1, r2 = v1 - o1, v2 - o2
         _finite(r1, r2)
-        if det is None:
+        if m_sub is None:
             raise SingularSubstitution("input substitution matrix is singular")
-        u1, u2 = (r1 * m22 - m12 * r2) / det, (m11 * r2 - r1 * m21) / det
-        if not (isfinite(u1) and isfinite(u2)):
-            raise ValueError(f"non-finite vector ({u1}, {u2})")
-        steps.append((u1, u2))
+        steps.append(_cramer(m_sub, r1, r2))
     return steps
 
 

@@ -20,12 +20,12 @@ from .mat2 import (
     Mat2,
     TolerancePolicy,
     Vec2,
-    _det2,
     _direction,
     _eigen_units,
     _finite,
     _invariant,
     _lincomb,
+    _pow2,
     _Record,
     _setfield,
     _similar,
@@ -129,21 +129,21 @@ def _triangular(ms: tuple[Mat2, ...], d: Direction, tol: TolerancePolicy) -> Str
     p_inv = Mat2(x, -y, y, x)
     p = Mat2(x, y, -y, x)
     forms = tuple(_similar(p, m, p_inv) for m in ms)
-    zero_bottom = all(tol.is_zero(f.a22, m.frob()) for f, m in zip(forms, ms))
+    zero_bottom = all(f.a22 == 0.0 or tol.is_zero(f.a22 / m.frob()) for f, m in zip(forms, ms))
     klass = FormClass.ZERO_BOTTOM_ROW if zero_bottom else FormClass.UPPER_TRIANGULAR
     return StructureReport(klass, p, p_inv, forms, d)
 
 
 def _left_kernel(m: Mat2, tol: TolerancePolicy) -> Optional[tuple[tuple[float, float], ...]]:
-    """The constraints m puts on a w with w^T m = 0: None when m is
-    nonsingular, none when m is zero (every w works), else its larger column
-    turned a quarter turn."""
-    x1, y1, x2, y2 = m.a11, m.a21, m.a12, m.a22
+    """The constraints m puts on a w with w^T m = 0, read on ``_pow2`` of m: none
+    when m is exactly zero (every w works), None when det m over its larger
+    squared column norm is not zero, else that column turned a quarter turn."""
+    x1, x2, y1, y2 = _pow2(m)
     n1, n2 = math.hypot(x1, y1), math.hypot(x2, y2)
     x, y, scale = (x1, y1, n1) if n1 >= n2 else (x2, y2, n2)
-    if not tol.is_zero(m.det(), scale * scale):
-        return None
-    return () if tol.is_zero(scale) else ((-y, x),)
+    if scale == 0.0:
+        return ()
+    return ((-y, x),) if tol.is_zero((x1 * y2 - x2 * y1) / scale / scale) else None
 
 
 def zero_bottom_row_pair(b1: Mat2, b2: Mat2,
@@ -156,14 +156,13 @@ def zero_bottom_row_pair(b1: Mat2, b2: Mat2,
     to it, so P is a rotation.  Returns None when the pair is not in this
     class.
     """
-    k1 = _left_kernel(b1, tol)
-    k2 = _left_kernel(b2, tol)
+    k1, k2 = _left_kernel(b1, tol), _left_kernel(b2, tol)
     if k1 is None or k2 is None:
         return None
     ws = k1 + k2
     if len(ws) == 2:
         (x1, y1), (x2, y2) = ws
-        if not tol.is_zero(x1 * y2 - y1 * x2, math.hypot(x1, y1) * math.hypot(x2, y2)):
+        if not tol.is_zero((x1 * y2 - y1 * x2) / math.hypot(x1, y1) / math.hypot(x2, y2)):
             return None
     d = _direction(*(ws[0] if ws else (0.0, 1.0)), tol)
     return Mat2(d.y, -d.x, d.x, d.y)
@@ -187,26 +186,23 @@ def _antidiagonal(b1: Mat2, b2: Mat2,
                   tol: TolerancePolicy) -> Optional[tuple[StructureReport, LineUnion]]:
     """The report of :func:`antidiagonalize_pair`, with the zero lines it was
     found on."""
-    if not tol.is_zero(b1.trace(), b1.frob()):
-        return None
-    if not tol.is_zero(b2.trace(), b2.frob()):
+    if any(b.trace() != 0.0 and not tol.is_zero(b.trace() / b.frob()) for b in (b1, b2)):
         return None
     lu = pair_lines(b1, b2, tol)
     if lu.kind not in (LineSetKind.ONE_LINE, LineSetKind.TWO_LINES):
         return None
+    c = c11, c12, c21, c22 = _pow2(b2)
     for d in lu.lines:
         vx, vy = d.vector.x, d.vector.y
         wx, wy = b1.a11 * vx + b1.a12 * vy, b1.a21 * vx + b1.a22 * vy
         _finite(wx, wy)
-        wn = math.hypot(wx, wy)
-        if tol.is_zero(wn, b1.frob()) or tol.is_zero(vx * wy - vy * wx, wn):
+        wn, det = math.hypot(wx, wy), vx * wy - wx * vy
+        if wn == 0.0 or tol.is_zero(wn / b1.frob()) or tol.is_zero(det / wn):
             continue
-        zx, zy = b2.a11 * wx + b2.a12 * wy, b2.a21 * wx + b2.a22 * wy
+        zx, zy = c11 * wx + c12 * wy, c21 * wx + c22 * wy   # b2 w over a power of two
         _finite(zx, zy)
-        if not tol.is_zero(zx * vy - zy * vx, b2.frob() * wn):
-            continue
-        det = _det2(vx, wx, vy, wy, tol)
-        if det is None:
+        cz = zx * vy - zy * vx
+        if cz != 0.0 and not tol.is_zero(cz / math.hypot(*c) / wn):
             continue
         p = Mat2(wy / det, -wx / det, -vy / det, vx / det)
         p_inv = Mat2(vx, wx, vy, wy)

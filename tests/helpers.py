@@ -307,7 +307,7 @@ def zero_bottom_drift_system(rng, canonical=False) -> BilinearSystem:
 
 def ref_canonical_direction(v: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Direction:
     n = v.norm()
-    if tol.is_zero(n):
+    if n == 0.0:
         raise ZeroVector(f"cannot orient zero vector ({v.x}, {v.y})")
     ux, uy = v.x / n, v.y / n
     if ux > tol.abs_eps:
@@ -328,15 +328,22 @@ def _ref_eigvec_for(m: Mat2, lam: float) -> Vec2:
     return vb if vb.norm() > va.norm() else va
 
 
+def _ref_pow2(m: Mat2) -> Mat2:
+    # m over 2^e, e the exponent of its largest entry, clamped to the normal
+    # range: the largest entry lands in [1/2, 1), and no product overflows
+    e = max(-1022, min(-math.frexp(max(abs(m.a11), abs(m.a12), abs(m.a21), abs(m.a22)))[1], 1023))
+    return Mat2(*(math.ldexp(v, e) for v in (m.a11, m.a12, m.a21, m.a22)))
+
+
 def ref_real_eigen_directions(m: Mat2, tol: TolerancePolicy = DEFAULT_TOL):
+    m = _ref_pow2(m)
     scale = m.frob()
-    if (tol.is_zero(m.a12, scale) and tol.is_zero(m.a21, scale)
-            and tol.is_zero(m.a11 - m.a22, scale)):
+    if scale == 0.0 or (tol.is_zero(m.a12 / scale) and tol.is_zero(m.a21 / scale)
+                        and tol.is_zero((m.a11 - m.a22) / scale)):
         return None
     tr = m.trace()
     disc = tr * tr - 4.0 * m.det()
-    disc_scale = scale * scale
-    if tol.is_zero(disc, disc_scale):
+    if tol.is_zero(disc / scale / scale):
         return (ref_canonical_direction(_ref_eigvec_for(m, 0.5 * tr), tol),)
     if disc < 0.0:
         return ()
@@ -350,15 +357,17 @@ def ref_is_eigenvector(m: Mat2, d: Direction, tol: TolerancePolicy = DEFAULT_TOL
     v, image = d.vector, m @ d.vector
     lam = v.x * image.x + v.y * image.y
     residual = Vec2(image.x - v.x * lam, image.y - v.y * lam).norm()
-    return tol.is_zero(residual, m.frob())
+    return residual == 0.0 or tol.is_zero(residual / m.frob())
 
 
 def ref_linearly_independent(ms, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     ms = list(ms)
     if not 1 <= len(ms) <= 4:
         raise ValueError(f"expected between 1 and 4 matrices, got {len(ms)}")
-    rows = [[m.a11, m.a12, m.a21, m.a22] for m in ms]
-    scale = max(math.sqrt(sum(e * e for e in row)) for row in rows)
+    norms = [m.frob() for m in ms]
+    if 0.0 in norms:
+        return False
+    rows = [[e / n for e in (m.a11, m.a12, m.a21, m.a22)] for m, n in zip(ms, norms)]
     live = list(range(len(rows)))
     cols = [0, 1, 2, 3]
     rank = 0
@@ -366,7 +375,7 @@ def ref_linearly_independent(ms, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
         pi, pj = max(((i, j) for i in live for j in cols),
                      key=lambda ij: abs(rows[ij[0]][ij[1]]))
         pivot = rows[pi][pj]
-        if tol.is_zero(pivot, scale):
+        if tol.is_zero(pivot):
             break
         rank += 1
         live.remove(pi)
@@ -421,15 +430,18 @@ def _ref_angle_key(d: Direction) -> float:
 def ref_zero_lines(q: QuadraticForm, tol: TolerancePolicy = DEFAULT_TOL,
                    scale: float = 0.0) -> LineUnion:
     a, b, c = q.a, q.b, q.c
-    if tol.is_zero(a, scale) and tol.is_zero(b, scale) and tol.is_zero(c, scale):
+    if (a == 0.0 and b == 0.0 and c == 0.0) or scale != 0.0 and (
+            tol.is_zero(a / scale) and tol.is_zero(b / scale) and tol.is_zero(c / scale)):
         return LineUnion(LineSetKind.ALL_OF_PLANE)
+    # divided by the power of two 2^e with the largest magnitude in [1/2, 1)
+    e = math.frexp(max(abs(a), abs(b), abs(c)))[1]
+    a, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
     if a == 0.0 and c == 0.0:
         dirs = (ref_canonical_direction(Vec2(1.0, 0.0), tol),
                 ref_canonical_direction(Vec2(0.0, 1.0), tol))
         return LineUnion(LineSetKind.TWO_LINES, tuple(sorted(dirs, key=_ref_angle_key)))
     disc = b * b - 4.0 * a * c
-    disc_scale = a * a + b * b + c * c
-    if tol.is_zero(disc, disc_scale):
+    if tol.is_zero(disc / (a * a + b * b + c * c)):
         if abs(a) >= abs(c):
             t = -b / (2.0 * a)
             d = ref_canonical_direction(Vec2(t, 1.0) if math.isfinite(t) else Vec2(1.0, 0.0), tol)
@@ -456,7 +468,8 @@ def ref_zero_lines(q: QuadraticForm, tol: TolerancePolicy = DEFAULT_TOL,
 
 
 def ref_pair_lines(b1: Mat2, b2: Mat2, tol: TolerancePolicy = DEFAULT_TOL) -> LineUnion:
-    return ref_zero_lines(ref_gram_form(b1, b2), tol, scale=b1.frob() * b2.frob())
+    b1, b2 = _ref_pow2(b1), _ref_pow2(b2)
+    return ref_zero_lines(ref_gram_form(b1, b2), tol, b1.frob() * b2.frob())
 
 
 # --- reference plan path on value types ----------------------------------------
@@ -468,11 +481,15 @@ def ref_pair_lines(b1: Mat2, b2: Mat2, tol: TolerancePolicy = DEFAULT_TOL) -> Li
 
 
 def ref_solve2(m: Mat2, y: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Vec2:
-    d = m.det()
-    if d == 0.0 or tol.is_zero(d, math.hypot(m.a11, m.a12) * math.hypot(m.a21, m.a22)):
+    # Column j times 2^-e_j, e_j the exponent of its largest entry, clamped
+    # to the normal range: x_j is then f_j times the scaled system's x_j.
+    f1, f2 = (math.ldexp(1.0, max(-1022, min(-math.frexp(max(abs(p), abs(q)))[1], 1023)))
+              for p, q in ((m.a11, m.a21), (m.a12, m.a22)))
+    s = Mat2(m.a11 * f1, m.a12 * f2, m.a21 * f1, m.a22 * f2)
+    d = s.det()
+    if d == 0.0 or tol.is_zero(d / Vec2(s.a11, s.a21).norm() / Vec2(s.a12, s.a22).norm()):
         raise SingularMatrix(f"matrix {m.rows()} is singular within tolerance")
-    return Vec2((y.x * m.a22 - m.a12 * y.y) / d,
-                (m.a11 * y.y - y.x * m.a21) / d)
+    return Vec2(f1 * ((y.x * s.a22 - s.a12 * y.y) / d), f2 * ((s.a11 * y.y - y.x * s.a21) / d))
 
 
 def ref_step_matrix(sys: BilinearSystem, u) -> tuple:
@@ -588,8 +605,8 @@ def ref_escape_step(sys: BilinearSystem, xi: Vec2):
     for u, x in _ref_landings(sys, xi):
         nrm2 = x.x * x.x + x.y * x.y
         value = abs(q.a * x.x * x.x + q.b * x.x * x.y + q.c * x.y * x.y)
-        margin = ESCAPE_MARGIN_FACTOR * sys.tol.threshold(fscale * nrm2)
-        if value >= margin and value / nrm2 > best_score:
+        clearance = value / nrm2 / fscale if fscale != 0.0 else 0.0
+        if clearance >= ESCAPE_MARGIN_FACTOR * sys.tol.abs_eps and value / nrm2 > best_score:
             best, best_score = (u, x), value / nrm2
     if best is None:
         raise EscapeFailed("no escape candidate cleared the singular-set margin")
@@ -620,7 +637,7 @@ def _ref_canonical(sys: BilinearSystem):
     m_sub = Mat2(f1.a11, f2.a11, f1.a12, f2.a12)
     offset = Vec2(a_bar.a11, a_bar.a12)
     a_scale = a_bar.frob()
-    if sys.tol.is_zero(a_bar.a21, a_scale):
+    if a_bar.a21 == 0.0 or sys.tol.is_zero(a_bar.a21 / a_scale):
         raise NotCanonicalClass("drift has no coupling into the decoupled coordinate")
     return p, m_sub, offset, a_bar.a21, a_bar.a22, a_scale
 
@@ -635,13 +652,14 @@ def ref_canonical_steps(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> list:
     if tol.is_zero(state_scale):
         raise ZeroState("cannot steer from the zero state")
     bar_steps = []
-    if tol.is_zero(x.x, state_scale) or tol.is_zero(a21 * x.x + a22 * x.y, a_scale * state_scale):
+    if tol.is_zero(x.x / state_scale) or tol.is_zero(
+            (a21 * x.x + a22 * x.y) / a_scale / state_scale):
         c = next((cc for cc in (a_scale, 2.0 * a_scale) if not tol.is_zero(
             (cc * a21 + a22 * a22) / (a_scale * abs(a21) + a22 * a22))), 2.0 * a_scale)
         bar_steps.append(Vec2(0.0, c))
         x = Vec2(c * x.y, a21 * x.x + a22 * x.y)
     s = a21 * x.x + a22 * x.y
-    if tol.is_zero(x.x, x.norm()) or tol.is_zero(s, a_scale * x.norm()):
+    if x.x == 0.0 or tol.is_zero(x.x / x.norm()) or tol.is_zero(s / a_scale / x.norm()):
         raise EscapeFailed("pre-step failed to clear the degenerate coordinates")
     t = target.y - a22 * s
     if t != 0.0 and not tol.is_zero(t / (abs(target.y) + abs(a22 * s))):

@@ -5,9 +5,10 @@ for one branch of the plan path (``BRANCHES``): the one step, an escape by the
 drift alone, by the axis landing (driftless pairs, and drift pairs whose drift
 image lands on the other zero line), two escapes (the drift and the inputs
 map one zero line onto the other), the two-step construction with and
-without its pre-step, the nearly-controllable one step (to zero targets too),
-the refusals (``NotControllablePair``, ``ZeroState``, ``InExcludedSet``,
-``SingularSubstitution`` and the ``ValueError`` of an overflowing image), and
+without its pre-step, the nearly-controllable one step (to zero targets too), the two-step
+construction on inputs of sizes 2^-10 and 2^-24, the refusals
+(``NotControllablePair``, ``ZeroState``, ``InExcludedSet`` and the
+``ValueError`` of an overflowing image), and
 ``escape_step`` from states on a zero line, which a nearly-controllable
 family or a two-escape state refuses with ``EscapeFailed``.
 
@@ -45,7 +46,7 @@ BRANCHES = (
     "one_step", "escape.drift", "escape.axis", "escape.axis_drift", "escape.twice",
     "canonical", "canonical.prestep", "nearly",
     "refused.NotControllablePair", "refused.ZeroState", "refused.InExcludedSet",
-    "refused.SingularSubstitution", "refused.ValueError",
+    "canonical.scaled", "refused.ValueError",
     "escape_step", "escape_step.refused",
 )
 
@@ -237,15 +238,15 @@ def _request(rng: random.Random, branch: str) -> tuple:
         else:
             drift, inputs, d = _nearly(rng)
             xi = _on(rng, d)
-    elif branch in ("canonical", "canonical.prestep", "refused.SingularSubstitution"):
+    elif branch in ("canonical", "canonical.prestep", "canonical.scaled"):
         # A signed permutation keeps the zero-bottom-row frame's coordinates
         # up to sign, so a degenerate state stays degenerate.
         p, p_inv = _signed_permutation(rng)
         drift, inputs = _zero_bottom(rng)
-        if branch == "refused.SingularSubstitution":
-            # Independent inputs whose substitution matrix diag(b1 2^-10, b2 2^-24),
-            # |b_i| <= 2, has a determinant of at most 2^-32, below the
-            # absolute floor 1e-9.
+        if branch == "canonical.scaled":
+            # Inputs of sizes 2^-10 and 2^-24: the substitution matrix
+            # diag(b1 2^-10, b2 2^-24) has det over its column norms 1, so the
+            # construction plans, with controls of the sizes 2^10 and 2^24.
             inputs = ((_clear(rng) * 2.0 ** -10, 0.0, 0.0, 0.0),
                       (0.0, _clear(rng) * 2.0 ** -24, 0.0, 0.0))
         xi = _state(rng)
@@ -319,7 +320,8 @@ def outcome(case: dict) -> dict:
 
 # Steps of each planning branch's plan.
 _STEPS = {"one_step": 1, "nearly": 1, "escape.drift": 2, "escape.axis": 2,
-          "escape.axis_drift": 2, "escape.twice": 3, "canonical": 2, "canonical.prestep": 3}
+          "escape.axis_drift": 2, "escape.twice": 3, "canonical": 2, "canonical.prestep": 3,
+          "canonical.scaled": 2}
 
 
 def shows(case: dict, out: dict) -> bool:

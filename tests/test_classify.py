@@ -1,24 +1,32 @@
 """Verdicts, excluded sets, reductions, and their invariance under conjugation."""
 
 import copy
+import math
 import pickle
 import sys as sys_module
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bilin2 import (
     BilinearSystem,
     ControlPlan,
+    EscapeFailed,
     FormClass,
+    InExcludedSet,
     InvalidSystem,
     LineSetKind,
     Mat2,
+    NotCanonicalClass,
     Reduction,
+    SingularSubstitution,
     SystemKind,
     Vec2,
     VerdictClass,
+    ZeroState,
     analyze,
     apply_reduction,
     plan_transfer,
@@ -411,6 +419,104 @@ def test_classify_outcomes_match_the_golden():
         "drift2", "drift3", "driftless2", "driftless3", "driftless4"}
     assert {o.get("class") for o in outcomes} >= {v.value for v in VerdictClass}
     assert classify_golden.mismatches() == []
+
+
+def test_golden_scaled_families_get_their_unscaled_outcome():
+    # A scaled family is 2^k times a family of the golden's unit share, and
+    # scaling by a power of two is exact: every zero test is a ratio, so the
+    # outcome is the unscaled one, bit for bit.
+    scaled = 0
+    for family in classify_golden.families():
+        _, _, k = family["name"].partition(".2^")
+        if not k:
+            continue
+        f = 2.0 ** -int(k)
+        unscaled = dict(family, drift=family["drift"] and tuple(e * f for e in family["drift"]),
+                        inputs=[tuple(e * f for e in b) for b in family["inputs"]])
+        assert classify_golden.outcome(family) == classify_golden.outcome(unscaled)
+        scaled += 1
+    assert scaled >= 80
+
+
+factor = st.one_of(st.integers(-40, 40).map(lambda k: 2.0 ** k),
+                   st.floats(min_value=-8.0, max_value=8.0).map(lambda x: 10.0 ** x))
+
+
+def _family_system(family, input_factors, c):
+    """The family's system with input i times input_factors[i], then every
+    matrix times c."""
+    kind = SystemKind.WITH_DRIFT if family["kind"] == "drift" else SystemKind.DRIFTLESS
+    drift = family["drift"] and Mat2(*(c * e for e in family["drift"]))
+    return BilinearSystem(kind, drift, tuple(Mat2(*(c * (s * e) for e in b))
+                                             for s, b in zip(input_factors, family["inputs"])))
+
+
+def _certificates(family, input_factors=(1.0,) * 4, c=1.0):
+    """The class, excluded lines and invariant line analyze reports, or the
+    type of the exception construction or classification raised."""
+    try:
+        verdict = analyze(_family_system(family, input_factors, c))
+    except ValueError as exc:
+        return type(exc)
+    lines = verdict.excluded_initial
+    return verdict.klass, lines and lines.kind, lines and lines.lines, verdict.largest_region
+
+
+def _plan(family, input_factors):
+    try:
+        return plan_transfer(_family_system(family, input_factors, 1.0),
+                             Vec2(1.3, 0.4), Vec2(1.7, -0.6)).steps
+    except (EscapeFailed, InExcludedSet, NotCanonicalClass, SingularSubstitution,
+            ZeroState) as exc:
+        return type(exc)
+
+
+SHARED_EIGENVECTOR = {"kind": "driftless", "drift": None,
+                      "inputs": [(1.0, -2.0, -2.0, -2.0), (0.0, 1.0, 0.0, 2.0)]}
+ZERO_BOTTOM_ROTATION = {"kind": "drift", "drift": (0.0, -1.0, 1.0, 0.0),
+                        "inputs": [(1.0, 1.0, 0.0, 0.0), (1.0, -1.0, 0.0, 0.0)]}
+# Nearly controllable on the shared eigenvector (1, 0).  At 2^-600 the raw
+# tr^2 - 4 det of each member underflows to 0, and at 2^600 it overflows.
+TRIANGULAR_PAIR = {"kind": "driftless", "drift": None,
+                   "inputs": [(1.0, 0.0, 0.0, 2.0), (1.0, 1.0, 0.0, 3.0)]}
+
+
+@given(st.sampled_from(classify_golden.families()), st.lists(factor, min_size=4, max_size=4),
+       factor)
+@example(SHARED_EIGENVECTOR, [1.0] * 4, 1e-6)   # the shared eigenvector (1, 2) at 1e-6
+@example(ZERO_BOTTOM_ROTATION, [1e-6, 1e6, 1.0, 1.0], 1.0)   # the two-step construction
+@example(ZERO_BOTTOM_ROTATION, [2.0 ** -300, 2.0 ** 300, 1.0, 1.0], 2.0 ** -600)
+@example(TRIANGULAR_PAIR, [1.0] * 4, 2.0 ** -600)
+@example(TRIANGULAR_PAIR, [1.0] * 4, 2.0 ** 600)
+def test_verdicts_are_homogeneous(family, input_factors, c):
+    """B_i -> s_i B_i and (A, B) -> c (A, B) leave the class, the excluded
+    lines and the invariant line as they are: bit for bit under powers of
+    two, to 1e-9 rad otherwise.  Under input scaling a plan keeps its length,
+    or the same refusal; a pair's one step and two-step construction under
+    powers of two give the controls u_i / s_i exactly."""
+    expected = _certificates(family)
+    exact = all(math.frexp(f)[0] == 0.5 for f in input_factors + [c])
+    for got in (_certificates(family, input_factors), _certificates(family, c=c)):
+        if exact or isinstance(expected, type):
+            assert got == expected
+            continue
+        assert got[:2] == expected[:2]
+        for d, e in zip(got[2] or (), expected[2] or ()):
+            assert line_gap(d, e) <= 1e-9
+        assert (got[3] is None) == (expected[3] is None)
+        if got[3] is not None:
+            assert line_gap(got[3], expected[3]) <= 1e-9
+    if isinstance(expected, type) or expected[0] is VerdictClass.UNCONTROLLABLE:
+        return
+    unit, scaled = _plan(family, [1.0] * 4), _plan(family, input_factors)
+    if isinstance(unit, type) or isinstance(scaled, type):
+        assert scaled == unit
+        return
+    assert len(scaled) == len(unit)
+    sys = _family_system(family, [1.0] * 4, 1.0)
+    if exact and sys.m == 2 and (len(unit) == 1 or sys._steering.two_step):
+        assert scaled == tuple((u1 / input_factors[0], u2 / input_factors[1])
+                               for u1, u2 in unit)
 
 
 def test_equal_systems_get_equal_verdicts(shared_line_drift_system, swap_pair_system,

@@ -17,16 +17,31 @@ SHARED_LINE = {"kind": "drift", "A": [[5, 3], [-4, -2]],
 SWAP_PAIR = {"kind": "driftless", "B": [[[-1, 0], [3, 1]], [[4, 3], [-6, -4]]]}
 TRAPPED = {"kind": "drift", "A": [[1, 2], [0, 3]],
            "B": [[[1, 1], [0, 0]], [[0, 1], [0, 0]]]}
-# Controllable, with inputs so small that every coefficient of the steering
-# form is under the absolute floor 1e-9; its largest clearance is not zero.
+# Controllable, with inputs near 1e-5: the steering form -1e-10 (z1^2 + 2 z2^2)
+# has every coefficient below 1e-9, yet its largest clearance
+# |q(z)| / (|B1|_F |B2|_F |z|^2) is 0.63, which is not zero.
 TINY_DRIFTLESS = {"kind": "driftless", "B": [[[0, -1e-5], [1e-5, 0]], [[1e-5, 0], [0, 2e-5]]]}
-# Controllable, with a substitution matrix diag(1e-3, 1e-8) whose determinant
-# falls under the absolute zero floor.
+# Controllable, with inputs that share the left null direction e2: the
+# pivots of the family, rows divided by their norms, call it independent
+# (the last is 1.13e-9), while the substitution matrix [[1, 1], [1, 1 + 1.6e-9]]
+# has det over its column norms 0.8e-9, which the zero test calls singular.
 SINGULAR_SUBSTITUTION = {"kind": "drift", "A": [[0, 0], [1, 0]],
-                         "B": [[[1e-3, 0], [0, 0]], [[0, 1e-8], [0, 0]]]}
-# Independent inputs whose first non-isotropic member has an eigenvector
-# candidate inside the absolute zero band: analyze raises ZeroVector.
-ZERO_BAND_MEMBER = {"kind": "driftless", "B": [[[1e-8, 0], [0, 1.15e-8]], [[1, 2], [0.5, 3]]]}
+                         "B": [[[1, 1], [0, 0]], [[1, 1.0000000016], [0, 0]]]}
+# Controllable; the steering form -1.2e-9 z2^2 is zero next to |B1|_F |B2|_F
+# (0.85e-9), so the two-step construction is asked for, but det B1 over its
+# larger squared column norm is 1.2e-9: no shared left null direction.
+NO_SHARED_KERNEL = {"kind": "drift", "A": [[0, 0], [1, 0]],
+                    "B": [[[1, 1], [0, 1.2e-9]], [[0, 1], [0, 0]]]}
+# An anti-diagonal pair near 1e160: its certificate's canonical forms, in the
+# basis [v, B1 v], hold -det B1 = 2e320, beyond the float range, so the
+# verdict cannot be formed (and oracle's sampled states overflow first).
+OVERFLOWING_CERTIFICATE = {"kind": "driftless",
+                           "B": [[[0, 1e160], [2e160, 0]], [[0, 1e160], [-1e160, 0]]]}
+# Members near 1e-8 and 1e200: each member's eigen-directions are found on it
+# over a power of two, so both are the axes, which the second member does not
+# keep, and neither verdict is out of reach.
+SMALL_MEMBER = {"kind": "driftless", "B": [[[1e-8, 0], [0, 1.15e-8]], [[1, 2], [0.5, 3]]]}
+LARGE_MEMBER = {"kind": "driftless", "B": [[[1e200, 0], [0, 2e200]], [[1, 2], [0.5, 3]]]}
 
 ANALYZE_KEYS = {"class", "excluded_initial", "excluded_terminal", "largest_region",
                 "transform", "canonical_forms", "reduction"}
@@ -260,16 +275,13 @@ def test_steer_refuses_zero_endpoint(write_doc, capsys):
 
 
 @pytest.mark.parametrize("doc, start, target, reason", [
-    # Under a zero threshold of 0.4 the form's largest clearance |q(z)| /
-    # (form_scale |z|^2), 0.52, is not zero, so the pair takes the one-step
-    # route; but (1, 0) clears only 0.066, and no driftless landing clears.
-    ({"kind": "driftless", "tolerance": {"abs": 0.4, "rel": 1e-9},
-      "B": [[[-1.25, 0.75], [0.25, -1.75]], [[1.25, -1.5], [-0.5, 0.5]]]},
-     "1,0", "-110,-70", "no escape step cleared the singular set"),
-    # Under a zero threshold of 0.5 the form's largest clearance, 0.49, is
-    # zero, so the two-step construction is asked for on inputs it cannot use.
-    (dict(ROTATION_DRIFT, tolerance={"abs": 0.5, "rel": 1e-9}), "10,10", "-110,-70",
-     "inputs do not share a left null direction"),
+    # (-1, 2) spans the kernel of B2, so every landing lies on B1 (-1, 2) =
+    # (2, -3), whose clearance 2 / (sqrt(13) sqrt(5) 13) = 0.019 is zero under
+    # 0.02; the second escape lands on B1 (2, -3) = (-2, 4), the kernel again.
+    ({"kind": "driftless", "tolerance": {"abs": 0.02},
+      "B": [[[2, 2], [-1, -2]], [[0, 0], [2, 1]]]},
+     "-1,2", "2,1", "no escape step cleared the singular set"),
+    (NO_SHARED_KERNEL, "1.3,0.4", "1.7,-0.6", "inputs do not share a left null direction"),
     (SINGULAR_SUBSTITUTION, "1.3,0.4", "1.7,-0.6", "input substitution matrix is singular"),
 ], ids=["EscapeFailed", "NotCanonicalClass", "SingularSubstitution"])
 def test_steer_refuses_when_no_plan_is_found(doc, start, target, reason, write_doc, capsys):
@@ -370,10 +382,17 @@ def test_oracle_reports_overflow(write_doc, capsys):
     ("steer", ["--from", "1,1", "--to", "2,1"]),
 ])
 def test_unorientable_candidate_is_reported(command, extra, write_doc, capsys):
-    assert cli.main([command, write_doc(ZERO_BAND_MEMBER)] + extra) == 2
+    # A verdict whose certificate overflows cannot be formed: exit 2, as for
+    # a sampled state that overflows.  Small or large members are no such case.
+    assert cli.main([command, write_doc(OVERFLOWING_CERTIFICATE)] + extra) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: cannot orient zero vector (")
+    assert captured.err.startswith("error: non-finite ")
+    assert cli.main([command, write_doc(SMALL_MEMBER)] + extra) == 0
+    if command == "analyze":
+        assert json.loads(capsys.readouterr().out)["class"] == "controllable"
+        assert cli.main([command, write_doc(LARGE_MEMBER)]) == 0
+        assert json.loads(capsys.readouterr().out)["class"] == "controllable"
 
 
 def test_env_tolerance_must_be_numeric(write_doc, monkeypatch, capsys):

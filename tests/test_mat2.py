@@ -2,6 +2,8 @@
 
 import math
 import pickle
+from fractions import Fraction
+from sys import float_info
 
 import pytest
 from hypothesis import example, given
@@ -27,13 +29,14 @@ from helpers import line_angle, line_gap, mat, xy
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
-def test_tolerance_threshold_combines_absolute_and_relative():
-    tol = TolerancePolicy(1e-9, 1e-6)
-    assert tol.threshold(0.0) == 1e-9
-    assert tol.threshold(100.0) == pytest.approx(1e-4 + 1e-9)
-    assert tol.is_zero(5e-10)
-    assert not tol.is_zero(1e-8)
-    assert tol.is_zero(5e-5, scale=100.0)
+def test_tolerance_zero_test_reads_abs_eps_alone():
+    # Every caller passes a dimensionless ratio; rel_eps still validates and
+    # is kept on the record, but it decides nothing.
+    for rel in (1e-9, 1e-6, 0.5):
+        tol = TolerancePolicy(1e-9, rel)
+        assert tol.is_zero(1e-9) and tol.is_zero(-5e-10) and tol.is_zero(0.0)
+        assert not tol.is_zero(1.0000001e-9) and not tol.is_zero(-1e-8)
+    assert not hasattr(TolerancePolicy(), "threshold")
 
 
 def test_tolerance_rejects_degenerate_eps():
@@ -104,6 +107,27 @@ def test_mat2_scalar_quantities():
     assert Vec2(3.0, 4.0).norm() == 5.0
 
 
+def test_frob_holds_until_the_norm_itself_overflows():
+    # Squaring an entry above 1.34e154 would overflow; the norm does not.
+    assert Mat2(1e200, 0.0, 0.0, 1.0).frob() == 1e200
+    assert Mat2(-3e-200, 4e-200, 0.0, 0.0).frob() == 5e-200
+    with pytest.raises(ValueError, match="non-finite matrix norm"):
+        Mat2(1.7e308, 1.7e308, 0.0, 0.0).frob()
+
+
+def test_real_eigen_directions_hold_across_the_float_range():
+    # The directions are found on the member over a power of two, so tr^2 -
+    # 4 det neither overflows ((1e200 - 1)^2) nor underflows (2^-1200): the
+    # directions are the unit-scale ones, bit for bit.
+    axes = real_eigen_directions(Mat2(1.0, 0.0, 0.0, 2.0))
+    assert [xy(d) for d in axes] == [(0.0, 1.0), (1.0, 0.0)]
+    assert real_eigen_directions(Mat2(1e200, 0.0, 0.0, 1.0)) == axes[::-1]
+    shear = real_eigen_directions(Mat2(1.0, 1.0, 0.0, 3.0))
+    for s in (2.0 ** -1000, 2.0 ** -600, 2.0 ** -520, 2.0 ** 520, 2.0 ** 600, 2.0 ** 1000):
+        assert real_eigen_directions(Mat2(s, 0.0, 0.0, 2.0 * s)) == axes
+        assert real_eigen_directions(Mat2(s, s, 0.0, 3.0 * s)) == shear
+
+
 def test_mat2_rejects_non_finite():
     with pytest.raises(ValueError):
         Mat2(1.0, float("nan"), 0.0, 1.0)
@@ -160,14 +184,23 @@ def test_solve2_zero_determinant_is_singular_when_the_row_scale_is_nan():
 
 @given(finite, finite, finite, finite, finite, finite)
 @example(1e-9, 0.0, 1.0, 2.0, 1.0, 1.0)
+@example(2.225073858507203e-309, 0.0, 0.0, 1.0, 1.0, 0.0)   # x1 = 1 / a overflows
+@example(5e-324, 0.0, 0.0, 1.5, 0.0, 1.0)   # det a d is subnormal: columns are scaled
 def test_solve2_residual_is_small(a, b, c, d, y1, y2):
     m = Mat2(a, b, c, d)
     y = Vec2(y1, y2)
-    scale = math.hypot(a, b) * math.hypot(c, d)
     try:
         u = solve2(m, y)
     except SingularMatrix:
-        assert abs(m.det()) <= 1e-3 * scale + 1e-9 or scale <= 1e-3
+        # det over the column norms is zero under the tolerance
+        assert abs(m.det()) <= 1e-8 * math.hypot(a, c) * math.hypot(b, d)
+        return
+    except ValueError:
+        # only where the exact solution is beyond the float range
+        fa, fb, fc, fd, f1, f2 = map(Fraction, (a, b, c, d, y1, y2))
+        det = fa * fd - fb * fc
+        assert max(abs(f1 * fd - fb * f2), abs(fa * f2 - f1 * fc)) > (
+            Fraction(float_info.max) / 2 * abs(det))
         return
     mu = m @ u
     assert math.hypot(mu.x - y.x, mu.y - y.y) <= 1e-9 * (1.0 + y.norm() + u.norm() * m.frob())
@@ -182,10 +215,15 @@ def test_canonical_direction_sign_rules():
 
 
 def test_canonical_direction_rejects_zero():
+    # Only the zero vector has no direction: a direction does not depend on
+    # the size of the vector, however small.
     with pytest.raises(ZeroVector):
         canonical_direction(Vec2(0.0, 0.0))
     with pytest.raises(ZeroVector):
-        canonical_direction(Vec2(1e-12, 0.0))
+        canonical_direction(Vec2(-0.0, 0.0))
+    for v in (Vec2(1e-12, 0.0), Vec2(-5e-324, 0.0), Vec2(0.0, -7.5e-10)):
+        d = canonical_direction(v)
+        assert xy(d.vector) in ((1.0, 0.0), (0.0, 1.0))
 
 
 def test_direction_refuses_the_zero_unit_of_an_overflowing_norm():
@@ -282,6 +320,16 @@ def test_linearly_independent_uses_relative_scale():
     b = mat([[1.0, 2.0], [3.0, 4.0]])
     nudged = mat([[1.0 + 1e-12, 2.0], [3.0, 4.0]])
     assert not linearly_independent([b, nudged])
+
+
+def test_linearly_independent_does_not_depend_on_member_scale():
+    b = mat([[1.0, 2.0], [3.0, 4.0]])
+    e12 = mat([[0.0, 1.0], [0.0, 0.0]])
+    for s in (1e-12, 1e-8, 1.0, 1e8, 1e12):
+        assert linearly_independent([b, Mat2(0.0, s, 0.0, 0.0)])
+        assert linearly_independent([Mat2(s, 2.0 * s, 3.0 * s, 4.0 * s), e12])
+        assert not linearly_independent([b, Mat2(s, 2.0 * s, 3.0 * s, 4.0 * s)])
+    assert not linearly_independent([b, Mat2(0.0, 0.0, 0.0, 0.0)])
 
 
 def test_linearly_independent_rejects_bad_count():

@@ -4,7 +4,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bilin2 import (
@@ -113,6 +113,10 @@ def test_zero_lines_all_of_plane():
     assert zero_lines(QuadraticForm(0.0, 0.0, 0.0)).kind is LineSetKind.ALL_OF_PLANE
     lu = zero_lines(QuadraticForm(1e-12, -3e-12, 2e-12), scale=1.0)
     assert lu.kind is LineSetKind.ALL_OF_PLANE
+    # the test is coefficients over scale; with scale 0, only exact zeros
+    lu = zero_lines(QuadraticForm(1e-12, -3e-12, 2e-12), scale=1e-12)
+    assert lu.kind is LineSetKind.TWO_LINES
+    assert zero_lines(QuadraticForm(1e-300, 0.0, 0.0)).kind is LineSetKind.ONE_LINE
 
 
 def test_zero_lines_pure_cross_term_is_the_axes():
@@ -130,15 +134,24 @@ def test_zero_lines_pure_cross_term_is_the_axes():
         assert [xy(d.vector) for d in lines] == [(1.0, 0.0), (0.0, 1.0)]
 
 
-def test_zero_lines_repeated_root_with_a_subnormal_end_coefficient_is_an_axis():
-    # The one-line branch divides by 2a (or 2c); with a subnormal dominant end
-    # coefficient the slope overflows, and the line is the coordinate axis.
+def test_zero_lines_with_a_subnormal_end_coefficient_keep_both_lines():
+    # det[B1 z, B2 z] = -2.2e-317 z1^2 - 1e-6 z1 z2 vanishes on z1 = 0 and on
+    # a line 2.2e-311 rad off the x-axis: the discriminant over a^2 + b^2 + c^2
+    # is 1, so neither line is lost.  The slope of the second overflows, and
+    # it comes out as the x-axis.
     lu = pair_lines(Mat2(0.0, 0.0, 2.2250738583e-314, 1e-3), Mat2(1e-3, 0.0, 0.0, 0.0))
-    assert lu.kind is LineSetKind.ONE_LINE
-    assert xy(lu.lines[0].vector) == (1.0, 0.0)
+    assert lu.kind is LineSetKind.TWO_LINES
+    assert [xy(d.vector) for d in lu.lines] == [(1.0, 0.0), (0.0, 1.0)]
     lu = zero_lines(QuadraticForm(0.0, -1e-6, -2.225074e-317), scale=1e-6)
-    assert lu.kind is LineSetKind.ONE_LINE
-    assert xy(lu.lines[0].vector) == (0.0, 1.0)
+    assert lu.kind is LineSetKind.TWO_LINES
+    assert [xy(d.vector) for d in lu.lines] == [(1.0, 0.0), (0.0, 1.0)]
+    # A repeated root keeps its one line at every scale of the coefficients.
+    for f in (4.5e-301, 1.0, 1e300):
+        lu = zero_lines(QuadraticForm(0.0, 0.0, f))
+        assert lu.kind is LineSetKind.ONE_LINE and xy(lu.lines[0].vector) == (1.0, 0.0)
+        lu = zero_lines(QuadraticForm(f, -2.0 * f, f), scale=2.0 * f)
+        assert lu.kind is LineSetKind.ONE_LINE
+        assert_lines_match(lu.lines, [(1.0, 1.0)], tol_angle=1e-12)
 
 
 def test_zero_lines_near_axis_roots_are_tracked():
@@ -160,6 +173,7 @@ def test_line_union_validates_cardinality():
 
 
 @given(entry, entry, entry)
+@example(0.0, 0.0, 4.498497012234945e-301)   # a^2 + b^2 + c^2 underflows to 0
 def test_zero_lines_roots_evaluate_to_zero(a, b, c):
     q = QuadraticForm(a, b, c)
     coeff_sq = a * a + b * b + c * c

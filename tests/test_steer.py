@@ -397,13 +397,41 @@ def test_plan_transfer_expands_reduced_controls(rotation_drift_system):
     assert ok and err == 0.0
 
 
-def test_plan_transfer_raises_singular_substitution_on_badly_scaled_inputs():
-    # The family is independent and controllable, and its inputs share the
-    # left null direction e2.  The substitution matrix diag(1e-3, 1e-8) has
-    # determinant 1e-11, which the absolute floor 1e-9 calls singular: a scale
-    # defect, not dependent inputs, reported as the documented exception.
-    sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 0.0], [1.0, 0.0]]),
-                         (mat([[1e-3, 0.0], [0.0, 0.0]]), mat([[0.0, 1e-8], [0.0, 0.0]])))
+def test_plan_transfer_plans_on_badly_scaled_inputs():
+    # Independent, controllable families whose inputs share the left null
+    # direction e2.  The substitution matrix is tested by det over its column
+    # norms, which scaling input i by s_i leaves as it is: the two-step
+    # construction plans, with the unscaled controls u_i / s_i, also where
+    # its determinant would be subnormal or zero without the column scaling.
+    xi, eta = Vec2(1.3, 0.4), Vec2(1.7, -0.6)
+    for drift, (t1, t2), scales in (
+            ([[0.0, 0.0], [1.0, 0.0]], ((1.0, 0.0), (0.0, 1.0)), (1e-3, 1e-8)),
+            ([[0.0, -1.0], [1.0, 0.0]], ((1.0, 1.0), (1.0, -1.0)), (1e-6, 1e6)),
+            ([[0.0, 0.0], [1.0, 0.0]], ((1.0, 0.0), (0.0, 1.0)), (1e-160, 1e-300)),
+            ([[0.0, -1.0], [1.0, 0.0]], ((1.0, 1.0), (1.0, -1.0)), (1e300, 1e-160))):
+        def system(s1, s2):
+            return BilinearSystem(SystemKind.WITH_DRIFT, mat(drift), (
+                mat([[s1 * t1[0], s1 * t1[1]], [0.0, 0.0]]),
+                mat([[s2 * t2[0], s2 * t2[1]], [0.0, 0.0]])))
+
+        unit, sys = plan_transfer(system(1.0, 1.0), xi, eta), system(*scales)
+        assert analyze(sys).klass is VerdictClass.CONTROLLABLE
+        plan = plan_transfer(sys, xi, eta)
+        assert lands_within(sys, xi, eta, plan.steps, 1e-8)
+        assert len(plan) == len(unit)
+        for u, v in zip(plan.steps, unit.steps):
+            assert u == pytest.approx(tuple(vi / si for vi, si in zip(v, scales)), rel=1e-9)
+
+
+def test_plan_transfer_raises_singular_substitution_between_two_ratio_tests():
+    # Independence is decided on the family's rows divided by their norms in
+    # R^4, the substitution matrix [[1, 1], [1, 1 + eps]] by det over its
+    # column norms in R^2.  Below the threshold the two differ by up to
+    # sqrt(2): here the last pivot is 1.13e-9 and the determinant ratio
+    # 0.8e-9, so the family is valid and the construction refuses.
+    a = mat([[0.0, 0.0], [1.0, 0.0]])
+    sys = BilinearSystem(SystemKind.WITH_DRIFT, a, (mat([[1.0, 1.0], [0.0, 0.0]]),
+                                                    mat([[1.0, 1.0 + 1.6e-9], [0.0, 0.0]])))
     assert analyze(sys).klass is VerdictClass.CONTROLLABLE
     with pytest.raises(SingularSubstitution):
         plan_transfer(sys, Vec2(1.3, 0.4), Vec2(1.7, -0.6))

@@ -27,7 +27,7 @@ from bilin2 import (
     zero_bottom_row_pair,
 )
 from bilin2 import mat2
-from bilin2.mat2 import _det2, canonical_direction, cross, is_eigenvector
+from bilin2.mat2 import canonical_direction, cross, is_eigenvector, real_eigen_directions
 from bilin2.quadform import pair_lines
 from helpers import inverse, lincomb, line_gap, mat, rotation
 
@@ -55,13 +55,15 @@ def test_common_real_eigenvector_skips_isotropic_members():
 
 
 def test_common_real_eigenvector_takes_candidates_from_the_first_constraining_member():
-    # The second member lies inside the absolute zero band: its own eigenvector
-    # cannot be oriented (ZeroVector), so it may only be certified against.
+    # The first member's eigen-directions are the only candidates, in either
+    # order and at any size of the members: tiny keeps the axes, big keeps
+    # neither, so nothing is shared and the pair is controllable.
     big, tiny = Mat2(1.0, 2.0, 0.5, 3.0), Mat2(1e-8, 0.0, 0.0, 1.15e-8)
-    d = common_real_eigenvector([big, tiny])
-    assert d is not None and is_eigenvector(big, d)
-    sys = BilinearSystem(SystemKind.DRIFTLESS, None, (big, tiny))
-    assert analyze(sys).klass is VerdictClass.NEARLY_CONTROLLABLE
+    for ms in ((big, tiny), (tiny, big), (big, Mat2(1.0, 0.0, 0.0, 1.15))):
+        assert common_real_eigenvector(ms) is None
+        sys = BilinearSystem(SystemKind.DRIFTLESS, None, ms)
+        assert analyze(sys).klass is VerdictClass.CONTROLLABLE
+    assert [(d.x, d.y) for d in real_eigen_directions(tiny)] == [(0.0, 1.0), (1.0, 0.0)]
 
 
 def test_triangularize_golden(shared_line_drift_system):
@@ -188,9 +190,8 @@ def test_antidiagonalize_rejects_shared_eigenvector_pair():
 
 
 # Trace-free, and anti-diagonal in the basis v = (3, 4)/5, b1 @ v, where |b1 @ v|
-# is about 1e7 and its line is 1e-4 rad off the line of v.  Each zero line of
-# the pair passes the swap tests, and the basis it gives fails the
-# determinant zero test.
+# is about 1e7 and its line is 1e-4 rad off the line of v: a basis of
+# condition about 1e4, which det[v, b1 v] / |b1 v| = 1e-4 does not call singular.
 NEAR_PARALLEL_BASIS = (Mat2(-230400562496.0, 172801921672.0, -307198083128.0, 230400562496.0),
                        Mat2(249599442304.0, -187198081928.0, 332801923272.0, -249599442304.0))
 
@@ -203,14 +204,20 @@ def test_antidiagonalize_skips_a_singular_basis_without_raising(monkeypatch):
         ValueError.__init__(self, *args)
 
     monkeypatch.setattr(mat2.SingularMatrix, "__init__", counting_init)
+    # diag(1, -1) keeps the one zero line z2 = 0 of the pair, so v and b1 @ v
+    # are parallel there: that basis is skipped, and nothing is left.
+    assert antidiagonalize_pair(mat([[1.0, 0.0], [0.0, -1.0]]),
+                                mat([[0.0, 1.0], [0.0, 0.0]])) is None
     b1, b2 = NEAR_PARALLEL_BASIS
     lines = pair_lines(b1, b2)
     assert lines.kind is LineSetKind.TWO_LINES
     for d in lines.lines:
         w = b1 @ d.vector
-        assert not DEFAULT_TOL.is_zero(cross(d.vector, w), w.norm())
-        assert _det2(d.x, w.x, d.y, w.y, DEFAULT_TOL) is None
-    assert antidiagonalize_pair(b1, b2) is None
+        assert 0.5e-4 <= abs(cross(d.vector, w)) / w.norm() <= 2e-4
+    report = antidiagonalize_pair(b1, b2)
+    assert report is not None and report.form_class is FormClass.ANTI_DIAGONAL
+    for f, b in zip(report.canonical_forms, (b1, b2)):
+        assert max(abs(f.a11), abs(f.a22)) <= 1e-6 * max(abs(f.a12), abs(f.a21))
     assert made == []
 
 
