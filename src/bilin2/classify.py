@@ -239,20 +239,20 @@ def _expand(layout: tuple, v1: float, v2: float) -> tuple[float, ...]:
     return pick((v1, v2, ca * v2, cb * v2, pinned))
 
 
-def _verdict_controllable(sys: BilinearSystem, first: int, units: tuple,
+def _verdict_controllable(sys: BilinearSystem, pair: tuple, units: tuple,
                           failed_at: list[int]) -> Verdict:
-    """The controllable verdict; ``first`` and ``units`` are the
-    common-eigenvector candidates of ``sys.matrices()``, and ``failed_at``
-    what ``_certified`` found for them."""
+    """The controllable verdict; ``pair`` and ``units`` are what ``_candidates``
+    found for ``sys.matrices()``, and ``failed_at`` what ``_certified`` found
+    for them."""
     if sys.m == 2:
         red = _IDENTITY
     elif sys.kind is SystemKind.WITH_DRIFT:
-        ca, cb = _combine_inputs(*sys.matrices(), first, units, failed_at, sys.tol)
+        ca, cb = _combine_inputs(*sys.matrices(), pair, units, failed_at, sys.tol)
         red = Reduction(combined_indices=(1, 2), combined_coeffs=(ca, cb))
     elif sys.m == 3:
         red = Reduction(pinned_index=0, pinned_value=1.0)
     else:
-        ca, cb = _combine_inputs(*sys.inputs, first, units, failed_at, sys.tol)
+        ca, cb = _combine_inputs(*sys.inputs, pair, units, failed_at, sys.tol)
         red = Reduction(pinned_index=0, pinned_value=1.0,
                         combined_indices=(2, 3), combined_coeffs=(ca, cb))
     return Verdict(VerdictClass.CONTROLLABLE, None, None, None, red)
@@ -295,7 +295,7 @@ def analyze(sys: BilinearSystem) -> Verdict:
 
 def _classify(sys: BilinearSystem) -> Verdict:
     ms = sys.matrices()
-    first, units = _candidates(ms, sys.tol)
+    pair, units = _candidates(ms, sys.tol)
     common, failed_at = _certified(ms, units, sys.tol)
     if common is not None:
         return _verdict_with_common_vector(sys, common)
@@ -304,5 +304,5 @@ def _classify(sys: BilinearSystem) -> Verdict:
         if found is not None:
             report, lines = found
             return _nearly(lines, report, _IDENTITY)
-    return _verdict_controllable(sys, first, units, failed_at)
+    return _verdict_controllable(sys, pair, units, failed_at)
 

@@ -21,13 +21,18 @@ entry to float and raises ValueError on a non-finite one (or one beyond the
 float range), or by the bulk constructor ``_vec2s``, which checks a whole
 cloud in one pass (or takes its caller's check) and raises the constructor's
 own error; ``__reduce__`` sends copies and unpickling through ``__init__``.
-No path builds an unchecked value, so nothing downstream re-checks its
-inputs.
+No path builds an unchecked value, except the ``Direction`` of a unit
+vector that ``_unit`` has just made (``_unit_direction``): ``_unit`` raises
+ValueError where the norm it divides by is not finite, so that vector is
+finite and of unit norm.  Nothing downstream re-checks its inputs.
 
 The kernels compute on plain floats and build only their results: on the
-classify path ``linearly_independent``, the eigen-candidate stage (``_eigen_units``
-and the residual test ``_invariant``, under ``real_eigen_directions`` and
-``is_eigenvector``; a ``Direction`` is built only for a certified vector),
+classify path ``linearly_independent``, the eigen-candidate stage (the
+isotropy test ``_isotropic`` and ``_eigen_units`` on ``_pow2`` of a member, and
+the residual test ``_invariant``, under ``real_eigen_directions`` and
+``is_eigenvector``; ``structure._candidates`` runs the commutator test first,
+and computes eigen-directions only where it does not settle that the family
+shares none; a ``Direction`` is built only for a certified vector),
 ``structure._antidiagonal``, ``canonical_direction``, ``_similar`` and ``_lincomb``;
 on the plan path the ``steer`` kernels and the replay kernel ``simulate._replay``.
 A singular 2x2 system is a zero test in ``_det2`` that answers None (only
@@ -340,14 +345,28 @@ def canonical_direction(v: Vec2, tol: TolerancePolicy = DEFAULT_TOL) -> Directio
 
 def _direction(x: float, y: float, tol: TolerancePolicy) -> Direction:
     """:func:`canonical_direction` of the vector (x, y), given as floats."""
-    return Direction(Vec2(*_unit(x, y, tol)))
+    return _unit_direction(*_unit(x, y, tol))
+
+
+def _unit_direction(x: float, y: float) -> Direction:
+    """The Direction of a unit vector that :func:`_unit` returned, built
+    without the checks of ``Vec2`` and ``Direction``, which it always passes."""
+    v = object.__new__(Vec2)
+    _set_x(v, x)
+    _set_y(v, y)
+    d = object.__new__(Direction)
+    _setfield(d, "vector", v)
+    return d
 
 
 def _unit(x: float, y: float, tol: TolerancePolicy) -> tuple[float, float]:
-    """The coordinates of :func:`_direction`'s representative of (x, y)."""
+    """The coordinates of :func:`_direction`'s representative of (x, y): finite,
+    of unit norm; ValueError where the norm of (x, y) is not finite."""
     n = math.hypot(x, y)
     if n == 0.0:
         raise ZeroVector(f"cannot orient zero vector ({x}, {y})")
+    if not isfinite(n):
+        raise ValueError(f"non-finite vector norm of ({x}, {y})")
     ux, uy = x / n, y / n
     if ux > tol.abs_eps:
         s = 1.0
@@ -378,16 +397,24 @@ def real_eigen_directions(m: Mat2,
     With two, the direction of the larger eigenvalue (trace + sqrt(disc))/2
     comes first.
     """
-    units = _eigen_units(m, tol)
-    return None if units is None else tuple([Direction(Vec2(x, y)) for x, y in units])
-
-
-def _eigen_units(m: Mat2, tol: TolerancePolicy) -> Optional[tuple[tuple[float, float], ...]]:
-    """:func:`real_eigen_directions` as unit (x, y) pairs, found on ``_pow2`` of m."""
-    a = a11, a12, a21, a22 = _pow2(m)
+    a = _pow2(m)
     scale = math.hypot(*a)
-    if scale == 0.0 or tol.is_zero(max(abs(a12), abs(a21), abs(a11 - a22)) / scale):
+    if _isotropic(a, scale, tol):
         return None
+    return tuple([_unit_direction(x, y) for x, y in _eigen_units(a, scale, tol)])
+
+
+def _isotropic(a: tuple, scale: float, tol: TolerancePolicy) -> bool:
+    """Is the matrix with ``_pow2`` entries a, of norm scale, a multiple of the identity?"""
+    a11, a12, a21, a22 = a
+    return scale == 0.0 or tol.is_zero(max(abs(a12), abs(a21), abs(a11 - a22)) / scale)
+
+
+def _eigen_units(a: tuple, scale: float,
+                 tol: TolerancePolicy) -> tuple[tuple[float, float], ...]:
+    """:func:`real_eigen_directions` of a matrix that is not isotropic, as unit
+    (x, y) pairs, found on its ``_pow2`` entries a, of norm scale."""
+    a11, a12, a21, a22 = a
     tr = a11 + a22
     disc = tr * tr - 4.0 * (a11 * a22 - a12 * a21)
     if tol.is_zero(disc / scale / scale):

@@ -6,6 +6,13 @@ direction (which zeroes out every bottom row), and simultaneous
 anti-diagonalizability of a trace-free pair.  Each detector returns the change
 of basis that realizes the structure, so callers can both certify the verdict
 and steer in the transformed frame.
+
+The common eigenvector is decided first by one commutator: M, the first
+non-isotropic member, and N, the first later member that does not commute
+with it, share an eigenvector exactly when det[M, N] = 0 (Shemesh, 1984).
+Where that determinant is not zero the family shares none, and no
+eigen-direction is computed or tested.  Otherwise the candidates are M's
+eigen-directions, then ker[M, N], each certified by residual test.
 """
 
 from __future__ import annotations
@@ -19,16 +26,18 @@ from .mat2 import (
     Direction,
     Mat2,
     TolerancePolicy,
-    Vec2,
     _direction,
     _eigen_units,
     _finite,
     _invariant,
+    _isotropic,
     _lincomb,
     _pow2,
     _Record,
     _setfield,
     _similar,
+    _unit,
+    _unit_direction,
     is_eigenvector,
 )
 from .quadform import LineSetKind, LineUnion, pair_lines
@@ -70,24 +79,61 @@ class StructureReport(_Record):
 def common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL) -> Optional[Direction]:
     """A direction invariant under every matrix in ms, or None.
 
-    Members are scanned in order and only the first non-isotropic one has its
-    eigen-directions computed: it has at most two real ones, and any common
-    direction must be one of them.  Each candidate is certified against the
-    whole family by residual test.  Isotropic members impose no constraint.
-    Raises AllIsotropic when no member constrains the answer at all.
+    M is the first non-isotropic member, N the first later one that does not
+    commute with it.  They share an eigenvector exactly when det[M, N] = 0,
+    [M, N] = MN - NM (Shemesh, 1984); where it is not zero, the family shares
+    none and no eigen-direction is computed.  Otherwise the candidates are
+    M's real eigen-directions, then ker[M, N] where it differs from them, and
+    each is certified against the whole family by residual test.  Isotropic
+    members impose no constraint.  Raises AllIsotropic when no member
+    constrains the answer at all.
     """
     ms = tuple(ms)
     return _certified(ms, _candidates(ms, tol)[1], tol)[0]
 
 
-def _candidates(ms: tuple[Mat2, ...], tol: TolerancePolicy) -> tuple[int, tuple]:
-    """The index of the first non-isotropic member of ms and its real
-    eigen-directions as unit (x, y) pairs: the only candidates for a common eigenvector."""
+def _candidates(ms: tuple[Mat2, ...],
+                tol: TolerancePolicy) -> tuple[tuple[int, Optional[int]], tuple]:
+    """The pair (i, j) of the indices of M, the first non-isotropic member of
+    ms, and of N, the first later member that does not commute with M (None
+    where every one does); and the candidates for a common eigenvector as
+    unit (x, y) pairs, in order.
+
+    Both ratios of the commutator test, |[M, N]|_F / (|M|_F |N|_F) and
+    det[M, N] / (|M|_F |N|_F)^2, are formed on ``_pow2`` of M and on N over
+    its norm (``_pow2`` of N where that norm overflows).  [M, N] is trace-free,
+    [[c, p], [q, -c]], and its kernel is its larger row turned a quarter turn.
+    """
     for i, m in enumerate(ms):
-        units = _eigen_units(m, tol)
-        if units is not None:
-            return i, units
-    raise AllIsotropic("every matrix is scalar; any direction is invariant")
+        a = _pow2(m)
+        scale = math.hypot(*a)
+        if not _isotropic(a, scale, tol):
+            break
+    else:
+        raise AllIsotropic("every matrix is scalar; any direction is invariant")
+    a11, a12, a21, a22 = a
+    d = a11 - a22
+    for j in range(i + 1, len(ms)):
+        n = ms[j]
+        b11, b12, b21, b22 = n.a11, n.a12, n.a21, n.a22
+        s = math.hypot(b11, b12, b21, b22)
+        if s == math.inf:
+            b11, b12, b21, b22 = _pow2(n)
+            s = math.hypot(b11, b12, b21, b22)
+        elif s == 0.0:
+            continue
+        b11, b12, b21, b22 = b11 / s, b12 / s, b21 / s, b22 / s
+        e = b11 - b22
+        c, p, q = a12 * b21 - a21 * b12, b12 * d - a12 * e, a21 * e - b21 * d
+        r = math.hypot(c, p, q, c)
+        if r == 0.0 or tol.is_zero(r / scale):
+            continue
+        if not tol.is_zero((c * c + p * q) / scale / scale):
+            return (i, j), ()
+        units = _eigen_units(a, scale, tol)
+        kernel = _unit(-p, c, tol) if abs(p) >= abs(q) else _unit(c, q, tol)
+        return (i, j), units if kernel in units else units + (kernel,)
+    return (i, None), _eigen_units(a, scale, tol)
 
 
 def _certified(ms: tuple[Mat2, ...], units: tuple[tuple[float, float], ...],
@@ -103,7 +149,7 @@ def _certified(ms: tuple[Mat2, ...], units: tuple[tuple[float, float], ...],
                 failed_at.append(i)
                 break
         else:
-            return Direction(Vec2(x, y)), failed_at
+            return _unit_direction(x, y), failed_at
     return None, failed_at
 
 
@@ -239,21 +285,27 @@ def combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
     raise NoCombinationFound(_NO_COMBINATION)
 
 
-def _combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2, first: int,
+def _combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2, pair: tuple,
                     units: tuple[tuple[float, float], ...], failed_at: Sequence[int],
                     tol: TolerancePolicy) -> tuple[float, float]:
-    """:func:`combine_inputs`, given the :func:`_candidates` of (a, b1, b2, b3)
-    and, as ``failed_at``, what :func:`_certified` found for them.
+    """:func:`combine_inputs`, given the :func:`_candidates` of (a, b1, b2, b3),
+    ``pair`` and ``units``, and, as ``failed_at``, what :func:`_certified`
+    found for them.
 
-    When a or b1 is not isotropic, it is also the first constraining member of
-    each {a, b1, combined}, with the same directions; those invariant under
-    both a and b1 are the only ones a combination has to break.  The (1, 0)
-    and (0, 1) combinations are b2 and b3 up to the signs of zero entries,
-    which no residual test sees, so they are tested as b2 and b3.  No residual
-    test that ``_certified`` ran is run again.
+    When M is a and N is b1, the candidate stage of each {a, b1, combined}
+    is this one: the same pair, and the same candidates.  Where the pair
+    decided that there are none, (1, 0) is taken with no test.  Otherwise
+    the candidates invariant under both a and b1 are the only ones a
+    combination has to break.  The (1, 0) and (0, 1) combinations are b2
+    and b3 up to the signs of zero entries, which no residual test sees, so
+    they are tested as b2 and b3.  No residual test that ``_certified`` ran
+    is run again.  When b1 commutes with a, the combination is found as
+    :func:`combine_inputs` finds it.
     """
-    if first >= 2:
+    if pair != (0, 1):
         return combine_inputs(a, b1, b2, b3, tol)
+    if not units:
+        return 1.0, 0.0
     members = (a, b1, b2, b3)
 
     def invariant(k: int, i: int) -> bool:

@@ -8,6 +8,7 @@ then hide the structure behind a random change of basis.
 
 import math
 from sys import float_info
+from typing import Optional
 
 import numpy as np
 
@@ -388,17 +389,47 @@ def ref_linearly_independent(ms, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     return rank == len(ms)
 
 
+def _ref_commutator(m: Mat2, n: Mat2) -> Optional[Mat2]:
+    # [m, n] of _pow2 of m and n over its norm (_pow2 of n where that
+    # overflows), as [[c, p], [q, -c]]; None when n is zero
+    s = math.hypot(n.a11, n.a12, n.a21, n.a22)
+    if s == 0.0:
+        return None
+    if s == math.inf:
+        n = _ref_pow2(n)
+        s = n.frob()
+    m, n = _ref_pow2(m), Mat2(n.a11 / s, n.a12 / s, n.a21 / s, n.a22 / s)
+    d, e = m.a11 - m.a22, n.a11 - n.a22
+    c = m.a12 * n.a21 - m.a21 * n.a12
+    return Mat2(c, n.a12 * d - m.a12 * e, m.a21 * e - n.a21 * d, -c)
+
+
 def ref_common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL):
     ms = tuple(ms)
-    for m in ms:
+    for i, m in enumerate(ms):
         directions = ref_real_eigen_directions(m, tol)
-        if directions is None:
+        if directions is not None:
+            break
+    else:
+        raise AllIsotropic("every matrix is scalar; any direction is invariant")
+    scale = _ref_pow2(m).frob()
+    for n in ms[i + 1:]:
+        k = _ref_commutator(m, n)
+        if k is None or k.frob() == 0.0 or tol.is_zero(k.frob() / scale):
             continue
-        for d in directions:
-            if all(ref_is_eigenvector(x, d, tol) for x in ms):
-                return d
-        return None
-    raise AllIsotropic("every matrix is scalar; any direction is invariant")
+        if not tol.is_zero(k.det() / scale / scale):
+            return None
+        # Shemesh: det [m, n] = 0 and [m, n] != 0, so ker [m, n] is the one
+        # eigenvector m and n share; its larger row turned a quarter turn
+        row = Vec2(k.a11, k.a12) if abs(k.a12) >= abs(k.a21) else Vec2(k.a21, k.a22)
+        kernel = ref_canonical_direction(Vec2(-row.y, row.x), tol)
+        if kernel not in directions:
+            directions += (kernel,)
+        break
+    for d in directions:
+        if all(ref_is_eigenvector(x, d, tol) for x in ms):
+            return d
+    return None
 
 
 def ref_combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,

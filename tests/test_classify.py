@@ -1,6 +1,7 @@
 """Verdicts, excluded sets, reductions, and their invariance under conjugation."""
 
 import copy
+from fractions import Fraction
 import math
 import pickle
 import sys as sys_module
@@ -338,28 +339,16 @@ def test_analyze_computes_the_verdict_once_per_system(shared_line_drift_system):
     assert analyze(sys) is analyze(sys)
 
 
-@pytest.mark.parametrize("kind", [SystemKind.WITH_DRIFT, SystemKind.DRIFTLESS])
-def test_analyze_computes_eigen_directions_once(kind, monkeypatch):
-    # a and b1 share both axes; b2 keeps the first and b3 the second, so the
-    # combination has to try all three coefficient pairs.
-    a, b1 = mat([[1.0, 0.0], [0.0, 2.0]]), mat([[0.0, 0.0], [0.0, 1.0]])
-    b2, b3 = mat([[1.0, 1.0], [0.0, 0.0]]), mat([[0.0, 0.0], [1.0, 0.0]])
-    if kind is SystemKind.WITH_DRIFT:
-        sys = BilinearSystem(kind, a, (b1, b2, b3))
-    else:
-        sys = BilinearSystem(kind, None, (a, b1, b2, b3))
-    # The candidate stage and its residual tests run on floats: count the
-    # eigen computations in _eigen_units and the (matrix, unit vector) pairs
-    # given to _invariant, under every module's binding.
-    calls = []
-    original = mat2._eigen_units
+def _count_candidate_stage(monkeypatch):
+    """The calls to _eigen_units and the (matrix, unit vector) pairs given to
+    _invariant, under every module's binding: the candidate stage and its
+    residual tests run on floats."""
+    calls, tested = [], []
+    eigen_units, residual_test = mat2._eigen_units, mat2._invariant
 
     def counted(*args):
         calls.append(args)
-        return original(*args)
-
-    tested = []
-    residual_test = mat2._invariant
+        return eigen_units(*args)
 
     def counted_test(m, x, y, tol):
         tested.append((m, (x, y)))
@@ -368,14 +357,74 @@ def test_analyze_computes_eigen_directions_once(kind, monkeypatch):
     for module in (mat2, structure):
         monkeypatch.setattr(module, "_eigen_units", counted)
         monkeypatch.setattr(module, "_invariant", counted_test)
+    return calls, tested
+
+
+@pytest.mark.parametrize("kind", [SystemKind.WITH_DRIFT, SystemKind.DRIFTLESS])
+def test_analyze_computes_eigen_directions_once(kind, monkeypatch):
+    # a and b1 do not commute and share the first axis, so det[a, b1] = 0 and
+    # the candidates are a's eigen-directions; b2 keeps the first axis and b3
+    # does not, so the combination has to try two coefficient pairs.
+    a, b1 = mat([[1.0, 1.0], [0.0, 2.0]]), mat([[0.0, 0.0], [0.0, 1.0]])
+    b2, b3 = mat([[1.0, 0.0], [0.0, 0.0]]), mat([[0.0, 0.0], [1.0, 0.0]])
+    if kind is SystemKind.WITH_DRIFT:
+        sys = BilinearSystem(kind, a, (b1, b2, b3))
+    else:
+        sys = BilinearSystem(kind, None, (a, b1, b2, b3))
+    calls, tested = _count_candidate_stage(monkeypatch)
     verdict = analyze(sys)
     assert verdict.klass is VerdictClass.CONTROLLABLE
-    assert verdict.reduction.combined_coeffs == (1.0, 1.0)
-    assert calls == [(a, sys.tol)]
-    # No (matrix, direction) residual test runs twice; b2 + b3 is the only
-    # combination tested as a matrix of its own.
+    assert verdict.reduction.combined_coeffs == (0.0, 1.0)
+    # Eigen-directions are computed at most once, and only a's; no (matrix,
+    # direction) residual test runs twice.
+    assert len(calls) == 1 and calls[0][0] == mat2._pow2(a)
     assert len(tested) == len(set(tested))
-    assert {m for m, _ in tested} == {a, b1, b2, b3, lincomb(1.0, b2, 1.0, b3)}
+    assert {m for m, _ in tested} == {a, b1, b2, b3}
+
+
+def test_a_family_settled_by_the_commutator_runs_no_eigen_step(rotation_drift_system,
+                                                               monkeypatch):
+    # det[A, B1] is not zero, so the family shares no eigenvector: no
+    # eigen-direction is computed and no residual test runs.
+    sys = rotation_drift_system
+    assert structure._candidates(sys.matrices(), sys.tol) == ((0, 1), ())
+    calls, tested = _count_candidate_stage(monkeypatch)
+    assert analyze(sys).klass is VerdictClass.CONTROLLABLE
+    assert calls == [] and tested == []
+
+
+# Two classify-mix families (benchmark seed 1, block 2, family 2614; held-out
+# seed 20261017, block 1, family 764) whose first member has a near-double
+# eigenvalue.  Its computed eigen-directions miss the shared eigenvector by
+# more than the residual test allows; ker[M, N] of the first pair finds it.
+NEAR_DOUBLE_TRIANGULAR = {"kind": "driftless", "drift": None, "inputs": [
+    (7.904053647747323, 3.2525898366185473, -13.741345258401761, -5.466804205415039),
+    (7.162761518138625, 3.919231458375825, -12.258478382794248, -6.856897991322428),
+    (-3.958392605922825, -2.7325026293079353, 9.972956017539161, 6.510081883542586)]}
+NEAR_DOUBLE_TRAPPED = {
+    "kind": "drift",
+    "drift": (-0.9054603850318306, 13.047063169763948, -0.3893817626932543, 3.6024386676000892),
+    "inputs": [(3.353941062361969, -20.87976791127879, 0.5793827941716057, -3.6069143879266363),
+               (2.13547546335952, -4.06007039308933, 0.3688966853743162, -0.7013644202873689)]}
+
+
+@pytest.mark.parametrize("family, klass", [
+    (NEAR_DOUBLE_TRIANGULAR, VerdictClass.NEARLY_CONTROLLABLE),
+    (NEAR_DOUBLE_TRAPPED, VerdictClass.UNCONTROLLABLE),
+])
+def test_shared_eigenvector_of_a_near_double_root_is_found(family, klass):
+    sys = _family_system(family, [1.0] * 4, 1.0)
+    verdict = analyze(sys)
+    assert verdict.klass is klass
+    v = verdict.structure.common_eigenvector
+    assert klass is not VerdictClass.UNCONTROLLABLE or verdict.largest_region is v
+    # |cross(v, M v)| / (|M|_F |v|^2) <= 1e-15 for every member, in exact arithmetic
+    x, y = Fraction(v.x), Fraction(v.y)
+    for m in sys.matrices():
+        a11, a12, a21, a22 = map(Fraction, (m.a11, m.a12, m.a21, m.a22))
+        twist = x * (a21 * x + a22 * y) - y * (a11 * x + a12 * y)
+        frob2 = a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22
+        assert twist * twist <= Fraction(1e-15) ** 2 * frob2 * (x * x + y * y) ** 2
 
 
 def test_first_analyze_from_racing_threads_returns_one_verdict():
@@ -488,6 +537,8 @@ TRIANGULAR_PAIR = {"kind": "driftless", "drift": None,
 @example(ZERO_BOTTOM_ROTATION, [2.0 ** -300, 2.0 ** 300, 1.0, 1.0], 2.0 ** -600)
 @example(TRIANGULAR_PAIR, [1.0] * 4, 2.0 ** -600)
 @example(TRIANGULAR_PAIR, [1.0] * 4, 2.0 ** 600)
+@example(NEAR_DOUBLE_TRIANGULAR, [2.0 ** -20, 1e3, 3.0, 1.0], 1e-6)
+@example(NEAR_DOUBLE_TRAPPED, [1e-5, 2.0 ** 40, 1.0, 1.0], 2.0 ** -30)
 def test_verdicts_are_homogeneous(family, input_factors, c):
     """B_i -> s_i B_i and (A, B) -> c (A, B) leave the class, the excluded
     lines and the invariant line as they are: bit for bit under powers of

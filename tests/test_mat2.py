@@ -227,12 +227,19 @@ def test_canonical_direction_rejects_zero():
 
 
 def test_direction_refuses_the_zero_unit_of_an_overflowing_norm():
-    # |(1.5e308, 1.5e308)| overflows, so _unit divides by inf and returns
-    # (0.0, 0.0); only Direction's unit-norm check keeps that from being
-    # returned as a line.
-    assert mat2._unit(1.5e308, 1.5e308, DEFAULT_TOL) == (0.0, 0.0)
+    # |(1.5e308, 1.5e308)| overflows.  _unit refuses it rather than divide by
+    # inf and return (0.0, 0.0), so _direction, which builds its Direction
+    # without the unit-norm check, never returns that as a line.
+    for x, y in ((1.5e308, 1.5e308), (math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="non-finite vector norm"):
+            mat2._unit(x, y, DEFAULT_TOL)
+        with pytest.raises(ValueError, match="non-finite vector norm"):
+            mat2._direction(x, y, DEFAULT_TOL)
+    with pytest.raises(ValueError, match="non-finite vector norm"):
+        canonical_direction(Vec2(1.5e308, 1.5e308))
+    # The public constructor keeps its check.
     with pytest.raises(ValueError, match="must be unit length, got norm 0.0"):
-        mat2._direction(1.5e308, 1.5e308, DEFAULT_TOL)
+        mat2.Direction(Vec2(0.0, 0.0))
 
 
 @given(st.floats(min_value=-1e3, max_value=1e3), st.floats(min_value=-1e3, max_value=1e3),

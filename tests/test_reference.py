@@ -219,16 +219,21 @@ def test_canonical_direction_matches_reference(m):
 
 
 @given(families(1, 4))
+@example([Mat2(0.0, 1.0, 0.0, 0.0), Mat2(0.0, 1.43e308, 0.0, 1.09e308)])   # |N|_F overflows
+@example([Mat2(7.904053647747323, 3.2525898366185473, -13.741345258401761, -5.466804205415039),
+          Mat2(7.162761518138625, 3.919231458375825, -12.258478382794248, -6.856897991322428)])
+# ... a near-double root of M: only ker[M, N] is invariant under both
 def test_common_real_eigenvector_matches_reference(ms):
     assert outcome(common_real_eigenvector, ms) == outcome(ref_common_real_eigenvector, ms)
 
 
 def _combine_from_candidates(a, b1, b2, b3):
-    # As analyze does: the candidate stage's unit (x, y) pairs go to the
-    # certification and then to the combination, with no Direction between.
-    first, units = _candidates((a, b1, b2, b3), DEFAULT_TOL)
+    # As analyze does: the candidate stage (its commutator pair and its unit
+    # (x, y) pairs) goes to the certification and then to the combination,
+    # with no Direction between.
+    pair, units = _candidates((a, b1, b2, b3), DEFAULT_TOL)
     _, failed_at = _certified((a, b1, b2, b3), units, DEFAULT_TOL)
-    return _combine_inputs(a, b1, b2, b3, first, units, failed_at, DEFAULT_TOL)
+    return _combine_inputs(a, b1, b2, b3, pair, units, failed_at, DEFAULT_TOL)
 
 
 @given(families(4, 4))
@@ -640,6 +645,9 @@ def _reference_escapes(sys, pair, xi, eta) -> bool:
 @example(_system(None, (2.0 ** 57, 3 * 2.0 ** 57, -6 * 2.0 ** 57, 0.0),
                  (-2.0 ** 57, 0.0, 2.0 ** 57, 2.0 ** 57)),
          Vec2(1.2e119, 0.0), Vec2(0.0, 1.0), True)    # det at the landing is inf - inf
+@example(_system((0.0, 0.002, 0.0, 0.0), (0.0, 0.0, 0.001, 0.0), (0.002, 0.0, 0.0, 0.0)),
+         Vec2(6.86479766013061e156, 0.0), Vec2(0.0, 6.86479766013061e156),
+         True)    # the one step from the landing 1.4e154 overflows; the reference plans
 def test_plan_transfer_matches_reference(sys, xi, eta, on_line):
     """Off the escape route the plan (or exception type) is the reference's;
     on it, a verified plan wherever the reference found one."""
@@ -653,9 +661,13 @@ def test_plan_transfer_matches_reference(sys, xi, eta, on_line):
         try:
             plan = plan_transfer(sys, xi, eta)
         except (EscapeFailed, ValueError):
-            # Only where the one-step zero test after the escape cannot be
-            # made: the landing is beyond 2^500, so that its squares overflow.
-            _, lx, ly = _escape_moves(pair, xi.x, xi.y)[-1]
+            # Only where the one step after the escape cannot be made: the
+            # landing is beyond 2^500, so that its products overflow.  The
+            # escape controls do not depend on the target, so the escapes
+            # towards 0 show the landing, as _escape_moves takes them.
+            _, lx, ly, v = _escape(pair, xi.x, xi.y, 0.0, 0.0)
+            if v is None:
+                _, lx, ly, v = _escape(pair, lx, ly, 0.0, 0.0)
             assert max(abs(lx), abs(ly)) > 2.0 ** 500
         else:
             assert verify_plan(sys, xi, eta, plan) == (True, plan.residual)

@@ -388,6 +388,24 @@ def test_plan_transfer_to_a_subnormal_target():
     assert verify_plan(sys, xi, eta, plan)[0]
 
 
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="ROADMAP item 12: under a coarse tolerance the two-step "
+                          "construction takes a left null direction that holds only "
+                          "within the tolerance, and its miss is reported as a bug, "
+                          "not refused")
+def test_plan_transfer_under_a_coarse_tolerance(rotation_drift_system):
+    # The README system under abs_eps 0.5: the two-step plan misses by 14.8.
+    # A plan that lands, or a documented refusal, is the expected answer.
+    sys = BilinearSystem(rotation_drift_system.kind, rotation_drift_system.drift,
+                         rotation_drift_system.inputs, TolerancePolicy(0.5))
+    xi, eta = Vec2(10.0, 10.0), Vec2(-110.0, -70.0)
+    try:
+        plan = plan_transfer(sys, xi, eta)
+    except (EscapeFailed, InExcludedSet, NotCanonicalClass, SingularSubstitution, ZeroState):
+        return
+    assert verify_plan(sys, xi, eta, plan)[0]
+
+
 def test_plan_transfer_expands_reduced_controls(rotation_drift_system):
     sys = BilinearSystem(SystemKind.WITH_DRIFT, rotation_drift_system.drift,
                          rotation_drift_system.inputs + (mat([[1.0, 0.0], [0.0, 0.0]]),))
