@@ -28,11 +28,12 @@ finite and of unit norm.  Nothing downstream re-checks its inputs.
 
 The kernels compute on plain floats and build only their results: on the
 classify path ``linearly_independent``, the eigen-candidate stage (the
-isotropy test ``_isotropic`` and ``_eigen_units`` on ``_pow2`` of a member, and
+isotropy test ``_anisotropic`` and ``_eigen_units`` on ``_pow2`` of a member, and
 the residual test ``_invariant``, under ``real_eigen_directions`` and
 ``is_eigenvector``; ``structure._candidates`` runs the commutator test first,
-and computes eigen-directions only where it does not settle that the family
-shares none; a ``Direction`` is built only for a certified vector),
+and computes eigen-directions only where it does not settle that no
+direction passes the residual test on every member; a ``Direction`` is
+built only for a certified vector),
 ``structure._antidiagonal``, ``canonical_direction``, ``_similar`` and ``_lincomb``;
 on the plan path the ``steer`` kernels and the replay kernel ``simulate._replay``.
 A singular 2x2 system is a zero test in ``_det2`` that answers None (only
@@ -397,17 +398,19 @@ def real_eigen_directions(m: Mat2,
     With two, the direction of the larger eigenvalue (trace + sqrt(disc))/2
     comes first.
     """
-    a = _pow2(m)
-    scale = math.hypot(*a)
-    if _isotropic(a, scale, tol):
+    found = _anisotropic(m, tol)
+    if found is None:
         return None
-    return tuple([_unit_direction(x, y) for x, y in _eigen_units(a, scale, tol)])
+    return tuple([_unit_direction(x, y) for x, y in _eigen_units(*found, tol)])
 
 
-def _isotropic(a: tuple, scale: float, tol: TolerancePolicy) -> bool:
-    """Is the matrix with ``_pow2`` entries a, of norm scale, a multiple of the identity?"""
-    a11, a12, a21, a22 = a
-    return scale == 0.0 or tol.is_zero(max(abs(a12), abs(a21), abs(a11 - a22)) / scale)
+def _anisotropic(m: Mat2, tol: TolerancePolicy) -> Optional[tuple[tuple, float]]:
+    """``_pow2`` of m and its norm, or None where m is a multiple of the identity."""
+    a = a11, a12, a21, a22 = _pow2(m)
+    scale = math.hypot(*a)
+    if scale == 0.0 or tol.is_zero(max(abs(a12), abs(a21), abs(a11 - a22)) / scale):
+        return None
+    return a, scale
 
 
 def _eigen_units(a: tuple, scale: float,

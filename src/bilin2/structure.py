@@ -10,9 +10,10 @@ and steer in the transformed frame.
 The common eigenvector is decided first by one commutator: M, the first
 non-isotropic member, and N, the first later member that does not commute
 with it, share an eigenvector exactly when det[M, N] = 0 (Shemesh, 1984).
-Where that determinant is not zero the family shares none, and no
-eigen-direction is computed or tested.  Otherwise the candidates are M's
-eigen-directions, then ker[M, N], each certified by residual test.
+Where that determinant is too large for any direction to pass the residual
+test on both, the family shares none, and no eigen-direction is computed or
+tested.  Otherwise the candidates are M's eigen-directions, then ker[M, N],
+each certified by residual test.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from .mat2 import (
     Direction,
     Mat2,
     TolerancePolicy,
+    _anisotropic,
     _direction,
     _eigen_units,
     _finite,
     _invariant,
-    _isotropic,
     _lincomb,
     _pow2,
     _Record,
@@ -76,17 +77,23 @@ class StructureReport(_Record):
         _setfield(self, "common_eigenvector", common_eigenvector)
 
 
+# The rounding of the commutator and of the residual test, a few dozen units
+# of 2^-52, with room to spare.
+_ROUNDING = 2.0 ** -40
+
+
 def common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL) -> Optional[Direction]:
     """A direction invariant under every matrix in ms, or None.
 
     M is the first non-isotropic member, N the first later one that does not
     commute with it.  They share an eigenvector exactly when det[M, N] = 0,
-    [M, N] = MN - NM (Shemesh, 1984); where it is not zero, the family shares
-    none and no eigen-direction is computed.  Otherwise the candidates are
-    M's real eigen-directions, then ker[M, N] where it differs from them, and
-    each is certified against the whole family by residual test.  Isotropic
-    members impose no constraint.  Raises AllIsotropic when no member
-    constrains the answer at all.
+    [M, N] = MN - NM (Shemesh, 1984); where it is too large for any direction
+    to pass the residual test on both, the family shares none and no
+    eigen-direction is computed.  Otherwise the candidates are M's real
+    eigen-directions, then ker[M, N] where it differs from them, and each is
+    certified against the whole family by residual test.  Isotropic members
+    impose no constraint.  Raises AllIsotropic when no member constrains the
+    answer at all.
     """
     ms = tuple(ms)
     return _certified(ms, _candidates(ms, tol)[1], tol)[0]
@@ -103,15 +110,23 @@ def _candidates(ms: tuple[Mat2, ...],
     det[M, N] / (|M|_F |N|_F)^2, are formed on ``_pow2`` of M and on N over
     its norm (``_pow2`` of N where that norm overflows).  [M, N] is trace-free,
     [[c, p], [q, -c]], and its kernel is its larger row turned a quarter turn.
+
+    A unit v that passes the residual test on M and N within eps puts both,
+    over their norms and in the frame (v, v^perp), in the form [[*, *], [r, *]]
+    with |r| <= eps.  There |c| <= 2 eps, |q| <= 2 sqrt(2) eps and
+    |p| <= sqrt(2), so the determinant ratio, |c^2 + pq|, is at most
+    4 eps (1 + eps).  Only a ratio above that bound, plus ``_ROUNDING``,
+    settles that the family shares none.
     """
     for i, m in enumerate(ms):
-        a = _pow2(m)
-        scale = math.hypot(*a)
-        if not _isotropic(a, scale, tol):
+        found = _anisotropic(m, tol)
+        if found is not None:
             break
     else:
         raise AllIsotropic("every matrix is scalar; any direction is invariant")
+    a, scale = found
     a11, a12, a21, a22 = a
+    settled = 4.0 * tol.abs_eps * (1.0 + tol.abs_eps) + _ROUNDING
     d = a11 - a22
     for j in range(i + 1, len(ms)):
         n = ms[j]
@@ -128,7 +143,7 @@ def _candidates(ms: tuple[Mat2, ...],
         r = math.hypot(c, p, q, c)
         if r == 0.0 or tol.is_zero(r / scale):
             continue
-        if not tol.is_zero((c * c + p * q) / scale / scale):
+        if abs(c * c + p * q) / scale / scale > settled:
             return (i, j), ()
         units = _eigen_units(a, scale, tol)
         kernel = _unit(-p, c, tol) if abs(p) >= abs(q) else _unit(c, q, tol)
@@ -293,19 +308,16 @@ def _combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2, pair: tuple,
     found for them.
 
     When M is a and N is b1, the candidate stage of each {a, b1, combined}
-    is this one: the same pair, and the same candidates.  Where the pair
-    decided that there are none, (1, 0) is taken with no test.  Otherwise
-    the candidates invariant under both a and b1 are the only ones a
-    combination has to break.  The (1, 0) and (0, 1) combinations are b2
-    and b3 up to the signs of zero entries, which no residual test sees, so
-    they are tested as b2 and b3.  No residual test that ``_certified`` ran
-    is run again.  When b1 commutes with a, the combination is found as
-    :func:`combine_inputs` finds it.
+    is this one: the same pair, and the same candidates.  The candidates
+    invariant under both a and b1 are the only ones a combination has to
+    break (none where the pair settled that there are none).  The (1, 0) and
+    (0, 1) combinations are b2 and b3 up to the signs of zero entries, which
+    no residual test sees, so they are tested as b2 and b3.  No residual test
+    that ``_certified`` ran is run again.  When b1 commutes with a, the
+    combination is found as :func:`combine_inputs` finds it.
     """
     if pair != (0, 1):
         return combine_inputs(a, b1, b2, b3, tol)
-    if not units:
-        return 1.0, 0.0
     members = (a, b1, b2, b3)
 
     def invariant(k: int, i: int) -> bool:

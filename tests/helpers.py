@@ -417,9 +417,7 @@ def ref_common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL):
         k = _ref_commutator(m, n)
         if k is None or k.frob() == 0.0 or tol.is_zero(k.frob() / scale):
             continue
-        if not tol.is_zero(k.det() / scale / scale):
-            return None
-        # Shemesh: det [m, n] = 0 and [m, n] != 0, so ker [m, n] is the one
+        # Shemesh: where det [m, n] = 0 and [m, n] != 0, ker [m, n] is the one
         # eigenvector m and n share; its larger row turned a quarter turn
         row = Vec2(k.a11, k.a12) if abs(k.a12) >= abs(k.a21) else Vec2(k.a21, k.a22)
         kernel = ref_canonical_direction(Vec2(-row.y, row.x), tol)

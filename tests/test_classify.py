@@ -382,6 +382,27 @@ def test_analyze_computes_eigen_directions_once(kind, monkeypatch):
     assert {m for m, _ in tested} == {a, b1, b2, b3}
 
 
+@pytest.mark.parametrize("kind", [SystemKind.WITH_DRIFT, SystemKind.DRIFTLESS])
+def test_analyze_computes_eigen_directions_once_per_combination(kind, monkeypatch):
+    # a and b1 commute and share both axes; b2 keeps the first and b3 the
+    # second, so the combination has to try all three coefficient pairs.  The
+    # candidate stage of the family pairs a with b2, not b1, so each
+    # combination runs a stage of its own.
+    a, b1 = mat([[1.0, 0.0], [0.0, 2.0]]), mat([[0.0, 0.0], [0.0, 1.0]])
+    b2, b3 = mat([[1.0, 1.0], [0.0, 0.0]]), mat([[0.0, 0.0], [1.0, 0.0]])
+    if kind is SystemKind.WITH_DRIFT:
+        sys = BilinearSystem(kind, a, (b1, b2, b3))
+    else:
+        sys = BilinearSystem(kind, None, (a, b1, b2, b3))
+    calls, _ = _count_candidate_stage(monkeypatch)
+    verdict = analyze(sys)
+    assert verdict.klass is VerdictClass.CONTROLLABLE
+    assert verdict.reduction.combined_coeffs == (1.0, 1.0)
+    # Eigen-directions are computed once for the family and at most once for
+    # each combination tried, and only a's.
+    assert len(calls) <= 1 + 3 and all(args[0] == mat2._pow2(a) for args in calls)
+
+
 def test_a_family_settled_by_the_commutator_runs_no_eigen_step(rotation_drift_system,
                                                                monkeypatch):
     # det[A, B1] is not zero, so the family shares no eigenvector: no
@@ -391,6 +412,14 @@ def test_a_family_settled_by_the_commutator_runs_no_eigen_step(rotation_drift_sy
     calls, tested = _count_candidate_stage(monkeypatch)
     assert analyze(sys).klass is VerdictClass.CONTROLLABLE
     assert calls == [] and tested == []
+
+
+# det[B1, B2] / (|B1|_F |B2|_F)^2 = 1.36e-9 is above the default tolerance,
+# but B1's eigen-direction (1, 1.41e-9) passes the residual test on B1 and, at
+# 8.5e-10, on B2: the pair shares it, so the commutator must not settle it
+# (test_reference.py compares the pair with the reference).
+NEAR_TOLERANCE_PAIR = {"kind": "driftless", "drift": None, "inputs": [
+    (0.7071067811865476, 0.0, 2e-9, -0.7071067811865476), (0.6, 0.8, 0.0, 0.0)]}
 
 
 # Two classify-mix families (benchmark seed 1, block 2, family 2614; held-out
@@ -539,6 +568,7 @@ TRIANGULAR_PAIR = {"kind": "driftless", "drift": None,
 @example(TRIANGULAR_PAIR, [1.0] * 4, 2.0 ** 600)
 @example(NEAR_DOUBLE_TRIANGULAR, [2.0 ** -20, 1e3, 3.0, 1.0], 1e-6)
 @example(NEAR_DOUBLE_TRAPPED, [1e-5, 2.0 ** 40, 1.0, 1.0], 2.0 ** -30)
+@example(NEAR_TOLERANCE_PAIR, [2.0 ** -20, 2.0 ** 30, 1.0, 1.0], 2.0 ** -100)
 def test_verdicts_are_homogeneous(family, input_factors, c):
     """B_i -> s_i B_i and (A, B) -> c (A, B) leave the class, the excluded
     lines and the invariant line as they are: bit for bit under powers of

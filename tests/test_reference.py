@@ -223,8 +223,24 @@ def test_canonical_direction_matches_reference(m):
 @example([Mat2(7.904053647747323, 3.2525898366185473, -13.741345258401761, -5.466804205415039),
           Mat2(7.162761518138625, 3.919231458375825, -12.258478382794248, -6.856897991322428)])
 # ... a near-double root of M: only ker[M, N] is invariant under both
+@example([Mat2(0.7071067811865476, 0.0, 2e-9, -0.7071067811865476), Mat2(0.6, 0.8, 0.0, 0.0)])
+# ... det[M, N] is above the tolerance, but M's eigen-direction passes on both
 def test_common_real_eigenvector_matches_reference(ms):
-    assert outcome(common_real_eigenvector, ms) == outcome(ref_common_real_eigenvector, ms)
+    assert _outcomes(common_real_eigenvector, ref_common_real_eigenvector, ms)
+
+
+def _outcomes(f, ref, ms) -> bool:
+    """Does f(ms) have the outcome of ref(ms)?  The reference certifies every
+    candidate by residual test, which raises ValueError on a member whose
+    norm or image overflows; f answers all the same where the commutator
+    settles that the members share nothing, with no residual test.  There
+    f's answer must be the reference's for the family divided by 16, whose
+    norms are in range: the answer does not depend on the family's scale."""
+    got, expected = outcome(f, ms), outcome(ref, ms)
+    if expected is ValueError and got is not ValueError:
+        expected = outcome(ref, [Mat2(m.a11 / 16.0, m.a12 / 16.0, m.a21 / 16.0, m.a22 / 16.0)
+                                 for m in ms])
+    return got == expected
 
 
 def _combine_from_candidates(a, b1, b2, b3):
@@ -249,9 +265,16 @@ def _combine_from_candidates(a, b1, b2, b3):
           Mat2(1.7e308, 1.0, 0.0, 0.0), Mat2(1.7e308, 0.0, 1.0, 0.0)])  # frob(b2) overflows
 @example([Mat2(1.7592186044416e+163, 1.6977158828979719e+308, -1.7592186044416e+163,
                -1.6977158828979719e+308)] + [Mat2(0.0, 0.0, 0.0, 0.0)] * 3)  # frob(a) overflows
+@example([Mat2(0.7071067811865476, 0.0, 2e-9, -0.7071067811865476), Mat2(0.6, 0.8, 0.0, 0.0),
+          Mat2(0.0, 1.0, 0.0, 0.0), Mat2(0.0, 0.0, 1.0, 0.0)])   # a, b1 share within the tolerance
+@example([Mat2(1.699999975958371e+308, 0.0, 0.0, 1.6999999773161388e+308),
+          Mat2(-0.4546487134128409, 0.2919265817264289, -0.7080734182735712, 0.4546487134128409),
+          Mat2(0.0, 0.0, 0.0, 1.0), Mat2(0.0, 0.0, 0.0, 0.0)])   # the residual test on a overflows
 def test_combine_inputs_matches_reference(ms):
-    expected = outcome(ref_combine_inputs, *ms)
-    assert outcome(combine_inputs, *ms) == expected
+    def reference(ms):
+        return ref_combine_inputs(*ms)
+
+    assert _outcomes(lambda ms: combine_inputs(*ms), reference, ms)
     try:
         # analyze takes only members of finite norm (ingestion's independence
         # test reads it) and certifies the candidates before it combines, and
@@ -260,7 +283,7 @@ def test_combine_inputs_matches_reference(ms):
         _certified(tuple(ms), _candidates(tuple(ms), DEFAULT_TOL)[1], DEFAULT_TOL)
     except (ValueError, OverflowError):
         return
-    assert outcome(_combine_from_candidates, *ms) == expected
+    assert _outcomes(lambda ms: _combine_from_candidates(*ms), reference, ms)
 
 
 @given(matrices(), matrices())

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from bilin2 import (
     DEFAULT_TOL,
@@ -16,6 +18,7 @@ from bilin2 import (
     NoCombinationFound,
     NotCommonEigenvector,
     SystemKind,
+    TolerancePolicy,
     Vec2,
     VerdictClass,
     analyze,
@@ -26,7 +29,7 @@ from bilin2 import (
     triangularize,
     zero_bottom_row_pair,
 )
-from bilin2 import mat2
+from bilin2 import mat2, structure
 from bilin2.mat2 import canonical_direction, cross, is_eigenvector, real_eigen_directions
 from bilin2.quadform import pair_lines
 from helpers import inverse, lincomb, line_gap, mat, rotation
@@ -64,6 +67,28 @@ def test_common_real_eigenvector_takes_candidates_from_the_first_constraining_me
         sys = BilinearSystem(SystemKind.DRIFTLESS, None, ms)
         assert analyze(sys).klass is VerdictClass.CONTROLLABLE
     assert [(d.x, d.y) for d in real_eigen_directions(tiny)] == [(0.0, 1.0), (1.0, 0.0)]
+
+
+@given(st.floats(-math.pi, math.pi), st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.sampled_from([1e-9, 1e-6, 1e-3, 0.1]))
+@example(0.0, [0.5, 0.7071067811865476, -0.5, -0.5, 0.7071067811865476, 0.5], -0.9, -0.9, 1e-9)
+def test_the_commutator_settles_none_only_where_no_direction_passes(angle, entries, r1, r2,
+                                                                    eps):
+    """M and N are upper triangular in the frame (v, v^perp) but for bottom-left
+    entries within eps of their norms.  Wherever v passes the residual test
+    on both, the candidate stage does not settle that they share none."""
+    tol = TolerancePolicy(eps)
+    rot = rotation(angle)
+    ms = []
+    for (x, y, z), r in ((entries[:3], r1), (entries[3:], r2)):
+        ms.append(rot @ Mat2(x, y, r * eps * math.hypot(x, y, z), z) @ rotation(-angle))
+    v = canonical_direction(rot @ Vec2(1.0, 0.0), tol)
+    assume(all(is_eigenvector(m, v, tol) for m in ms))
+    try:
+        pair, units = structure._candidates(tuple(ms), tol)
+    except AllIsotropic:
+        return
+    assert units or pair[1] is None
 
 
 def test_triangularize_golden(shared_line_drift_system):
