@@ -241,9 +241,9 @@ def _expand(layout: tuple, v1: float, v2: float) -> tuple[float, ...]:
 
 def _verdict_controllable(sys: BilinearSystem, pair: tuple, units: tuple,
                           failed_at: list[int]) -> Verdict:
-    """The controllable verdict; ``pair`` and ``units`` are what ``_candidates``
-    found for ``sys.matrices()``, and ``failed_at`` what ``_certified`` found
-    for them."""
+    """The controllable verdict; ``pair`` is what ``_candidates`` found for
+    ``sys.matrices()``, and ``units`` and ``failed_at`` what ``_certified``
+    tested and found."""
     if sys.m == 2:
         red = _IDENTITY
     elif sys.kind is SystemKind.WITH_DRIFT:
@@ -262,10 +262,10 @@ def _nearly(lines: LineUnion, report: StructureReport, red: Reduction) -> Verdic
     return Verdict(VerdictClass.NEARLY_CONTROLLABLE, lines, None, report, red)
 
 
-def _verdict_with_common_vector(sys: BilinearSystem, common: Direction) -> Verdict:
-    report = _triangular(sys.matrices(), common, sys.tol)
-    forms = zip(report.canonical_forms[-sys.m:], sys.inputs)   # the inputs' forms
-    if all([f.a22 == 0.0 or sys.tol.is_zero(f.a22 / b.frob()) for f, b in forms]):
+def _verdict_with_common_vector(sys: BilinearSystem, ms: tuple[Mat2, ...],
+                                common: Direction) -> Verdict:
+    report, trapped = _triangular(ms, common, sys.tol, len(ms) - sys.m)
+    if trapped:
         return Verdict(VerdictClass.UNCONTROLLABLE, None, common, report, _IDENTITY)
     if sys.m == 2:
         return _nearly(pair_lines(*sys.inputs, sys.tol), report, _IDENTITY)
@@ -295,10 +295,10 @@ def analyze(sys: BilinearSystem) -> Verdict:
 
 def _classify(sys: BilinearSystem) -> Verdict:
     ms = sys.matrices()
-    pair, units = _candidates(ms, sys.tol)
-    common, failed_at = _certified(ms, units, sys.tol)
+    pair, units, commutator = _candidates(ms, sys.tol)
+    common, units, failed_at = _certified(ms, units, commutator, sys.tol)
     if common is not None:
-        return _verdict_with_common_vector(sys, common)
+        return _verdict_with_common_vector(sys, ms, common)
     if sys.kind is SystemKind.DRIFTLESS and sys.m == 2:
         found = _antidiagonal(*sys.inputs, sys.tol)
         if found is not None:

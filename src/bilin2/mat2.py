@@ -24,7 +24,9 @@ own error; ``__reduce__`` sends copies and unpickling through ``__init__``.
 No path builds an unchecked value, except the ``Direction`` of a unit
 vector that ``_unit`` has just made (``_unit_direction``): ``_unit`` raises
 ValueError where the norm it divides by is not finite, so that vector is
-finite and of unit norm.  Nothing downstream re-checks its inputs.
+finite and of unit norm; and a ``Mat2`` of floats its caller knows to be
+finite (``_mat2``), as the rotation frame of a ``Direction``.  Nothing
+downstream re-checks its inputs.
 
 The kernels compute on plain floats and build only their results: on the
 classify path ``linearly_independent``, the eigen-candidate stage (the
@@ -32,9 +34,10 @@ isotropy test ``_anisotropic`` and ``_eigen_units`` on ``_pow2`` of a member, an
 the residual test ``_invariant``, under ``real_eigen_directions`` and
 ``is_eigenvector``; ``structure._candidates`` runs the commutator test first,
 and computes eigen-directions only where it does not settle that no
-direction passes the residual test on every member; a ``Direction`` is
-built only for a certified vector),
-``structure._antidiagonal``, ``canonical_direction``, ``_similar`` and ``_lincomb``;
+direction passes the residual test on every member; ker[M, N] comes last,
+normalized only once they all fail; a ``Direction`` is built only for a
+certified vector), ``structure._antidiagonal``, ``canonical_direction``,
+``_similar`` and ``_lincomb``;
 on the plan path the ``steer`` kernels and the replay kernel ``simulate._replay``.
 A singular 2x2 system is a zero test in ``_det2`` that answers None (only
 ``solve2`` raises ``SingularMatrix``), made once per system for the two-step
@@ -239,6 +242,16 @@ _set_a11, _set_a12, _set_a21, _set_a22 = (
     Mat2.a11.__set__, Mat2.a12.__set__, Mat2.a21.__set__, Mat2.a22.__set__)
 
 
+def _mat2(a11: float, a12: float, a21: float, a22: float) -> Mat2:
+    """The Mat2 of four finite floats, built without the constructor's checks."""
+    m = object.__new__(Mat2)
+    _set_a11(m, a11)
+    _set_a12(m, a12)
+    _set_a21(m, a21)
+    _set_a22(m, a22)
+    return m
+
+
 def _similar(p: Mat2, m: Mat2, p_inv: Mat2) -> Mat2:
     """p @ m @ p_inv, by the same float operations, building only the result.
 
@@ -434,7 +447,9 @@ def is_eigenvector(m: Mat2, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) ->
 
 
 def _invariant(m: Mat2, x: float, y: float, tol: TolerancePolicy) -> bool:
-    """:func:`is_eigenvector` of the unit vector (x, y), given as floats."""
+    """:func:`is_eigenvector` of the unit vector (x, y), given as floats; made
+    on ``_pow2`` of m where the residual and m's entries are below 2^-900, whose
+    products can underflow."""
     ix, iy = m.a11 * x + m.a12 * y, m.a21 * x + m.a22 * y
     lam = x * ix + y * iy
     rx, ry = ix - x * lam, iy - y * lam
@@ -443,6 +458,8 @@ def _invariant(m: Mat2, x: float, y: float, tol: TolerancePolicy) -> bool:
     if not (isfinite(rx) and isfinite(ry)):
         raise ValueError(f"non-finite eigenvector residual ({rx}, {ry})")
     r = math.hypot(rx, ry)
+    if r < 2.0 ** -900 and 0.0 < max(abs(m.a11), abs(m.a12), abs(m.a21), abs(m.a22)) < 2.0 ** -900:
+        return _invariant(_mat2(*_pow2(m)), x, y, tol)
     return r == 0.0 or tol.is_zero(r / m.frob())
 
 

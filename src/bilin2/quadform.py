@@ -76,10 +76,6 @@ def form_scale(b1: Mat2, b2: Mat2) -> float:
     return b1.frob() * b2.frob()
 
 
-def _angle_key(d: Direction) -> float:
-    return math.atan2(d.y, d.x)
-
-
 def zero_lines(q: QuadraticForm, tol: TolerancePolicy = DEFAULT_TOL,
                scale: float = 0.0) -> LineUnion:
     """Classify and extract the real zero lines of q.
@@ -104,8 +100,8 @@ def _zero_lines(a: float, b: float, c: float, tol: TolerancePolicy, scale: float
     if a == 0.0 and c == 0.0:
         # Exactly b*z1*z2, or ends lost next to b: the two coordinate axes,
         # without the root extraction's division by the zero ends.
-        dirs = (_direction(1.0, 0.0, tol), _direction(0.0, 1.0, tol))
-        return LineUnion(LineSetKind.TWO_LINES, tuple(sorted(dirs, key=_angle_key)))
+        dirs = (_direction(1.0, 0.0, tol), _direction(0.0, 1.0, tol))   # in angle order
+        return LineUnion(LineSetKind.TWO_LINES, dirs)
     disc = b * b - 4.0 * a * c
     if tol.is_zero(disc / (a * a + b * b + c * c)):
         # One repeated line; at least one end coefficient is exactly nonzero
@@ -136,8 +132,10 @@ def _zero_lines(a: float, b: float, c: float, tol: TolerancePolicy, scale: float
         t = s / c
         dirs = (_direction(1.0, t, tol) if math.isfinite(t) else _direction(0.0, 1.0, tol),
                 _direction(1.0, a / s, tol))
-    ordered = tuple(sorted(dirs, key=_angle_key))
-    return LineUnion(LineSetKind.TWO_LINES, ordered)
+    u, v = dirs
+    if math.atan2(v.y, v.x) < math.atan2(u.y, u.x):   # by angle; a tie keeps u first
+        dirs = v, u
+    return LineUnion(LineSetKind.TWO_LINES, dirs)
 
 
 def pair_lines(b1: Mat2, b2: Mat2, tol: TolerancePolicy = DEFAULT_TOL) -> LineUnion:

@@ -74,7 +74,8 @@ def _one_step(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
               rescaled: bool = False):
     """:func:`one_step` from (x, y) to (ex, ey): [B1 xi, B2 xi] u = eta - A xi by
     Cramer's rule, or None where det / (form_scale |xi|^2) is zero; formed again
-    from f xi to f eta, a power of two f != 1, where det is not a normal float."""
+    from f xi to f eta, f the power of two that puts sqrt(form_scale) |xi|_max
+    in [1, 2), where det is not a normal float (if f != 1) or u is not finite."""
     (b1, b2), a, scale = sys.inputs, sys.drift, sys._form_scale
     c1x = b1.a11 * x + b1.a12 * y
     c1y = b1.a21 * x + b1.a22 * y
@@ -97,9 +98,12 @@ def _one_step(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
     if d == 0.0 or scale == 0.0 or sys.tol.is_zero(d / scale / n / n):
         return None
     u1, u2 = (rx * c2y - c2x * ry) / d, (c1x * ry - rx * c1y) / d
-    if not (isfinite(u1) and isfinite(u2)):
+    if isfinite(u1) and isfinite(u2):
+        return u1, u2
+    if rescaled:
         raise ValueError(f"non-finite vector ({u1}, {u2})")
-    return u1, u2
+    f = math.ldexp(1.0, _pow2_exponent(math.sqrt(scale) * max(abs(x), abs(y)), 1))
+    return _one_step(sys, x * f, y * f, ex * f, ey * f, True)
 
 
 class _Steering:

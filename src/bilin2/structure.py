@@ -13,7 +13,8 @@ with it, share an eigenvector exactly when det[M, N] = 0 (Shemesh, 1984).
 Where that determinant is too large for any direction to pass the residual
 test on both, the family shares none, and no eigen-direction is computed or
 tested.  Otherwise the candidates are M's eigen-directions, then ker[M, N],
-each certified by residual test.
+each certified by residual test; the kernel is normalized only when every
+eigen-direction has failed.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .mat2 import (
     _finite,
     _invariant,
     _lincomb,
+    _mat2,
     _pow2,
     _Record,
     _setfield,
@@ -96,15 +98,15 @@ def common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL) -> Optional[
     answer at all.
     """
     ms = tuple(ms)
-    return _certified(ms, _candidates(ms, tol)[1], tol)[0]
+    return _certified(ms, *_candidates(ms, tol)[1:], tol)[0]
 
 
-def _candidates(ms: tuple[Mat2, ...],
-                tol: TolerancePolicy) -> tuple[tuple[int, Optional[int]], tuple]:
+def _candidates(ms: tuple[Mat2, ...], tol: TolerancePolicy) -> tuple:
     """The pair (i, j) of the indices of M, the first non-isotropic member of
     ms, and of N, the first later member that does not commute with M (None
-    where every one does); and the candidates for a common eigenvector as
-    unit (x, y) pairs, in order.
+    where every one does); M's eigen-directions as unit (x, y) pairs; and
+    [M, N]'s entries (c, p, q), or None without N.  Where the commutator
+    settles that the family shares none, these are () and None.
 
     Both ratios of the commutator test, |[M, N]|_F / (|M|_F |N|_F) and
     det[M, N] / (|M|_F |N|_F)^2, are formed on ``_pow2`` of M and on N over
@@ -144,19 +146,21 @@ def _candidates(ms: tuple[Mat2, ...],
         if r == 0.0 or tol.is_zero(r / scale):
             continue
         if abs(c * c + p * q) / scale / scale > settled:
-            return (i, j), ()
-        units = _eigen_units(a, scale, tol)
-        kernel = _unit(-p, c, tol) if abs(p) >= abs(q) else _unit(c, q, tol)
-        return (i, j), units if kernel in units else units + (kernel,)
-    return (i, None), _eigen_units(a, scale, tol)
+            return (i, j), (), None
+        return (i, j), _eigen_units(a, scale, tol), (c, p, q)
+    return (i, None), _eigen_units(a, scale, tol), None
 
 
 def _certified(ms: tuple[Mat2, ...], units: tuple[tuple[float, float], ...],
-               tol: TolerancePolicy) -> tuple[Optional[Direction], list[int]]:
+               commutator: Optional[tuple[float, float, float]],
+               tol: TolerancePolicy) -> tuple[Optional[Direction], tuple, list[int]]:
     """The direction of the first candidate invariant under every member, or
-    None; and, for each candidate before it, the index of the first member it
-    failed.  Members are tested in order, so a candidate was tested against
-    exactly the members up to that index."""
+    None; the candidates tested; and, for each candidate before it, the index
+    of the first member it failed.  Members are tested in order, so a
+    candidate was tested against exactly the members up to that index.  The
+    candidates are ``units``, then ker ``commutator`` where it differs from
+    them, normalized once they all failed (``_unit`` does not raise: (c, p, q)
+    are finite and not all zero)."""
     failed_at = []
     for x, y in units:
         for i, m in enumerate(ms):
@@ -164,8 +168,14 @@ def _certified(ms: tuple[Mat2, ...], units: tuple[tuple[float, float], ...],
                 failed_at.append(i)
                 break
         else:
-            return _unit_direction(x, y), failed_at
-    return None, failed_at
+            return _unit_direction(x, y), units, failed_at
+    if commutator is not None:
+        c, p, q = commutator
+        kernel = _unit(-p, c, tol) if abs(p) >= abs(q) else _unit(c, q, tol)
+        if kernel not in units:
+            found, _, failed = _certified(ms, (kernel,), None, tol)
+            return found, units + (kernel,), failed_at + failed
+    return None, units, failed_at
 
 
 def triangularize(ms, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> StructureReport:
@@ -181,18 +191,25 @@ def triangularize(ms, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> Struc
         if not is_eigenvector(m, d, tol):
             raise NotCommonEigenvector(
                 f"({d.x}, {d.y}) is not an eigenvector of {m.rows()} within tolerance")
-    return _triangular(ms, d, tol)
+    return _triangular(ms, d, tol)[0]
 
 
-def _triangular(ms: tuple[Mat2, ...], d: Direction, tol: TolerancePolicy) -> StructureReport:
-    """The report of :func:`triangularize` for a direction already certified."""
+def _triangular(ms: tuple[Mat2, ...], d: Direction, tol: TolerancePolicy,
+                k: int = 0) -> tuple[StructureReport, bool]:
+    """The report of :func:`triangularize` for a direction already certified,
+    and whether the (2,2) entries of the inputs ms[k:] all vanish (ms[:k] is
+    the drift): the uncontrollable decision.  They are tested first, and the
+    drift's only where they do.  P and P^-1 hold d's finite entries."""
     x, y = d.x, d.y
-    p_inv = Mat2(x, -y, y, x)
-    p = Mat2(x, y, -y, x)
-    forms = tuple(_similar(p, m, p_inv) for m in ms)
-    zero_bottom = all(f.a22 == 0.0 or tol.is_zero(f.a22 / m.frob()) for f, m in zip(forms, ms))
+    p_inv, p = _mat2(x, -y, y, x), _mat2(x, y, -y, x)
+    forms = tuple([_similar(p, m, p_inv) for m in ms])
+    trapped = zero_bottom = True
+    for i in (*range(k, len(ms)), *range(k)):
+        if forms[i].a22 != 0.0 and not tol.is_zero(forms[i].a22 / ms[i].frob()):
+            trapped, zero_bottom = i < k, False
+            break
     klass = FormClass.ZERO_BOTTOM_ROW if zero_bottom else FormClass.UPPER_TRIANGULAR
-    return StructureReport(klass, p, p_inv, forms, d)
+    return StructureReport(klass, p, p_inv, forms, d), trapped
 
 
 def _left_kernel(m: Mat2, tol: TolerancePolicy) -> Optional[tuple[tuple[float, float], ...]]:
@@ -303,9 +320,9 @@ def combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
 def _combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2, pair: tuple,
                     units: tuple[tuple[float, float], ...], failed_at: Sequence[int],
                     tol: TolerancePolicy) -> tuple[float, float]:
-    """:func:`combine_inputs`, given the :func:`_candidates` of (a, b1, b2, b3),
-    ``pair`` and ``units``, and, as ``failed_at``, what :func:`_certified`
-    found for them.
+    """:func:`combine_inputs`, given the ``pair`` :func:`_candidates` found for
+    (a, b1, b2, b3), and the ``units`` that :func:`_certified` tested, none
+    passing, with the ``failed_at`` it found for them.
 
     When M is a and N is b1, the candidate stage of each {a, b1, combined}
     is this one: the same pair, and the same candidates.  The candidates

@@ -8,12 +8,18 @@ have its class (and, if uncontrollable, its invariant line), and
 A family that raises counts as wrong as well.  The benchmark times only what
 it gets through in its run, so this untimed pass is what sees every family.
 
+It also prints a sha256 over every family's outcome in order:
+``repr(analyze(sys))``, or the type and message of the exception ingestion
+or ``analyze`` raised.  Two trees with the same digest give the same
+verdicts, certificates and refusals, bit for bit, on all of these families.
+
 Standard library only (``bench/inputs.py`` and ``bench/checks.py`` are read
 as they are):
 
     PYTHONPATH=src python tests/classify_audit.py   # exits 1 on any wrong family
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -36,25 +42,43 @@ def families():
                 yield f"{seed}/{b}/{i}", family
 
 
-def wrong(family):
-    """Why analyze's answer for the family differs from its construction, or None."""
+def outcome(family):
+    """analyze's verdict for the family, or the exception it or ingestion raised."""
     from bilin2 import BilinearSystem, Mat2, SystemKind, analyze
 
     kind = SystemKind.WITH_DRIFT if family.kind == "drift" else SystemKind.DRIFTLESS
     try:
         drift = Mat2(*family.drift) if family.drift is not None else None
-        verdict = analyze(BilinearSystem(kind, drift, tuple(Mat2(*b) for b in family.inputs)))
+        return analyze(BilinearSystem(kind, drift, tuple(Mat2(*b) for b in family.inputs)))
     except Exception as exc:  # the report names which one
-        return type(exc).__name__
-    region = verdict.largest_region
-    return checks.check_verdict(family, verdict.klass.value,
+        return exc
+
+
+def wrong(family, found):
+    """Why the outcome found for the family differs from its construction, or None."""
+    if isinstance(found, Exception):
+        return type(found).__name__
+    region = found.largest_region
+    return checks.check_verdict(family, found.klass.value,
                                 (region.x, region.y) if region else None)
 
 
+def text(found) -> str:
+    """The digested text of an outcome."""
+    if isinstance(found, Exception):
+        return f"{type(found).__name__}: {found}"
+    return repr(found)
+
+
 if __name__ == "__main__":
-    bad = [(name, family.name, why) for name, family in families()
-           if (why := wrong(family)) is not None]
+    digest, bad = hashlib.sha256(), []
+    for name, family in families():
+        found = outcome(family)
+        digest.update(text(found).encode())
+        if (why := wrong(family, found)) is not None:
+            bad.append((name, family.name, why))
     print(f"{len(bad)} of {len(SEEDS) * BLOCKS * BLOCK_SIZE} families wrong")
+    print(f"outcome digest sha256 {digest.hexdigest()}")
     for name, built, why in bad[:20]:
         print(f"  {name} {built}: {why}")
     sys.exit(1 if bad else 0)

@@ -242,6 +242,14 @@ def generic_driftless_system(rng, m=2) -> BilinearSystem:
             continue
 
 
+def pinned_nearly_system() -> BilinearSystem:
+    """Three driftless inputs sharing the first axis; the verdict pins the third at 0."""
+    return BilinearSystem(SystemKind.DRIFTLESS, None,
+                          (mat([[1.0, 2.0], [0.0, 1.0]]),
+                           mat([[0.0, 1.0], [0.0, 2.0]]),
+                           mat([[2.0, -1.0], [0.0, 0.0]])))
+
+
 def triangular_drift_system(rng, bottom_right=(0.0, 0.0)) -> BilinearSystem:
     """Drift system sharing the first axis; inputs' (2,2) entries as given."""
     r1, r2 = bottom_right
@@ -355,9 +363,18 @@ def ref_real_eigen_directions(m: Mat2, tol: TolerancePolicy = DEFAULT_TOL):
 
 
 def ref_is_eigenvector(m: Mat2, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    """The residual test, made on m times the power of two that puts its
+    largest entry in [1/2, 1) where that entry and the residual are below
+    2^-900: their products can underflow, and the answer does not depend on
+    m's scale."""
     v, image = d.vector, m @ d.vector
     lam = v.x * image.x + v.y * image.y
     residual = Vec2(image.x - v.x * lam, image.y - v.y * lam).norm()
+    entries = (m.a11, m.a12, m.a21, m.a22)
+    top = max(map(abs, entries))
+    if residual < 2.0 ** -900 and 0.0 < top < 2.0 ** -900:
+        e = math.frexp(top)[1]
+        return ref_is_eigenvector(Mat2(*(math.ldexp(x, -e) for x in entries)), d, tol)
     return residual == 0.0 or tol.is_zero(residual / m.frob())
 
 
@@ -566,9 +583,10 @@ def ref_verify_plan(sys: BilinearSystem, xi: Vec2, eta: Vec2, plan: ControlPlan)
 def ref_one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):
     """The one step under the clearance rule: None where d = det[B1 xi, B2 xi]
     is zero or d / (|B1|_F |B2|_F |xi|^2) is zero under the tolerance; else the
-    solution by Cramer's rule.  Where d is not a normal float, xi and eta are
-    scaled first by the power of two f with f^2 |B1|_F |B2|_F |xi|_inf^2 in
-    [1, 4) (f within the normal range), which leaves the solution unchanged."""
+    solution by Cramer's rule.  Where d is not a normal float, or where that
+    solution is not finite, xi and eta are scaled first by the power of two f
+    with f^2 |B1|_F |B2|_F |xi|_inf^2 in [1, 4) (f within the normal range),
+    which leaves the solution unchanged, and the step is solved on them."""
     b1, b2 = sys.inputs
     scale = b1.frob() * b2.frob()
     for rescaled in (False, True):
@@ -582,14 +600,15 @@ def ref_one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):
         m = Mat2(c1.x, c2.x, c1.y, c2.y)
         d = m.det()
         if rescaled or scale == 0.0 or (math.isfinite(d) and abs(d) >= float_info.min):
-            break
+            if d == 0.0 or scale == 0.0 or sys.tol.is_zero(d / scale / xi.norm() / xi.norm()):
+                return None
+            u = ((rhs.x * m.a22 - m.a12 * rhs.y) / d, (m.a11 * rhs.y - rhs.x * m.a21) / d)
+            if rescaled or all(map(math.isfinite, u)):
+                u = Vec2(*u)
+                return (u.x, u.y)
         _, e = math.frexp(math.sqrt(scale) * max(abs(xi.x), abs(xi.y)))
         f = 2.0 ** min(max(1 - e, float_info.min_exp - 1), float_info.max_exp - 1)
         xi, eta = Vec2(xi.x * f, xi.y * f), Vec2(eta.x * f, eta.y * f)
-    if d == 0.0 or scale == 0.0 or sys.tol.is_zero(d / scale / xi.norm() / xi.norm()):
-        return None
-    u = Vec2((rhs.x * m.a22 - m.a12 * rhs.y) / d, (m.a11 * rhs.y - rhs.x * m.a21) / d)
-    return (u.x, u.y)
 
 
 # The escape step of earlier versions: the best of a fixed list of candidate

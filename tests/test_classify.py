@@ -43,6 +43,7 @@ from helpers import (
     lincomb,
     line_gap,
     mat,
+    pinned_nearly_system,
     random_similarity,
     triangular_drift_system,
     xy,
@@ -340,11 +341,12 @@ def test_analyze_computes_the_verdict_once_per_system(shared_line_drift_system):
 
 
 def _count_candidate_stage(monkeypatch):
-    """The calls to _eigen_units and the (matrix, unit vector) pairs given to
-    _invariant, under every module's binding: the candidate stage and its
+    """The calls to _eigen_units, the (matrix, unit vector) pairs given to
+    _invariant, under every module's binding, and the commutator kernels
+    normalized (structure's calls to _unit): the candidate stage and its
     residual tests run on floats."""
-    calls, tested = [], []
-    eigen_units, residual_test = mat2._eigen_units, mat2._invariant
+    calls, tested, kernels = [], [], []
+    eigen_units, residual_test, unit = mat2._eigen_units, mat2._invariant, mat2._unit
 
     def counted(*args):
         calls.append(args)
@@ -354,10 +356,15 @@ def _count_candidate_stage(monkeypatch):
         tested.append((m, (x, y)))
         return residual_test(m, x, y, tol)
 
+    def counted_unit(*args):
+        kernels.append(args)
+        return unit(*args)
+
     for module in (mat2, structure):
         monkeypatch.setattr(module, "_eigen_units", counted)
         monkeypatch.setattr(module, "_invariant", counted_test)
-    return calls, tested
+    monkeypatch.setattr(structure, "_unit", counted_unit)
+    return calls, tested, kernels
 
 
 @pytest.mark.parametrize("kind", [SystemKind.WITH_DRIFT, SystemKind.DRIFTLESS])
@@ -371,7 +378,7 @@ def test_analyze_computes_eigen_directions_once(kind, monkeypatch):
         sys = BilinearSystem(kind, a, (b1, b2, b3))
     else:
         sys = BilinearSystem(kind, None, (a, b1, b2, b3))
-    calls, tested = _count_candidate_stage(monkeypatch)
+    calls, tested, _ = _count_candidate_stage(monkeypatch)
     verdict = analyze(sys)
     assert verdict.klass is VerdictClass.CONTROLLABLE
     assert verdict.reduction.combined_coeffs == (0.0, 1.0)
@@ -394,7 +401,7 @@ def test_analyze_computes_eigen_directions_once_per_combination(kind, monkeypatc
         sys = BilinearSystem(kind, a, (b1, b2, b3))
     else:
         sys = BilinearSystem(kind, None, (a, b1, b2, b3))
-    calls, _ = _count_candidate_stage(monkeypatch)
+    calls, _, _ = _count_candidate_stage(monkeypatch)
     verdict = analyze(sys)
     assert verdict.klass is VerdictClass.CONTROLLABLE
     assert verdict.reduction.combined_coeffs == (1.0, 1.0)
@@ -406,12 +413,57 @@ def test_analyze_computes_eigen_directions_once_per_combination(kind, monkeypatc
 def test_a_family_settled_by_the_commutator_runs_no_eigen_step(rotation_drift_system,
                                                                monkeypatch):
     # det[A, B1] is not zero, so the family shares no eigenvector: no
-    # eigen-direction is computed and no residual test runs.
-    sys = rotation_drift_system
-    assert structure._candidates(sys.matrices(), sys.tol) == ((0, 1), ())
-    calls, tested = _count_candidate_stage(monkeypatch)
-    assert analyze(sys).klass is VerdictClass.CONTROLLABLE
-    assert calls == [] and tested == []
+    # eigen-direction is computed, no kernel is normalized and no residual
+    # test runs, neither for the verdict nor for its combination.
+    calls, tested, kernels = _count_candidate_stage(monkeypatch)
+    for sys in (rotation_drift_system,
+                BilinearSystem(SystemKind.WITH_DRIFT, rotation_drift_system.drift,
+                               rotation_drift_system.inputs + (mat([[1.0, 0.0], [0.0, 0.0]]),))):
+        assert analyze(sys).klass is VerdictClass.CONTROLLABLE
+        assert structure.common_real_eigenvector(sys.matrices()) is None
+    assert calls == [] and tested == [] and kernels == []
+
+
+@pytest.mark.parametrize("name", ["shared_line_drift_system", "trapped_triangular_system",
+                                  "pinned_nearly"])
+def test_a_shared_eigen_direction_of_m_normalizes_no_kernel(name, request, monkeypatch):
+    # A member does not commute with M, so ker[M, N] is a candidate; but one
+    # of M's eigen-directions is certified first, and the kernel is never
+    # normalized.
+    sys = pinned_nearly_system() if name == "pinned_nearly" else request.getfixturevalue(name)
+    calls, _, kernels = _count_candidate_stage(monkeypatch)
+    assert analyze(sys).structure.common_eigenvector is not None
+    assert len(calls) == 1 and kernels == []
+
+
+def _count_zero_tests(monkeypatch) -> list:
+    """The ratios given to every TolerancePolicy.is_zero."""
+    tested, is_zero = [], mat2.TolerancePolicy.is_zero
+
+    def counted(self, x):
+        tested.append(x)
+        return is_zero(self, x)
+
+    monkeypatch.setattr(mat2.TolerancePolicy, "is_zero", counted)
+    return tested
+
+
+@pytest.mark.parametrize("shape", ["drift2", "driftless3"])
+def test_the_uncontrollable_decision_repeats_no_22_test(shape, monkeypatch):
+    # Nearly controllable triangular families.  With drift, the drift's (2,2)
+    # entry vanishes in the frame, so the class test goes on to the first
+    # input's, which the uncontrollable decision needs too.  Each (2,2) ratio
+    # is tested at most once, and the first input's is tested.
+    sys = pinned_nearly_system() if shape == "driftless3" else BilinearSystem(
+        SystemKind.WITH_DRIFT, mat([[1.0, 1.0], [0.0, 0.0]]),
+        (mat([[0.0, 2.0], [0.0, 3.0]]), mat([[1.0, 0.5], [0.0, 0.0]])))
+    tested = _count_zero_tests(monkeypatch)
+    verdict = analyze(sys)
+    assert verdict.klass is VerdictClass.NEARLY_CONTROLLABLE
+    ratios = [f.a22 / m.frob() for f, m in zip(verdict.structure.canonical_forms,
+                                               sys.matrices()) if f.a22 != 0.0]
+    assert ratios and all(tested.count(r) <= 1 for r in ratios)
+    assert ratios[0] in tested
 
 
 # det[B1, B2] / (|B1|_F |B2|_F)^2 = 1.36e-9 is above the default tolerance,

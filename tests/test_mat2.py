@@ -291,6 +291,17 @@ def test_real_eigen_directions_diagonal():
     assert xy(second.vector) == (0.0, 1.0)
 
 
+def test_is_eigenvector_is_scale_free_below_the_normal_range():
+    # At 2^-1074 the image of v under c N underflows to zero; the residual
+    # test is made on N's entries times a power of two instead.
+    n = Mat2(1.0, -1.0, -1.0, 1.0)
+    off, on = canonical_direction(Vec2(math.cos(1.0), math.sin(1.0))), canonical_direction(
+        Vec2(1.0, -1.0))
+    for c in (1.0, 2.0 ** -1000, 2.0 ** -1074):
+        m = Mat2(c * n.a11, c * n.a12, c * n.a21, c * n.a22)
+        assert not is_eigenvector(m, off) and is_eigenvector(m, on)
+
+
 def test_is_eigenvector_residual_check():
     m = mat([[2.0, 1.0], [0.0, 3.0]])
     assert is_eigenvector(m, canonical_direction(Vec2(1.0, 0.0)))

@@ -243,13 +243,13 @@ def _outcomes(f, ref, ms) -> bool:
     return got == expected
 
 
-def _combine_from_candidates(a, b1, b2, b3):
-    # As analyze does: the candidate stage (its commutator pair and its unit
-    # (x, y) pairs) goes to the certification and then to the combination,
-    # with no Direction between.
-    pair, units = _candidates((a, b1, b2, b3), DEFAULT_TOL)
-    _, failed_at = _certified((a, b1, b2, b3), units, DEFAULT_TOL)
-    return _combine_inputs(a, b1, b2, b3, pair, units, failed_at, DEFAULT_TOL)
+def _certification(ms):
+    """What analyze hands the combination of the family ms: the commutator
+    pair of the candidate stage, and the unit (x, y) candidates that the
+    certification tested, with where each failed; no Direction between."""
+    pair, *candidates = _candidates(ms, DEFAULT_TOL)
+    _, tested, failed_at = _certified(ms, *candidates, DEFAULT_TOL)
+    return pair, tested, failed_at
 
 
 @given(families(4, 4))
@@ -280,10 +280,10 @@ def test_combine_inputs_matches_reference(ms):
         # test reads it) and certifies the candidates before it combines, and
         # stops at any error these steps raise
         [m.frob() for m in ms]
-        _certified(tuple(ms), _candidates(tuple(ms), DEFAULT_TOL)[1], DEFAULT_TOL)
+        found = _certification(tuple(ms))
     except (ValueError, OverflowError):
         return
-    assert _outcomes(lambda ms: _combine_from_candidates(*ms), reference, ms)
+    assert _outcomes(lambda ms: _combine_inputs(*ms, *found, DEFAULT_TOL), reference, ms)
 
 
 @given(matrices(), matrices())
@@ -412,6 +412,8 @@ def _placed(pair, xi, on_line):
 @example(SWAP, Vec2(5e-324, 0.0), Vec2(1.0, 1.0), False)              # subnormal state
 @example(_system(None, (2.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)),
          Vec2(1e308, 1.0), Vec2(1.0, 1.0), False)     # B1 xi overflows to an infinite det
+@example(_system(None, (0.0, 0.0, 0.0, 262144.0), (0.0, 262144.0, 0.0, 0.0)),
+         Vec2(0.0, 1.0), Vec2(0.0, 6.857655085992111e302), False)  # the numerators overflow
 def test_one_step_matches_reference(sys, xi, eta, on_line):
     pair = _pair(sys)
     assume(pair is not None)

@@ -29,7 +29,8 @@ from bilin2 import (
 from bilin2 import classify, mat2, quadform, steer, structure
 from exact import lands_within, share_left_null_direction
 import plan_golden
-from helpers import generic_drift_system, generic_driftless_system, mat, unit_vec, xy
+from helpers import (generic_drift_system, generic_driftless_system, mat, pinned_nearly_system,
+                     unit_vec, xy)
 
 
 @pytest.fixture
@@ -359,6 +360,18 @@ def test_plan_transfer_on_small_inputs_that_share_no_null_direction():
     assert lands_within(sys, xi, eta, plan.steps, 1e-8)
 
 
+def test_plan_transfer_where_the_one_step_numerators_overflow():
+    # The escape lands on A xi = (1.37e154, 0).  The one step from there back
+    # to xi has a finite control, but its Cramer numerators (eta - A x) x (B x)
+    # pass the float range; it is formed again on the rescaled states.
+    sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 0.002], [0.0, 0.0]]),
+                         (mat([[0.0, 0.0], [0.001, 0.0]]), mat([[0.002, 0.0], [0.0, 0.0]])))
+    xi = Vec2(0.0, 6.86e156)
+    plan = plan_transfer(sys, xi, xi)
+    assert len(plan) == 2
+    assert lands_within(sys, xi, xi, plan.steps, 1e-8)
+
+
 def test_plan_transfer_route_reads_no_drift():
     # q(z) = 2^-540 x^2 clears under this tolerance, so the pair steps in one
     # step.  The one step from q's axis (1, 0) to the zero target would need
@@ -499,21 +512,13 @@ def _counting(monkeypatch, name: str) -> list:
     return calls
 
 
-def _pinned_nearly_system() -> BilinearSystem:
-    """Three driftless inputs sharing the first axis; the verdict pins the third at 0."""
-    return BilinearSystem(SystemKind.DRIFTLESS, None,
-                          (mat([[1.0, 2.0], [0.0, 1.0]]),
-                           mat([[0.0, 1.0], [0.0, 2.0]]),
-                           mat([[2.0, -1.0], [0.0, 0.0]])))
-
-
 @pytest.mark.parametrize("name", ["rotation_drift_system", "coupled_shift_system",
                                   "shared_line_drift_system", "swap_pair_system",
                                   "escape_twice", "driftless4", "pinned_nearly"])
 def test_plan_transfer_reduces_once_and_finds_no_zero_lines(name, request, monkeypatch):
     built = {"escape_twice": _escape_twice_system,
              "driftless4": lambda: generic_driftless_system(np.random.default_rng(7), m=4),
-             "pinned_nearly": _pinned_nearly_system}
+             "pinned_nearly": pinned_nearly_system}
     sys = built[name]() if name in built else request.getfixturevalue(name)
     reductions = _counting(monkeypatch, "apply_reduction")
     line_sets = _counting(monkeypatch, "_zero_lines")
@@ -553,7 +558,7 @@ def test_each_memo_runs_once_per_instance(request, monkeypatch):
         monkeypatch.setattr(memo, "func", counted)
     systems = [request.getfixturevalue(name) for name in (
         "rotation_drift_system", "coupled_shift_system", "shared_line_drift_system")]
-    systems += [_escape_twice_system(), _pinned_nearly_system(),
+    systems += [_escape_twice_system(), pinned_nearly_system(),
                 generic_driftless_system(np.random.default_rng(7), m=4)]
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -575,7 +580,7 @@ def test_analyze_certifies_each_member_once_per_direction(name, request, monkeyp
     # The triangular forms are built on the direction common_real_eigenvector
     # has just certified, with no second residual test per member.  The
     # residual test runs on floats, in _invariant.
-    sys = _pinned_nearly_system() if name == "pinned_nearly" else request.getfixturevalue(name)
+    sys = pinned_nearly_system() if name == "pinned_nearly" else request.getfixturevalue(name)
     checks = _counting(monkeypatch, "_invariant")
     verdict = analyze(sys)
     assert verdict.structure is not None and verdict.structure.common_eigenvector is not None

@@ -2,6 +2,7 @@
 kernels, anti-diagonalization, input combination."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -72,11 +73,13 @@ def test_common_real_eigenvector_takes_candidates_from_the_first_constraining_me
 @given(st.floats(-math.pi, math.pi), st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.sampled_from([1e-9, 1e-6, 1e-3, 0.1]))
 @example(0.0, [0.5, 0.7071067811865476, -0.5, -0.5, 0.7071067811865476, 0.5], -0.9, -0.9, 1e-9)
+@example(1.0, [0.0, 0.0, 1.0, 0.0, 0.0, 5e-324], 0.0, 0.0, 1e-9)   # N's products underflow
 def test_the_commutator_settles_none_only_where_no_direction_passes(angle, entries, r1, r2,
                                                                     eps):
     """M and N are upper triangular in the frame (v, v^perp) but for bottom-left
     entries within eps of their norms.  Wherever v passes the residual test
-    on both, the candidate stage does not settle that they share none."""
+    on both, the candidate stage does not settle that they share none: it
+    goes on to M's eigen-directions."""
     tol = TolerancePolicy(eps)
     rot = rotation(angle)
     ms = []
@@ -84,11 +87,12 @@ def test_the_commutator_settles_none_only_where_no_direction_passes(angle, entri
         ms.append(rot @ Mat2(x, y, r * eps * math.hypot(x, y, z), z) @ rotation(-angle))
     v = canonical_direction(rot @ Vec2(1.0, 0.0), tol)
     assume(all(is_eigenvector(m, v, tol) for m in ms))
-    try:
-        pair, units = structure._candidates(tuple(ms), tol)
-    except AllIsotropic:
-        return
-    assert units or pair[1] is None
+    with mock.patch.object(structure, "_eigen_units", wraps=structure._eigen_units) as eigen:
+        try:
+            structure.common_real_eigenvector(ms, tol)
+        except AllIsotropic:
+            return
+    assert eigen.call_count == 1
 
 
 def test_triangularize_golden(shared_line_drift_system):
