@@ -25,8 +25,8 @@ No path builds an unchecked value, except the ``Direction`` of a unit
 vector that ``_unit`` has just made (``_unit_direction``): ``_unit`` raises
 ValueError where the norm it divides by is not finite, so that vector is
 finite and of unit norm; and a ``Mat2`` of floats its caller knows to be
-finite (``_mat2``), as the rotation frame of a ``Direction``.  Nothing
-downstream re-checks its inputs.
+finite (``_mat2``): the rotation frame of a ``Direction``, ``_pow2`` of a
+member.  Nothing downstream re-checks its inputs.
 
 The kernels compute on plain floats and build only their results: on the
 classify path ``linearly_independent``, the eigen-candidate stage (the
