@@ -42,8 +42,8 @@ from .structure import (
     _antidiagonal,
     _candidates,
     _certified,
-    _combine_inputs,
     _triangular,
+    combine_inputs,
 )
 
 
@@ -239,22 +239,24 @@ def _expand(layout: tuple, v1: float, v2: float) -> tuple[float, ...]:
     return pick((v1, v2, ca * v2, cb * v2, pinned))
 
 
-def _verdict_controllable(sys: BilinearSystem, pair: tuple, units: tuple,
-                          failed_at: list[int]) -> Verdict:
-    """The controllable verdict; ``pair`` is what ``_candidates`` found for
-    ``sys.matrices()``, and ``units`` and ``failed_at`` what ``_certified``
-    tested and found."""
+def _verdict_controllable(sys: BilinearSystem, ms: tuple[Mat2, ...], settled: bool) -> Verdict:
+    """The controllable verdict of the family ms.  Three inputs without drift
+    pin the first to 1; three with drift, or four without, combine the last
+    two by :func:`combine_inputs` on ms.  ``settled`` holds where the
+    candidate stage paired ms[0] with ms[1] and their commutator settled that
+    the two share no eigenvector: no combination can then give the family
+    one, and (1, 0) is taken with no test."""
     if sys.m == 2:
         red = _IDENTITY
-    elif sys.kind is SystemKind.WITH_DRIFT:
-        ca, cb = _combine_inputs(*sys.matrices(), pair, units, failed_at, sys.tol)
-        red = Reduction(combined_indices=(1, 2), combined_coeffs=(ca, cb))
-    elif sys.m == 3:
+    elif len(ms) == 3:
         red = Reduction(pinned_index=0, pinned_value=1.0)
     else:
-        ca, cb = _combine_inputs(*sys.inputs, pair, units, failed_at, sys.tol)
-        red = Reduction(pinned_index=0, pinned_value=1.0,
-                        combined_indices=(2, 3), combined_coeffs=(ca, cb))
+        coeffs = (1.0, 0.0) if settled else combine_inputs(*ms, sys.tol)
+        if sys.kind is SystemKind.WITH_DRIFT:
+            red = Reduction(combined_indices=(1, 2), combined_coeffs=coeffs)
+        else:
+            red = Reduction(pinned_index=0, pinned_value=1.0,
+                            combined_indices=(2, 3), combined_coeffs=coeffs)
     return Verdict(VerdictClass.CONTROLLABLE, None, None, None, red)
 
 
@@ -296,7 +298,7 @@ def analyze(sys: BilinearSystem) -> Verdict:
 def _classify(sys: BilinearSystem) -> Verdict:
     ms = sys.matrices()
     pair, units, commutator = _candidates(ms, sys.tol)
-    common, units, failed_at = _certified(ms, units, commutator, sys.tol)
+    common = _certified(ms, units, commutator, sys.tol)
     if common is not None:
         return _verdict_with_common_vector(sys, ms, common)
     if sys.kind is SystemKind.DRIFTLESS and sys.m == 2:
@@ -304,5 +306,5 @@ def _classify(sys: BilinearSystem) -> Verdict:
         if found is not None:
             report, lines = found
             return _nearly(lines, report, _IDENTITY)
-    return _verdict_controllable(sys, pair, units, failed_at)
+    return _verdict_controllable(sys, ms, pair == (0, 1) and commutator is None)
 

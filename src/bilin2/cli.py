@@ -127,7 +127,7 @@ def load_system(path: str) -> BilinearSystem:
     inputs = tuple(_as_mat(node, f"B[{i}]") for i, node in enumerate(raw_inputs))
     try:
         return BilinearSystem(kind, drift, inputs, tol)
-    except InvalidSystem as exc:
+    except ValueError as exc:   # InvalidSystem, or a member whose norm overflows
         raise SystemFileError(f"{path}: {exc}") from exc
 
 

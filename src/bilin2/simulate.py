@@ -26,7 +26,7 @@ from sys import float_info
 from typing import Optional
 
 from .classify import BilinearSystem
-from .mat2 import Vec2, _Record, _setfield, _vec2s, cross
+from .mat2 import Vec2, _Record, _pow2_exponent, _setfield, _vec2s
 
 
 class ArityMismatch(ValueError):
@@ -269,11 +269,14 @@ def line_hits(sys: BilinearSystem, samples, lines) -> int:
 
     A sample is on a line when the sine of the angle between them,
     cross(s, d) / |s|, is zero under ``sys.tol``; the zero sample is on every
-    line.
+    line.  The sine is formed on s times the power of two that puts its larger
+    entry in [1/2, 1), which is exact, so that no |s| overflows.
     """
     hits = 0
     for s in samples:
-        r = s.norm()
-        if r == 0.0 or any(sys.tol.is_zero(cross(s, d.vector) / r) for d in lines):
+        f = math.ldexp(1.0, _pow2_exponent(max(abs(s.x), abs(s.y))))
+        x, y = s.x * f, s.y * f
+        r = math.hypot(x, y)
+        if r == 0.0 or any(sys.tol.is_zero((x * d.y - y * d.x) / r) for d in lines):
             hits += 1
     return hits

@@ -14,14 +14,16 @@ Where that determinant is too large for any direction to pass the residual
 test on both, the family shares none, and no eigen-direction is computed or
 tested.  Otherwise the candidates are M's eigen-directions, then ker[M, N],
 each certified by residual test; the kernel is normalized only when every
-eigen-direction has failed.
+eigen-direction has failed.  The input combination of a family with three
+inputs and drift, or four without, is decided by :func:`combine_inputs`
+alone.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 from .mat2 import (
     DEFAULT_TOL,
@@ -98,7 +100,7 @@ def common_real_eigenvector(ms, tol: TolerancePolicy = DEFAULT_TOL) -> Optional[
     answer at all.
     """
     ms = tuple(ms)
-    return _certified(ms, *_candidates(ms, tol)[1:], tol)[0]
+    return _certified(ms, *_candidates(ms, tol)[1:], tol)
 
 
 def _candidates(ms: tuple[Mat2, ...], tol: TolerancePolicy) -> tuple:
@@ -153,29 +155,23 @@ def _candidates(ms: tuple[Mat2, ...], tol: TolerancePolicy) -> tuple:
 
 def _certified(ms: tuple[Mat2, ...], units: tuple[tuple[float, float], ...],
                commutator: Optional[tuple[float, float, float]],
-               tol: TolerancePolicy) -> tuple[Optional[Direction], tuple, list[int]]:
+               tol: TolerancePolicy) -> Optional[Direction]:
     """The direction of the first candidate invariant under every member, or
-    None; the candidates tested; and, for each candidate before it, the index
-    of the first member it failed.  Members are tested in order, so a
-    candidate was tested against exactly the members up to that index.  The
-    candidates are ``units``, then ker ``commutator`` where it differs from
-    them, normalized once they all failed (``_unit`` does not raise: (c, p, q)
-    are finite and not all zero)."""
-    failed_at = []
+    None.  The candidates are ``units``, then ker ``commutator`` where it
+    differs from them, normalized once they all failed (``_unit`` does not
+    raise: (c, p, q) are finite and not all zero)."""
     for x, y in units:
-        for i, m in enumerate(ms):
+        for m in ms:
             if not _invariant(m, x, y, tol):
-                failed_at.append(i)
                 break
         else:
-            return _unit_direction(x, y), units, failed_at
+            return _unit_direction(x, y)
     if commutator is not None:
         c, p, q = commutator
         kernel = _unit(-p, c, tol) if abs(p) >= abs(q) else _unit(c, q, tol)
         if kernel not in units:
-            found, _, failed = _certified(ms, (kernel,), None, tol)
-            return found, units + (kernel,), failed_at + failed
-    return None, units, failed_at
+            return _certified(ms, (kernel,), None, tol)
+    return None
 
 
 def triangularize(ms, d: Direction, tol: TolerancePolicy = DEFAULT_TOL) -> StructureReport:
@@ -290,7 +286,6 @@ def _antidiagonal(b1: Mat2, b2: Mat2,
 
 
 _COMBINATIONS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
-_NO_COMBINATION = "no tested combination of the last two inputs removed the shared eigenvector"
 
 
 def combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
@@ -306,6 +301,10 @@ def combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
     linear in (ca, cb)) form a line through the origin, unless b2 and b3 keep
     d too.  Two lines cannot hold three pairwise non-parallel pairs.  Raises
     NoCombinationFound when all four matrices share a direction.
+
+    ``analyze`` calls this on the members of a controllable family, except
+    where the commutator of a and b1 has settled that they share nothing:
+    there it takes (1, 0) with no test.
     """
     for ca, cb in _COMBINATIONS:
         combined = _lincomb(ca, b2, cb, b3)
@@ -314,40 +313,5 @@ def combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2,
                 return ca, cb
         except AllIsotropic:
             continue
-    raise NoCombinationFound(_NO_COMBINATION)
-
-
-def _combine_inputs(a: Mat2, b1: Mat2, b2: Mat2, b3: Mat2, pair: tuple,
-                    units: tuple[tuple[float, float], ...], failed_at: Sequence[int],
-                    tol: TolerancePolicy) -> tuple[float, float]:
-    """:func:`combine_inputs`, given the ``pair`` :func:`_candidates` found for
-    (a, b1, b2, b3), and the ``units`` that :func:`_certified` tested, none
-    passing, with the ``failed_at`` it found for them.
-
-    When M is a and N is b1, the candidate stage of each {a, b1, combined}
-    is this one: the same pair, and the same candidates.  The candidates
-    invariant under both a and b1 are the only ones a combination has to
-    break (none where the pair settled that there are none).  The (1, 0) and
-    (0, 1) combinations are b2 and b3 up to the signs of zero entries, which
-    no residual test sees, so they are tested as b2 and b3.  No residual test
-    that ``_certified`` ran is run again.  When b1 commutes with a, the
-    combination is found as :func:`combine_inputs` finds it.
-    """
-    if pair != (0, 1):
-        return combine_inputs(a, b1, b2, b3, tol)
-    members = (a, b1, b2, b3)
-
-    def invariant(k: int, i: int) -> bool:
-        if k < len(failed_at) and i <= failed_at[k]:
-            return i < failed_at[k]
-        return _invariant(members[i], *units[k], tol)
-
-    shared = [k for k in range(len(units)) if invariant(k, 0) and invariant(k, 1)]
-    if not any(invariant(k, 2) for k in shared):
-        return 1.0, 0.0
-    if not any(invariant(k, 3) for k in shared):
-        return 0.0, 1.0
-    combined = _lincomb(1.0, b2, 1.0, b3)
-    if not any(_invariant(combined, *units[k], tol) for k in shared):
-        return 1.0, 1.0
-    raise NoCombinationFound(_NO_COMBINATION)
+    raise NoCombinationFound(
+        "no tested combination of the last two inputs removed the shared eigenvector")

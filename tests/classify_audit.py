@@ -12,6 +12,10 @@ It also prints a sha256 over every family's outcome in order:
 ``repr(analyze(sys))``, or the type and message of the exception ingestion
 or ``analyze`` raised.  Two trees with the same digest give the same
 verdicts, certificates and refusals, bit for bit, on all of these families.
+A verdict that combines two inputs (three inputs with drift, four without)
+also counts as wrong where its ``combined_coeffs`` are not what the public
+``combine_inputs`` finds for the family's members; the digest is over the
+outcomes of ``analyze`` alone.
 
 Standard library only (``bench/inputs.py`` and ``bench/checks.py`` are read
 as they are):
@@ -55,9 +59,22 @@ def outcome(family):
 
 
 def wrong(family, found):
-    """Why the outcome found for the family differs from its construction, or None."""
+    """Why the outcome found for the family differs from its construction, or
+    from ``combine_inputs`` on its members where the verdict combines two
+    inputs; or None."""
+    from bilin2 import Mat2, combine_inputs
+
     if isinstance(found, Exception):
         return type(found).__name__
+    coeffs = found.reduction.combined_coeffs
+    if coeffs is not None:
+        members = [Mat2(*m) for m in (family.drift, *family.inputs) if m is not None]
+        try:
+            expected = combine_inputs(*members)
+        except Exception as exc:  # the report names which one
+            expected = type(exc).__name__
+        if coeffs != expected:
+            return f"combined_coeffs {coeffs}, combine_inputs gives {expected}"
     region = found.largest_region
     return checks.check_verdict(family, found.klass.value,
                                 (region.x, region.y) if region else None)

@@ -254,6 +254,24 @@ def test_system_file_rejects_an_integer_beyond_the_float_range(write_doc, capsys
     assert "A must be a 2x2 array of finite numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("analyze", []),
+    ("steer", ["--from", "1,1", "--to", "2,1"]),
+    ("simulate", ["--from", "1,1", "--plan"]),
+    ("oracle", ["--from", "1,1", "--trials", "2"]),
+])
+def test_system_file_rejects_a_member_whose_norm_overflows(command, extra, write_doc, capsys):
+    # Every entry is finite, but |B1|_F is not: a file error, exit 2.
+    doc = dict(ROTATION_DRIFT, B=[[[1.5e308, 1.5e308], [0, 0]], [[0, 0], [1, 0]]])
+    if command == "simulate":
+        extra = extra + [write_doc([], name="plan.json")]
+    assert cli.main([command, write_doc(doc)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {write_doc(doc)}: non-finite matrix norm of "
+                            "((1.5e+308, 1.5e+308), (0.0, 0.0))\n")
+
+
 def test_steer_refuses_excluded_start(write_doc, capsys):
     assert cli.main(["steer", write_doc(SHARED_LINE), "--from", "1,-1",
                      "--to", "1,0"]) == 3

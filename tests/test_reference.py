@@ -70,7 +70,6 @@ from bilin2.mat2 import (
 from bilin2.quadform import pair_lines
 from bilin2.simulate import _LANDING_TOL
 from bilin2.steer import _canonical_steps, _escape, _escape_moves
-from bilin2.structure import _candidates, _certified, _combine_inputs
 from helpers import (
     ESCAPE_CANDIDATES_DRIFT,
     ESCAPE_CANDIDATES_DRIFTLESS,
@@ -243,15 +242,6 @@ def _outcomes(f, ref, ms) -> bool:
     return got == expected
 
 
-def _certification(ms):
-    """What analyze hands the combination of the family ms: the commutator
-    pair of the candidate stage, and the unit (x, y) candidates that the
-    certification tested, with where each failed; no Direction between."""
-    pair, *candidates = _candidates(ms, DEFAULT_TOL)
-    _, tested, failed_at = _certified(ms, *candidates, DEFAULT_TOL)
-    return pair, tested, failed_at
-
-
 @given(families(4, 4))
 @example([Mat2(1.0, 0.0, 0.0, 2.0), Mat2(0.0, 0.0, 0.0, 1.0),
           Mat2(1.0, 1.0, 0.0, 0.0), Mat2(0.0, 0.0, 1.0, 0.0)])   # (1, 1) is needed
@@ -275,15 +265,6 @@ def test_combine_inputs_matches_reference(ms):
         return ref_combine_inputs(*ms)
 
     assert _outcomes(lambda ms: combine_inputs(*ms), reference, ms)
-    try:
-        # analyze takes only members of finite norm (ingestion's independence
-        # test reads it) and certifies the candidates before it combines, and
-        # stops at any error these steps raise
-        [m.frob() for m in ms]
-        found = _certification(tuple(ms))
-    except (ValueError, OverflowError):
-        return
-    assert _outcomes(lambda ms: _combine_inputs(*ms, *found, DEFAULT_TOL), reference, ms)
 
 
 @given(matrices(), matrices())

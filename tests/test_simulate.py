@@ -343,3 +343,12 @@ def test_line_hits_counts_samples_on_a_line_and_the_origin(shared_line_drift_sys
     samples = (Vec2(2.0, -2.0), Vec2(0.0, 0.0), Vec2(1.0, -1.0 + 1e-6), Vec2(-3.0, 3.0))
     assert line_hits(shared_line_drift_system, samples, lines) == 3
     assert line_hits(shared_line_drift_system, samples, ()) == 1
+
+
+def test_line_hits_does_not_count_a_sample_whose_norm_overflows(shared_line_drift_system):
+    # |s| overflows; the sine is formed on s times a power of two, so s is on
+    # neither axis, and on its own line.
+    axes = (canonical_direction(Vec2(1.0, 0.0)), canonical_direction(Vec2(0.0, 1.0)))
+    s, own = Vec2(1.5e308, 1.4e308), canonical_direction(Vec2(1.5, 1.4))
+    assert line_hits(shared_line_drift_system, (s,) * 5, axes) == 0
+    assert line_hits(shared_line_drift_system, (s, Vec2(-1.5e308, 0.0)), (own,) + axes) == 2
