@@ -17,6 +17,10 @@ effective input pair, computed in original coordinates.  That set is invariant
 under input substitutions and under change of basis (it maps through the
 transform), which keeps certificates stable however the canonical forms are
 reached.
+
+A system keeps its verdict alone; the steering data is ``steer``'s, and this
+module imports nothing from it.  ``apply_reduction`` and ``expand_controls``
+read a ``Reduction`` through one decoder, ``_slots``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .mat2 import (
     _setfield,
     linearly_independent,
 )
-from .quadform import LineSetKind, LineUnion, form_scale, pair_lines
+from .quadform import LineSetKind, LineUnion, pair_lines
 from .structure import (
     StructureReport,
     _antidiagonal,
@@ -102,37 +106,13 @@ class BilinearSystem(_Record):
             return (self.drift,) + self.inputs
         return self.inputs
 
-    # Per-instance memos of what depends on the family alone, kept in the instance
-    # __dict__ by ``_memo``: not fields, so equality, hashing, repr and pickles
-    # ignore them, and they die with the system.  No lock is taken: two threads
-    # may both compute a first verdict; the two are equal, and one is kept.
+    # Kept in the instance __dict__ (as steer's record is): not a field, so
+    # equality, hashing, repr and pickles ignore it.  Racing first reads may
+    # both classify; the two verdicts are equal, and one is kept.
 
     @_memo
     def _verdict(self) -> "Verdict":
         return _classify(self)
-
-    @_memo
-    def _effective(self) -> "BilinearSystem":
-        """The two-input system the verdict's reduction leaves; defined for
-        verdicts other than uncontrollable."""
-        return apply_reduction(self, self._verdict.reduction)
-
-    @_memo
-    def _form_scale(self) -> float:
-        """|B1|_F |B2|_F of a two-input system, the one step's clearance scale."""
-        return form_scale(*self.inputs)
-
-    @_memo
-    def _steering(self):
-        """State-independent steering data of a two-input system."""
-        from .steer import _Steering  # steer imports this module
-
-        return _Steering(self)
-
-    @_memo
-    def _control_layout(self) -> tuple:
-        """:func:`expand_controls`' layout of the verdict's reduction."""
-        return _reduction_layout(self._verdict.reduction, self.m)
 
 
 class Reduction(_Record):
@@ -190,53 +170,42 @@ def apply_reduction(sys: BilinearSystem, red: Reduction) -> BilinearSystem:
         if sys.m != 2:
             raise InvalidSystem("identity reduction on a system with more than two inputs")
         return sys
-    drift = sys.drift
-    kind = sys.kind
-    remaining = list(range(sys.m))
-    if red.pinned_index is not None:
-        remaining.remove(red.pinned_index)
-        if red.pinned_value != 0.0:
-            pinned = sys.inputs[red.pinned_index]
-            drift = (_lincomb(red.pinned_value, pinned) if drift is None
-                     else _lincomb(1.0, drift, red.pinned_value, pinned))
-            kind = SystemKind.WITH_DRIFT
+    at = dict(zip(_slots(red, sys.m), sys.inputs))
+    drift, kind = sys.drift, sys.kind
+    if red.pinned_index is not None and red.pinned_value != 0.0:
+        drift = (_lincomb(red.pinned_value, at[4]) if drift is None
+                 else _lincomb(1.0, drift, red.pinned_value, at[4]))
+        kind = SystemKind.WITH_DRIFT
     if red.combined_indices is not None:
-        i, j = red.combined_indices
         ca, cb = red.combined_coeffs
-        combined = _lincomb(ca, sys.inputs[i], cb, sys.inputs[j])
-        remaining = [k for k in remaining if k not in (i, j)]
-        pair = tuple(sys.inputs[k] for k in remaining) + (combined,)
-    else:
-        pair = tuple(sys.inputs[k] for k in remaining)
-    if len(pair) != 2:
-        raise InvalidSystem("reduction does not leave exactly two effective inputs")
-    return BilinearSystem(kind, drift, pair, sys.tol)
+        return BilinearSystem(kind, drift, (at[0], _lincomb(ca, at[2], cb, at[3])), sys.tol)
+    return BilinearSystem(kind, drift, (at[0], at[1]), sys.tol)
 
 
 def expand_controls(red: Reduction, m: int, v1: float, v2: float) -> tuple[float, ...]:
     """Map effective pair controls (v1, v2) back to a full m-tuple."""
-    return _expand(_reduction_layout(red, m), v1, v2)
+    return _expander(red, m)(v1, v2)
 
 
-def _reduction_layout(red: Reduction, m: int) -> tuple:
-    """Where :func:`expand_controls` puts what: a getter of the m controls from
-    (v1, v2, ca * v2, cb * v2, pinned value), the pinned value and (ca, cb)."""
-    remaining = [k for k in range(m) if k != red.pinned_index]
-    slots, coeffs = {red.pinned_index: 4}, red.combined_coeffs or (0.0, 0.0)
-    if red.combined_indices is not None:
-        i, j = red.combined_indices
-        (plain,) = [k for k in remaining if k not in (i, j)]
-        slots.update({plain: 0, i: 2, j: 3})
-    else:
-        first, second = remaining
-        slots.update({first: 0, second: 1})
-    return itemgetter(*(slots[k] for k in range(m))), red.pinned_value, coeffs
+def _slots(red: Reduction, m: int) -> tuple:
+    """The slot of each of the m inputs under red: 0 and 1 the effective pair,
+    2 and 3 the two inputs combined into its second, 4 the pinned one; or
+    InvalidSystem unless red names each input once, within the m, and leaves two."""
+    combined = tuple(red.combined_indices or ())
+    named = combined + ((red.pinned_index,) if red.pinned_index is not None else ())
+    free = tuple(k for k in range(m) if k not in named)
+    if len(free) + bool(combined) != 2 or sorted(free + named) != list(range(m)):
+        raise InvalidSystem("reduction does not leave exactly two effective inputs")
+    slots = dict(zip(free + named, (0, 1)[:len(free)] + (2, 3)[:len(combined)] + (4,)))
+    return tuple(slots[k] for k in range(m))
 
 
-def _expand(layout: tuple, v1: float, v2: float) -> tuple[float, ...]:
-    """The m controls of (v1, v2) under a :func:`_reduction_layout`."""
-    pick, pinned, (ca, cb) = layout
-    return pick((v1, v2, ca * v2, cb * v2, pinned))
+def _expander(red: Reduction, m: int):
+    """:func:`expand_controls` under red, as a function of (v1, v2): the m
+    controls picked by :func:`_slots` from (v1, v2, ca v2, cb v2, pinned value)."""
+    pick, pinned, (ca, cb) = (itemgetter(*_slots(red, m)), red.pinned_value,
+                              red.combined_coeffs or (0.0, 0.0))
+    return lambda v1, v2: pick((v1, v2, ca * v2, cb * v2, pinned))
 
 
 def _verdict_controllable(sys: BilinearSystem, ms: tuple[Mat2, ...], settled: bool) -> Verdict:

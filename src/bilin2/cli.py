@@ -17,13 +17,15 @@ or no plan found: no closed-form escape step cleared the singular set, no
 usable two-step construction, or a singular input substitution).
 BILIN2_TOL_ABS / BILIN2_TOL_REL override the tolerance from the environment,
 over the file.  Every zero test compares a dimensionless ratio with ``abs``;
-``rel`` still parses, and decides nothing.
+``rel`` must still be positive and finite, and decides nothing:
+``TolerancePolicy`` takes ``abs_eps`` alone (a contract change).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 from typing import Optional
@@ -89,9 +91,15 @@ def _resolve_tolerance(node) -> TolerancePolicy:
         except ValueError as exc:
             raise SystemFileError(f"{env} must be a number, got {raw!r}") from exc
     try:
-        return TolerancePolicy(eps["abs"], eps["rel"])
+        rel = float(eps["rel"])   # validated; rel decides nothing
+        tol = TolerancePolicy(eps["abs"])
+    except OverflowError as exc:
+        raise SystemFileError("tolerance beyond the float range") from exc
     except ValueError as exc:
         raise SystemFileError(str(exc)) from exc
+    if not 0.0 < rel < math.inf:
+        raise SystemFileError("rel_eps must be positive and finite")
+    return tol
 
 
 def _read_json(path: str):

@@ -117,22 +117,20 @@ class _memo:
 class TolerancePolicy(_Record):
     """The one zero test of the library: ``is_zero(r)`` tests ``|r| <= abs_eps``
     on a dimensionless ratio r, after an exact-zero test where the magnitude r
-    divides by can be 0.  ``rel_eps`` still validates, and decides nothing."""
+    divides by can be 0.  It takes ``abs_eps`` alone; ``rel_eps``, which
+    decided nothing, is gone from the constructor and the fields (a contract
+    change)."""
 
-    _fields = ("abs_eps", "rel_eps")
+    _fields = ("abs_eps",)
 
-    def __init__(self, abs_eps: float = 1e-9, rel_eps: float = 1e-9):
+    def __init__(self, abs_eps: float = 1e-9):
         try:
             abs_eps = float(abs_eps)
-            rel_eps = float(rel_eps)
         except OverflowError as exc:
             raise ValueError("tolerance beyond the float range") from exc
         if not (abs_eps > 0.0 and math.isfinite(abs_eps)):
             raise ValueError("abs_eps must be positive and finite")
-        if not (rel_eps > 0.0 and math.isfinite(rel_eps)):
-            raise ValueError("rel_eps must be positive and finite")
         _setfield(self, "abs_eps", abs_eps)
-        _setfield(self, "rel_eps", rel_eps)
 
     def is_zero(self, x: float) -> bool:
         return abs(x) <= self.abs_eps

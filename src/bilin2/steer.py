@@ -12,11 +12,11 @@ basis.  Every returned plan is replayed once, by ``simulate``'s replay kernel
 under the ``verify_plan`` bound, and accepted only when it holds.
 
 ``plan_transfer`` solves, escapes and replays on plain floats: the kernels
-``_one_step``, ``_escape``, ``_escape_moves`` and ``_canonical_steps`` take and
-return floats, and the plan is the only value built.  One test decides every
-landing and the route: whether the one step from the landing, or from q's
-axis, exists.  The public ``one_step``, ``escape_step`` and ``canonical_steer``
-are thin wrappers over the same kernels.
+``_one_step``, ``_escape``, ``_escape_moves`` and ``_canonical_steps`` take
+the system's steering record and floats, and the plan is the only value
+built.  One test decides every landing and the route: whether the one step
+from the landing, or from q's axis, exists.  The public ``one_step``,
+``escape_step`` and ``canonical_steer`` are thin wrappers over the same kernels.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from math import isfinite
 
-from .classify import BilinearSystem, VerdictClass, _expand, analyze
+from .classify import BilinearSystem, VerdictClass, _expander, analyze, apply_reduction
 from .mat2 import Mat2, Vec2, _cramer, _det2, _finite, _memo, _pow2_exponent, _similar
 from .quadform import gram_form
 from .simulate import ControlPlan, _control_plan, _verify
@@ -57,26 +57,27 @@ class SingularSubstitution(RuntimeError):
     test, which near the threshold can differ from the independence test by about sqrt(2)."""
 
 
-def _require_pair(sys: BilinearSystem) -> None:
+def _pair(sys: BilinearSystem) -> _Steering:
+    """The steering record of a two-input system, which reads no verdict."""
     if sys.m != 2:
         raise ValueError(f"expected a two-input system, got {sys.m} inputs; "
                          "apply the verdict's reduction first")
+    return _steering(sys)
 
 
 def one_step(sys: BilinearSystem, xi: Vec2, eta: Vec2):
     """Single-step control (u1, u2) landing on eta, or None when xi sits on
     the steering form's zero set, by the escape step's clearance test."""
-    _require_pair(sys)
-    return _one_step(sys, xi.x, xi.y, eta.x, eta.y)
+    return _one_step(_pair(sys), xi.x, xi.y, eta.x, eta.y)
 
 
-def _one_step(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
+def _one_step(st: _Steering, x: float, y: float, ex: float, ey: float,
               rescaled: bool = False):
     """:func:`one_step` from (x, y) to (ex, ey): [B1 xi, B2 xi] u = eta - A xi by
     Cramer's rule, or None where det / (form_scale |xi|^2) is zero; formed again
     from f xi to f eta, f the power of two that puts sqrt(form_scale) |xi|_max
     in [1, 2), where det is not a normal float (if f != 1) or u is not finite."""
-    (b1, b2), a, scale = sys.inputs, sys.drift, sys._form_scale
+    (b1, b2), a, scale = st.inputs, st.drift, st.scale
     c1x = b1.a11 * x + b1.a12 * y
     c1y = b1.a21 * x + b1.a22 * y
     c2x = b2.a11 * x + b2.a12 * y
@@ -93,9 +94,9 @@ def _one_step(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
         e = _pow2_exponent(math.sqrt(scale) * max(abs(x), abs(y)), 1)
         if e != 0:
             f = math.ldexp(1.0, e)
-            return _one_step(sys, x * f, y * f, ex * f, ey * f, True)
+            return _one_step(st, x * f, y * f, ex * f, ey * f, True)
     n = math.hypot(x, y)
-    if d == 0.0 or scale == 0.0 or sys.tol.is_zero(d / scale / n / n):
+    if d == 0.0 or scale == 0.0 or st.tol.is_zero(d / scale / n / n):
         return None
     u1, u2 = (rx * c2y - c2x * ry) / d, (c1x * ry - rx * c1y) / d
     if isfinite(u1) and isfinite(u2):
@@ -103,37 +104,57 @@ def _one_step(sys: BilinearSystem, x: float, y: float, ex: float, ey: float,
     if rescaled:
         raise ValueError(f"non-finite vector ({u1}, {u2})")
     f = math.ldexp(1.0, _pow2_exponent(math.sqrt(scale) * max(abs(x), abs(y)), 1))
-    return _one_step(sys, x * f, y * f, ex * f, ey * f, True)
+    return _one_step(st, x * f, y * f, ex * f, ey * f, True)
 
 
 class _Steering:
-    """What the escape step and the two-step construction know of a two-input
-    system before any state is given: the drift's entries (zeros without
-    drift), the inputs' norms, q's principal axis, the route, and on first use
-    the zero-bottom-row frame; built once per system, through
-    ``BilinearSystem._steering``, with no reference back.  The route is the
-    two-step construction exactly where the one step from the axis, where
-    |q(z)| / |z|^2 is largest, to the axis's own drift image does not exist:
-    under that one clearance test q vanishes on the plane exactly where it
-    vanishes on its axis, and the step, u = 0 where it exists, reads no drift."""
+    """What the plan path knows of a system before any state is given, built
+    once per system by :func:`_steering`: the effective pair (a pair itself,
+    read with no verdict, else what its verdict's reduction leaves),
+    ``expand`` of its controls to the system's (None for a pair), the drift's
+    entries (zeros without drift) and norm, the inputs' norms and the
+    clearance scale |B1|_F |B2|_F; and, built on first use by the
+    controllable route alone, the route and the zero-bottom-row frame."""
+
+    # Slots keep the kernels' reads fast once ``_memo`` has filled __dict__.
+    __slots__ = ("drift", "inputs", "tol", "expand", "drift_entries", "drift_norm",
+                 "input_norms", "scale", "__dict__")
 
     def __init__(self, sys: BilinearSystem):
-        a = sys.drift
-        self.drift, self.inputs, self.tol = a, sys.inputs, sys.tol
-        self.drift_entries = e = (a.a11, a.a12, a.a21, a.a22) if a is not None else (0.0,) * 4
+        pair, self.expand = sys, None
+        if sys.m != 2:
+            red = analyze(sys).reduction
+            pair, self.expand = apply_reduction(sys, red), _expander(red, sys.m)
+        a = pair.drift
+        self.drift, self.inputs, self.tol = a, pair.inputs, pair.tol
+        self.drift_entries = (a.a11, a.a12, a.a21, a.a22) if a is not None else (0.0,) * 4
         self.drift_norm = math.hypot(*self.drift_entries)
-        q = gram_form(*sys.inputs)
-        self.input_norms = tuple(math.hypot(b.a11, b.a12, b.a21, b.a22) for b in sys.inputs)
+        # Each norm is the member's Frobenius norm, finite as its system checked.
+        f1, f2 = self.input_norms = tuple(math.hypot(b.a11, b.a12, b.a21, b.a22)
+                                          for b in pair.inputs)
+        self.scale = f1 * f2
+
+    @_memo
+    def route(self) -> tuple:
+        """(q's principal axis, whether the route is the two-step construction):
+        it is, exactly where the one step from the axis, where |q(z)| / |z|^2 is
+        largest, to the axis's own drift image does not exist.  Under that one
+        clearance test q vanishes on the plane exactly where it does on its
+        axis, and the step, u = 0 where it exists, reads no drift."""
+        q = gram_form(*self.inputs)
         # The eigenvector of [[a, b/2], [b/2, c]] of larger |eigenvalue|.
         theta = 0.5 * (math.atan2(q.b, q.a - q.c) + (math.pi if q.a + q.c < 0.0 else 0.0))
-        x, y = self.axis = (math.cos(theta), math.sin(theta))
-        self.two_step = _one_step(sys, x, y, e[0] * x + e[1] * y, e[2] * x + e[3] * y) is None
+        x, y = axis = (math.cos(theta), math.sin(theta))
+        e = self.drift_entries
+        return axis, _one_step(self, x, y, e[0] * x + e[1] * y, e[2] * x + e[3] * y) is None
 
     @_memo
     def canonical(self) -> tuple:
         """(P, M_sub, offset, A21, A22, |A-bar|_F) of the zero-bottom-row basis:
         P's entries in row order, M_sub as ``_det2`` gives it (None where
-        singular), offset a pair; or NotCanonicalClass (not kept) if none."""
+        singular), offset a pair; or NotCanonicalClass (not kept) if none.
+        The route comes first, as on the plan path, and so do its refusals."""
+        self.route
         if self.drift is None:
             raise NotCanonicalClass("the two-step construction needs a drift term")
         b1, b2 = self.inputs
@@ -151,6 +172,11 @@ class _Steering:
                 (a_bar.a11, a_bar.a12), a_bar.a21, a_bar.a22, a_scale)
 
 
+def _steering(sys: BilinearSystem) -> _Steering:
+    """The steering record of sys, built on first use and kept in its ``__dict__``."""
+    return sys.__dict__.get("_steering") or sys.__dict__.setdefault("_steering", _Steering(sys))
+
+
 _NO_ESCAPE = "no escape step cleared the singular set"
 
 
@@ -164,40 +190,38 @@ def escape_step(sys: BilinearSystem, xi: Vec2) -> tuple[tuple[float, float], Vec
     |q(x)| / (form_scale |x|^2).  A landing clears when it is not zero next to
     |M|_F |xi| for its step M, and the one step from it exists: here the one
     step to the zero target, which exists exactly where one to any target does."""
-    _require_pair(sys)
-    u, lx, ly, v = _escape(sys, xi.x, xi.y, 0.0, 0.0)
+    u, lx, ly, v = _escape(_pair(sys), xi.x, xi.y, 0.0, 0.0)
     if v is None:
         raise EscapeFailed(_NO_ESCAPE)
     return u, Vec2(lx, ly)
 
 
-def _escape(sys: BilinearSystem, x: float, y: float, tx: float, ty: float):
+def _escape(st: _Steering, x: float, y: float, tx: float, ty: float):
     """The landing :func:`escape_step` picks from (x, y), as (u, lx, ly, v), as
     the replay computes it, with v the one step from it to (tx, ty); where no
     landing clears or t is not finite, v is None and the landing is p, or c's
     when p is zero.  ValueError when an image, the landing or v overflows."""
-    steering, tol = sys._steering, sys.tol
-    (b1, b2), (a11, a12, a21, a22) = steering.inputs, steering.drift_entries
+    (ex, ey), _ = st.route
+    (b1, b2), (a11, a12, a21, a22), tol = st.inputs, st.drift_entries, st.tol
     px, py = a11 * x + a12 * y, a21 * x + a22 * y
     c1x, c1y = b1.a11 * x + b1.a12 * y, b1.a21 * x + b1.a22 * y
     c2x, c2y = b2.a11 * x + b2.a12 * y, b2.a21 * x + b2.a22 * y
     _finite(px, py, c1x, c1y, c2x, c2y)
     xn, pn = math.hypot(x, y), math.hypot(px, py)
-    if pn != 0.0 and tol.is_zero(pn / steering.drift_norm / xn):
+    if pn != 0.0 and tol.is_zero(pn / st.drift_norm / xn):
         pn = 0.0   # p is lost next to |A|_F |x|: escape as without drift
     if pn != 0.0:
-        v = _one_step(sys, px, py, tx, ty)
+        v = _one_step(st, px, py, tx, ty)
         if v is not None:
             return (0.0, 0.0), px, py, v
     n1, n2 = math.hypot(c1x, c1y), math.hypot(c2x, c2y)
-    f1, f2 = steering.input_norms
+    f1, f2 = st.input_norms
     k, b, cx, cy, cn = (0, b1, c1x, c1y, n1) if n1 / f1 >= n2 / f2 else (1, b2, c2x, c2y, n2)
     if cn == 0.0:
         return (0.0, 0.0), px, py, None
     # Where p + t c crosses the axis (any t != 0 when p = 0; with p on c's
     # line, the origin, lost in round-off).  When c nearly lies on the axis
     # the crossing is far out, and the landing stops 2^-9 rad short.
-    ex, ey = steering.axis
     cp, cc = px * ey - py * ex, cx * ey - cy * ex
     if pn == 0.0:
         t = 1.0
@@ -213,19 +237,19 @@ def _escape(sys: BilinearSystem, x: float, y: float, tx: float, ty: float):
     v = None
     if (lx != 0.0 or ly != 0.0) and not tol.is_zero(
             math.hypot(lx, ly) / math.hypot(m11, m12, m21, m22) / xn):
-        v = _one_step(sys, lx, ly, tx, ty)
+        v = _one_step(st, lx, ly, tx, ty)
     if v is not None or pn == 0.0:
         return ((t, 0.0) if k == 0 else (0.0, t)), lx, ly, v
     return (0.0, 0.0), px, py, None
 
 
-def _escape_moves(sys: BilinearSystem, x: float, y: float, tx: float, ty: float) -> list:
+def _escape_moves(st: _Steering, x: float, y: float, tx: float, ty: float) -> list:
     """The controls of the escape steps from (x, y), followed by the one step
     to (tx, ty): one escape step, or two when no landing of the first clears,
     as when A and B map one zero line onto the other."""
     moves = []
     while len(moves) < 2:
-        u, x, y, v = _escape(sys, x, y, tx, ty)
+        u, x, y, v = _escape(st, x, y, tx, ty)
         moves.append(u)
         if v is not None:
             return moves + [v]
@@ -258,17 +282,16 @@ def canonical_steer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
     the first coordinate second.  When the transformed state starts with
     x1 ~ 0 or A21 x1 + A22 x2 ~ 0, a pre-step (0, c) repairs both degeneracies.
     """
-    _require_pair(sys)
-    x, y, ex, ey = xi.x, xi.y, eta.x, eta.y
-    return _verified(sys, x, y, ex, ey, _canonical_steps(sys, x, y, ex, ey))
+    st, x, y, ex, ey = _pair(sys), xi.x, xi.y, eta.x, eta.y
+    return _verified(sys, x, y, ex, ey, _canonical_steps(st, x, y, ex, ey))
 
 
-def _canonical_steps(sys: BilinearSystem, x: float, y: float, ex: float, ey: float) -> list:
+def _canonical_steps(st: _Steering, x: float, y: float, ex: float, ey: float) -> list:
     """The controls of :func:`canonical_steer` from (x, y) to (ex, ey), not
     yet replayed.  Every state and bar step is a pair of floats, checked
     finite where the construction would have built it as a ``Vec2``."""
-    tol = sys.tol
-    (p11, p12, p21, p22), m_sub, (o1, o2), a21, a22, a_scale = sys._steering.canonical
+    tol = st.tol
+    (p11, p12, p21, p22), m_sub, (o1, o2), a21, a22, a_scale = st.canonical
 
     x, y = p11 * x + p12 * y, p21 * x + p22 * y
     _finite(x, y)
@@ -325,29 +348,22 @@ def plan_transfer(sys: BilinearSystem, xi: Vec2, eta: Vec2) -> ControlPlan:
     outright.  A returned plan has been replayed once and passed
     ``verify_plan``; ``plan.residual`` is that replay's landing error.
     """
-    verdict = analyze(sys)
-    if verdict.klass is VerdictClass.UNCONTROLLABLE:
+    klass = analyze(sys).klass
+    if klass is VerdictClass.UNCONTROLLABLE:
         raise NotControllablePair("system is uncontrollable; no transfers are synthesized")
-    x, y, ex, ey = xi.x, xi.y, eta.x, eta.y
-    steps = _pair_steps(sys, verdict.klass, x, y, ex, ey)
-    if sys._effective is not sys:   # only the identity reduction leaves sys itself
-        steps = [_expand(sys._control_layout, v1, v2) for v1, v2 in steps]
-    return _verified(sys, x, y, ex, ey, steps)
-
-
-def _pair_steps(sys: BilinearSystem, klass: VerdictClass, x: float, y: float,
-                ex: float, ey: float) -> list:
-    """The controls of the effective pair that :func:`plan_transfer` replays,
-    for a verdict other than uncontrollable."""
-    eff = sys._effective
+    st, x, y, ex, ey = _steering(sys), xi.x, xi.y, eta.x, eta.y
     if klass is VerdictClass.NEARLY_CONTROLLABLE:
-        u = _one_step(eff, x, y, ex, ey)
+        u = _one_step(st, x, y, ex, ey)
         if u is None:
             raise InExcludedSet("initial state in excluded set")
-        return [u]
-    if sys.tol.is_zero(math.hypot(x, y)) or sys.tol.is_zero(math.hypot(ex, ey)):
+        steps = [u]
+    elif st.tol.is_zero(math.hypot(x, y)) or st.tol.is_zero(math.hypot(ex, ey)):
         raise ZeroState("controllable transfers connect nonzero states only")
-    if eff._steering.two_step:
-        return _canonical_steps(eff, x, y, ex, ey)
-    u = _one_step(eff, x, y, ex, ey)
-    return [u] if u is not None else _escape_moves(eff, x, y, ex, ey)
+    elif st.route[1]:
+        steps = _canonical_steps(st, x, y, ex, ey)
+    else:
+        u = _one_step(st, x, y, ex, ey)
+        steps = [u] if u is not None else _escape_moves(st, x, y, ex, ey)
+    if st.expand is not None:
+        steps = [st.expand(v1, v2) for v1, v2 in steps]
+    return _verified(sys, x, y, ex, ey, steps)

@@ -12,6 +12,8 @@ It also prints a sha256 over every family's outcome in order:
 ``repr(analyze(sys))``, or the type and message of the exception ingestion
 or ``analyze`` raised.  Two trees with the same digest give the same
 verdicts, certificates and refusals, bit for bit, on all of these families.
+The digest is pinned: one that differs from ``DIGEST`` fails the audit too,
+and both digests are printed.
 A verdict that combines two inputs (three inputs with drift, four without)
 also counts as wrong where its ``combined_coeffs`` are not what the public
 ``combine_inputs`` finds for the family's members; the digest is over the
@@ -20,7 +22,8 @@ outcomes of ``analyze`` alone.
 Standard library only (``bench/inputs.py`` and ``bench/checks.py`` are read
 as they are):
 
-    PYTHONPATH=src python tests/classify_audit.py   # exits 1 on any wrong family
+    PYTHONPATH=src python tests/classify_audit.py   # exits 1 on any wrong family,
+                                                    # or on a digest other than DIGEST
 """
 
 import hashlib
@@ -36,6 +39,7 @@ import inputs  # noqa: E402
 SEEDS = (1, 20261017)
 BLOCKS = 3
 BLOCK_SIZE = 4096
+DIGEST = "a235ddfa6f722454faa0e27f22a09b3c51153ea9aa010fc22b141c35143e39ea"
 
 
 def families():
@@ -98,4 +102,6 @@ if __name__ == "__main__":
     print(f"outcome digest sha256 {digest.hexdigest()}")
     for name, built, why in bad[:20]:
         print(f"  {name} {built}: {why}")
-    sys.exit(1 if bad else 0)
+    if digest.hexdigest() != DIGEST:
+        print(f"outcome digest differs: got {digest.hexdigest()}, pinned {DIGEST}")
+    sys.exit(1 if bad or digest.hexdigest() != DIGEST else 0)

@@ -1,5 +1,6 @@
 """Verdicts, excluded sets, reductions, and their invariance under conjugation."""
 
+import ast
 import copy
 from fractions import Fraction
 import math
@@ -32,7 +33,7 @@ from bilin2 import (
     apply_reduction,
     plan_transfer,
 )
-from bilin2 import classify, mat2, structure
+from bilin2 import classify, mat2, steer, structure
 from bilin2.classify import expand_controls
 from bilin2.mat2 import canonical_direction
 import classify_golden
@@ -255,7 +256,10 @@ def test_control_layout_expands_bit_for_bit(name, v1, v2):
     ca, cb = red.combined_coeffs or (0.0, 0.0)
     sources = {"v1": v1, "v2": v2, "ca": ca * v2, "cb": cb * v2}
     expected = tuple(sources[p] if isinstance(p, str) else p for p in places)
-    per_system = classify._expand(sys._control_layout, v1, v2)
+    # A pair's steering record expands nothing: plan_transfer keeps (v1, v2).
+    expand = steer._steering(sys).expand
+    assert (expand is None) == (sys.m == 2)
+    per_system = expand(v1, v2) if expand is not None else (v1, v2)
     assert repr(per_system) == repr(expand_controls(red, sys.m, v1, v2)) == repr(expected)
     assert all(type(c) is float for c in per_system)
 
@@ -690,9 +694,44 @@ def test_verdicts_are_homogeneous(family, input_factors, c):
         return
     assert len(scaled) == len(unit)
     sys = _family_system(family, [1.0] * 4, 1.0)
-    if exact and sys.m == 2 and (len(unit) == 1 or sys._steering.two_step):
+    if exact and sys.m == 2 and (len(unit) == 1 or steer._steering(sys).route[1]):
         assert scaled == tuple((u1 / input_factors[0], u2 / input_factors[1])
                                for u1, u2 in unit)
+
+
+@pytest.mark.parametrize("red", [
+    Reduction(pinned_index=3, pinned_value=1.0),                           # out of range
+    Reduction(combined_indices=(1, 5), combined_coeffs=(1.0, 0.0)),         # out of range
+    Reduction(pinned_index=0, pinned_value=1.0, combined_indices=(0, 1),
+              combined_coeffs=(1.0, 0.0)),                                  # named twice
+    Reduction(combined_indices=(1, 1), combined_coeffs=(1.0, 0.0)),         # named twice
+    Reduction(pinned_index=0, pinned_value=0.0, combined_indices=(1, 2),
+              combined_coeffs=(1.0, 0.0)),                                  # one left
+], ids=["pinned", "combined", "pinned-and-combined", "combined-twice", "one-left"])
+def test_a_malformed_reduction_is_refused(red, rotation_drift_system):
+    # A reduction that does not leave exactly two of the inputs, each named
+    # once, is refused by both readers of a Reduction alike.
+    sys = BilinearSystem(SystemKind.WITH_DRIFT, rotation_drift_system.drift,
+                         rotation_drift_system.inputs + (mat([[1.0, 0.0], [0.0, 0.0]]),))
+    with pytest.raises(InvalidSystem, match="exactly two effective inputs"):
+        apply_reduction(sys, red)
+    with pytest.raises(InvalidSystem, match="exactly two effective inputs"):
+        expand_controls(red, sys.m, 1.0, 2.0)
+
+
+def test_classify_keeps_the_verdict_alone_and_imports_no_steer():
+    # The steering record belongs to steer: a system's one memo is its
+    # verdict, and classify imports nothing from steer, at any depth.
+    memos = {name for name, value in vars(BilinearSystem).items()
+             if isinstance(value, mat2._memo)}
+    assert memos == {"_verdict"}
+    with open(classify.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [f"{node.module or ''}.{alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert names and not any("steer" in name.split(".") for name in names)
 
 
 def test_equal_systems_get_equal_verdicts(shared_line_drift_system, swap_pair_system,

@@ -419,6 +419,27 @@ def test_env_tolerance_must_be_numeric(write_doc, monkeypatch, capsys):
     assert "BILIN2_TOL_ABS must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, rel", [("file", -1e-9), ("file", 0), ("file", 10**400),
+                                        ("env", "inf"), ("env", "nan"), ("env", "0")],
+                         ids=["negative", "zero", "overflow", "env-inf", "env-nan", "env-zero"])
+def test_rel_tolerance_still_parses_and_is_refused_when_not_positive_finite(
+        where, rel, write_doc, monkeypatch, capsys):
+    # rel decides nothing and does not reach TolerancePolicy, but every file
+    # and environment that ran before runs the same: a rel that is not a
+    # positive finite number is refused, with the message it had.
+    doc = dict(ROTATION_DRIFT, tolerance={"abs": 1e-9, "rel": 1e-9})
+    if where == "file":
+        doc["tolerance"]["rel"] = rel
+    else:
+        monkeypatch.setenv("BILIN2_TOL_REL", rel)
+    assert cli.main(["analyze", write_doc(doc)]) == 2
+    message = ("tolerance beyond the float range" if rel == 10**400
+               else "rel_eps must be positive and finite")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    monkeypatch.setenv("BILIN2_TOL_REL", "1e-3")
+    assert cli.main(["analyze", write_doc(ROTATION_DRIFT)]) == 0
+
+
 def test_env_tolerance_changes_the_verdict(write_doc, monkeypatch, capsys):
     nearly_dependent = {"kind": "driftless",
                         "B": [[[1, -1], [0, 2]], [[1.000001, -1], [0, 2]]]}

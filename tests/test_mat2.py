@@ -30,22 +30,26 @@ finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
 def test_tolerance_zero_test_reads_abs_eps_alone():
-    # Every caller passes a dimensionless ratio; rel_eps still validates and
-    # is kept on the record, but it decides nothing.
-    for rel in (1e-9, 1e-6, 0.5):
-        tol = TolerancePolicy(1e-9, rel)
-        assert tol.is_zero(1e-9) and tol.is_zero(-5e-10) and tol.is_zero(0.0)
-        assert not tol.is_zero(1.0000001e-9) and not tol.is_zero(-1e-8)
+    # Every caller passes a dimensionless ratio, tested against abs_eps; the
+    # policy takes no other threshold.
+    tol = TolerancePolicy(1e-9)
+    assert tol.is_zero(1e-9) and tol.is_zero(-5e-10) and tol.is_zero(0.0)
+    assert not tol.is_zero(1.0000001e-9) and not tol.is_zero(-1e-8)
     assert not hasattr(TolerancePolicy(), "threshold")
+    assert TolerancePolicy._fields == ("abs_eps",)
+    with pytest.raises(TypeError):
+        TolerancePolicy(1e-9, 1e-9)
+    with pytest.raises(TypeError):
+        TolerancePolicy(rel_eps=1e-9)
 
 
 def test_tolerance_rejects_degenerate_eps():
     with pytest.raises(ValueError):
-        TolerancePolicy(0.0, 1e-9)
+        TolerancePolicy(0.0)
     with pytest.raises(ValueError):
-        TolerancePolicy(1e-9, -1e-9)
+        TolerancePolicy(-1e-9)
     with pytest.raises(ValueError):
-        TolerancePolicy(float("inf"), 1e-9)
+        TolerancePolicy(float("inf"))
 
 
 def test_vec2_rejects_non_finite():
@@ -317,7 +321,7 @@ def test_eigen_directions_satisfy_residual_test(a, b, c, d):
     directions = real_eigen_directions(m) or ()
     # A repeated direction comes from a discriminant zeroed within tolerance,
     # so its residual is only square-root small; the split case is exact.
-    check_tol = TolerancePolicy(1e-4, 1e-4) if len(directions) == 1 else DEFAULT_TOL
+    check_tol = TolerancePolicy(1e-4) if len(directions) == 1 else DEFAULT_TOL
     for d_ in directions:
         assert is_eigenvector(m, d_, check_tol)
 

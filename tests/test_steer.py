@@ -1,6 +1,8 @@
 """Plan synthesis: one-step solves, escape steps, the two-step construction,
 and the verdict-honoring front end."""
 
+import collections
+import functools
 import math
 
 import numpy as np
@@ -27,6 +29,7 @@ from bilin2 import (
     verify_plan,
 )
 from bilin2 import classify, mat2, quadform, steer, structure
+import classify_golden
 from exact import lands_within, share_left_null_direction
 import plan_golden
 from helpers import (generic_drift_system, generic_driftless_system, mat, pinned_nearly_system,
@@ -69,11 +72,12 @@ def test_one_step_forms_its_system_again_only_at_a_power_of_two_other_than_one()
     # system is formed again from f xi = (1, 0).
     sys = BilinearSystem(SystemKind.DRIFTLESS, None,
                          (CountedMat2(1.0, 0.0, 0.0, 1.0), mat([[0.0, 0.0], [0.0, 1.0]])))
-    assert sys._form_scale == math.sqrt(2.0)
+    record = steer._steering(sys)
+    assert record.scale == math.sqrt(2.0)
     answers = []
     for c, passes in ((1.0, 1), (2.0 ** -600, 2)):
         reads.clear()
-        answers.append(steer._one_step(sys, c, 0.0, 2.0 * c, 3.0 * c))
+        answers.append(steer._one_step(record, c, 0.0, 2.0 * c, 3.0 * c))
         assert len(reads) == passes
     assert answers == [None, None]
 
@@ -114,8 +118,8 @@ def test_escape_step_raises_when_the_form_scale_underflows():
     # of the steering form: no landing clears, and none divides by zero.
     sys = BilinearSystem(SystemKind.DRIFTLESS, None,
                          (mat([[1e-170, 0.0], [0.0, 0.0]]), mat([[0.0, 0.0], [1e-170, 0.0]])),
-                         tol=TolerancePolicy(1e-320, 1e-9))
-    assert sys._form_scale == 0.0
+                         tol=TolerancePolicy(1e-320))
+    assert steer._steering(sys).scale == 0.0
     with pytest.raises(EscapeFailed):
         escape_step(sys, Vec2(1.0, 0.0))
 
@@ -379,9 +383,9 @@ def test_plan_transfer_route_reads_no_drift():
     # it.  (1, 1) is off the zero line and the drift sends it to 0.
     sys = BilinearSystem(SystemKind.WITH_DRIFT, mat([[0.0, 0.0], [1e150, -1e150]]),
                          (mat([[1.0, 0.0], [0.0, 0.0]]), mat([[0.0, 1.0], [2.0 ** -540, 0.0]])),
-                         tol=TolerancePolicy(1e-200, 1e-200))
+                         tol=TolerancePolicy(1e-200))
     assert analyze(sys).klass is VerdictClass.CONTROLLABLE
-    assert sys._steering.axis == (1.0, 0.0) and not sys._steering.two_step
+    assert steer._steering(sys).route == ((1.0, 0.0), False)
     plan = plan_transfer(sys, Vec2(1.0, 1.0), Vec2(1.0, 0.0))
     assert plan.steps == ((1.0, 0.0),) and plan.residual == 0.0
 
@@ -547,8 +551,7 @@ def test_each_memo_runs_once_per_instance(request, monkeypatch):
     # whose plans take the one-step, canonical, nearly and reduced routes.
     memos = {name: memo for cls in (BilinearSystem, steer._Steering)
              for name, memo in vars(cls).items() if isinstance(memo, mat2._memo)}
-    assert set(memos) == {"_verdict", "_effective", "_form_scale", "_steering",
-                          "_control_layout", "canonical"}
+    assert set(memos) == {"_verdict", "route", "canonical"}
     runs = []
     for name, memo in memos.items():
         def counted(obj, name=name, func=memo.func):
@@ -572,6 +575,49 @@ def test_each_memo_runs_once_per_instance(request, monkeypatch):
     per_instance = [(name, id(obj)) for name, obj in runs]
     assert len(per_instance) == len(set(per_instance))
     assert {name for name, _ in runs} == set(memos)
+
+
+@pytest.mark.parametrize("name", ["rotation_drift_system", "coupled_shift_system",
+                                  "shared_line_drift_system", "swap_pair_system",
+                                  "escape_twice", "driftless4", "pinned_nearly"])
+def test_plan_transfer_builds_one_steering_record_per_system(name, request, monkeypatch):
+    # The steering record is built on the first plan, kept on the system, and
+    # read by every later plan; a reduced system's is of its effective pair,
+    # which apply_reduction builds once.
+    built = {"escape_twice": _escape_twice_system,
+             "driftless4": lambda: generic_driftless_system(np.random.default_rng(7), m=4),
+             "pinned_nearly": pinned_nearly_system}
+    sys = built[name]() if name in built else request.getfixturevalue(name)
+    records, init = [], steer._Steering.__init__
+
+    def counted(self, system):
+        records.append(system)
+        init(self, system)
+
+    monkeypatch.setattr(steer._Steering, "__init__", counted)
+    reductions = _counting(monkeypatch, "apply_reduction")
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        try:
+            plan_transfer(sys, unit_vec(rng), unit_vec(rng))
+        except InExcludedSet:
+            pass
+    assert len(records) == 1 and records[0] is sys
+    assert vars(sys)["_steering"] is steer._steering(sys)
+    assert len(reductions) == (sys.m != 2)
+
+
+def test_pair_kernels_read_no_verdict(rotation_drift_system, coupled_shift_system):
+    # one_step, escape_step and canonical_steer on a pair build its steering
+    # record from the pair itself, never from its verdict.
+    for sys in (rotation_drift_system, coupled_shift_system):
+        one_step(sys, Vec2(-1.0, 1.0), Vec2(-11.0, -7.0))
+        try:
+            escape_step(sys, Vec2(1.0, 1.0))
+            canonical_steer(sys, Vec2(1.0, 1.0), Vec2(4.0, 9.0))
+        except (EscapeFailed, NotCanonicalClass):
+            pass
+        assert "_steering" in vars(sys) and "_verdict" not in vars(sys)
 
 
 @pytest.mark.parametrize("name", ["shared_line_drift_system", "trapped_triangular_system",
@@ -624,3 +670,60 @@ def test_plan_transfer_builds_no_singular_matrix(fixture, xi, eta, expected, req
     with pytest.raises(mat2.SingularMatrix):   # the counter sees the ones that are built
         mat2.solve2(mat2.Mat2(1.0, 2.0, 2.0, 4.0), Vec2(1.0, 1.0))
     assert len(made) == 1
+
+
+# The scale probe: the unscaled classify-golden families with every input
+# times 2^k, planned from (1.3, 0.4) to (1.7, -0.6) and compared with k = 0.
+PROBE_EXPONENTS = (-900, -540, 510, 520, 900)
+
+
+@functools.cache
+def _scale_probe() -> dict:
+    """For k = 0 and each probe exponent, each family's (class, plan outcome):
+    the class value, or the type name of what ingestion or analyze raised;
+    plan{n} for a plan of n steps, or the type name of what plan_transfer raised."""
+    families = [f for f in classify_golden.families() if ".2^" not in f["name"]]
+    table = {}
+    for k in (0,) + PROBE_EXPONENTS:
+        rows = []
+        for f in families:
+            kind = SystemKind.WITH_DRIFT if f["kind"] == "drift" else SystemKind.DRIFTLESS
+            try:
+                sys = BilinearSystem(kind, f["drift"] and mat2.Mat2(*f["drift"]),
+                                     tuple(mat2.Mat2(*(e * 2.0 ** k for e in b))
+                                           for b in f["inputs"]))
+                klass = analyze(sys).klass.value
+            except Exception as exc:  # the row records which one
+                rows.append((type(exc).__name__, None))
+                continue
+            try:
+                plan = f"plan{len(plan_transfer(sys, Vec2(1.3, 0.4), Vec2(1.7, -0.6)))}"
+            except Exception as exc:  # the row records which one
+                plan = type(exc).__name__
+            rows.append((klass, plan))
+        table[k] = rows
+    assert len(table[0]) == 282
+    return table
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: the anti-diagonal certificate's basis puts "
+                          "-det B1 in the canonical forms, which overflows from inputs "
+                          "near 1e154 up (14 families at 2^520 and 2^900)")
+def test_scaling_the_inputs_keeps_every_verdict():
+    table = _scale_probe()
+    changed = {k: sum(v != v0 for (v, _), (v0, _) in zip(table[k], table[0]))
+               for k in PROBE_EXPONENTS}
+    assert changed == dict.fromkeys(PROBE_EXPONENTS, 0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: the plan path reads the raw inputs, so "
+                          "|B1|_F |B2|_F and the steering form over- or underflow")
+def test_scaling_the_inputs_keeps_every_plan_outcome():
+    # Compared where the verdict holds; each row counts the new outcomes.
+    table = _scale_probe()
+    changed = {k: collections.Counter(p for (v, p), (v0, p0) in zip(table[k], table[0])
+                                      if v == v0 and p != p0)
+               for k in PROBE_EXPONENTS}
+    assert changed == {k: collections.Counter() for k in PROBE_EXPONENTS}
