@@ -20,7 +20,8 @@ reached.
 
 A system keeps its verdict alone; the steering data is ``steer``'s, and this
 module imports nothing from it.  ``apply_reduction`` and ``expand_controls``
-read a ``Reduction`` through one decoder, ``_slots``.
+read a ``Reduction`` through one decoder, ``_slots``.  Each controllable
+verdict is one of eight immutable records, built at import and shared.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .structure import (
     _antidiagonal,
     _candidates,
     _certified,
+    _COMBINATIONS,
     _triangular,
     combine_inputs,
 )
@@ -89,8 +91,13 @@ class BilinearSystem(_Record):
         _setfield(self, "drift", drift)
         _setfield(self, "inputs", inputs)
         _setfield(self, "tol", tol)
-        if not linearly_independent(self.matrices(), tol):
-            raise InvalidSystem("linearly dependent inputs")
+        try:
+            if not linearly_independent(self.matrices(), tol):
+                raise InvalidSystem("linearly dependent inputs")
+        except AttributeError:
+            if all(isinstance(x, Mat2) for x in self.matrices()):
+                raise
+            raise InvalidSystem("the drift and every input must be a Mat2") from None
 
     def __reduce__(self):
         # Copies and unpickling run the checks again and start without memos.
@@ -139,6 +146,7 @@ class Reduction(_Record):
 
 
 _IDENTITY = Reduction()
+_DROP = tuple(Reduction(pinned_index=k, pinned_value=0.0) for k in range(3))  # input k to 0
 
 
 class Verdict(_Record):
@@ -162,6 +170,19 @@ class Verdict(_Record):
         _setfield(self, "largest_region", largest_region)
         _setfield(self, "structure", structure)
         _setfield(self, "reduction", reduction)
+
+
+def _controllable(red: Reduction) -> Verdict:
+    return Verdict(VerdictClass.CONTROLLABLE, None, None, None, red)
+
+
+# A controllable verdict holds its reduction alone: all eight are built here
+# once and shared.  _COMBINED holds each tested combination of the last two
+# inputs with drift and (the first pinned to 1) without, by sys.drift is None.
+_PAIR, _PINNED = map(_controllable, (_IDENTITY, Reduction(pinned_index=0, pinned_value=1.0)))
+_COMBINED = ({c: _controllable(Reduction(combined_indices=(1, 2), combined_coeffs=c))
+              for c in _COMBINATIONS},
+             {c: _controllable(Reduction(0, 1.0, (2, 3), c)) for c in _COMBINATIONS})
 
 
 def apply_reduction(sys: BilinearSystem, red: Reduction) -> BilinearSystem:
@@ -216,17 +237,11 @@ def _verdict_controllable(sys: BilinearSystem, ms: tuple[Mat2, ...], settled: bo
     the two share no eigenvector: no combination can then give the family
     one, and (1, 0) is taken with no test."""
     if sys.m == 2:
-        red = _IDENTITY
-    elif len(ms) == 3:
-        red = Reduction(pinned_index=0, pinned_value=1.0)
-    else:
-        coeffs = (1.0, 0.0) if settled else combine_inputs(*ms, sys.tol)
-        if sys.kind is SystemKind.WITH_DRIFT:
-            red = Reduction(combined_indices=(1, 2), combined_coeffs=coeffs)
-        else:
-            red = Reduction(pinned_index=0, pinned_value=1.0,
-                            combined_indices=(2, 3), combined_coeffs=coeffs)
-    return Verdict(VerdictClass.CONTROLLABLE, None, None, None, red)
+        return _PAIR
+    if len(ms) == 3:
+        return _PINNED
+    coeffs = (1.0, 0.0) if settled else combine_inputs(*ms, sys.tol)
+    return _COMBINED[sys.drift is None][coeffs]
 
 
 def _nearly(lines: LineUnion, report: StructureReport, red: Reduction) -> Verdict:
@@ -249,7 +264,7 @@ def _verdict_with_common_vector(sys: BilinearSystem, ms: tuple[Mat2, ...],
     for i, j, pinned in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         lu = pair_lines(sys.inputs[i], sys.inputs[j], sys.tol)
         if lu.kind is not LineSetKind.ALL_OF_PLANE:
-            return _nearly(lu, report, Reduction(pinned_index=pinned, pinned_value=0.0))
+            return _nearly(lu, report, _DROP[pinned])
     # Unreachable when some (2,2) entry survives: that input's pairs have
     # nonvanishing forms.  Guard for tolerance corner cases.
     raise InvalidSystem("no input pair with a usable steering form")

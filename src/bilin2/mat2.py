@@ -29,14 +29,16 @@ finite (``_mat2``): the rotation frame of a ``Direction``, ``_pow2`` of a
 member.  Nothing downstream re-checks its inputs.
 
 The kernels compute on plain floats and build only their results: on the
-classify path ``linearly_independent``, the eigen-candidate stage (the
-isotropy test ``_anisotropic`` and ``_eigen_units`` on ``_pow2`` of a member, and
-the residual test ``_invariant``, under ``real_eigen_directions`` and
-``is_eigenvector``; ``structure._candidates`` runs the commutator test first,
-and computes eigen-directions only where it does not settle that no
-direction passes the residual test on every member; ker[M, N] comes last,
-normalized only once they all fail; a ``Direction`` is built only for a
-certified vector), ``structure._antidiagonal``, ``canonical_direction``,
+classify path ``linearly_independent`` (every member's norm first, then an
+elimination that stops at the first pivot in the zero band or the last row's
+pivot), the eigen-candidate stage (the isotropy test ``_anisotropic`` and
+``_eigen_units`` on ``_pow2`` of a member, and the residual test
+``_invariant``, under ``real_eigen_directions`` and ``is_eigenvector``;
+``structure._candidates`` runs the commutator test first, and computes
+eigen-directions only where it does not settle that no direction passes the
+residual test on every member; ker[M, N] comes last, normalized only once they
+all fail; a ``Direction`` is built only for a certified vector),
+``structure._antidiagonal``, ``canonical_direction``,
 ``_similar`` and ``_lincomb``;
 on the plan path the ``steer`` kernels and the replay kernel ``simulate._replay``.
 A singular 2x2 system is a zero test in ``_det2`` that answers None (only
@@ -464,35 +466,33 @@ def _invariant(m: Mat2, x: float, y: float, tol: TolerancePolicy) -> bool:
 def linearly_independent(ms, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Linear independence of up to four matrices, viewed as vectors in R^4.
 
-    Gaussian elimination with full pivoting on the rows divided by their own
-    norms, so scaling one matrix, or permuting the list, leaves the decision
-    as it is; a zero matrix has no row, so the rank falls short.  Pivot ties
-    go to the first entry in row then column order.
-    """
+    A norm that overflows raises frob's ValueError, even after a zero member,
+    which answers False.  Full-pivoting elimination on the rows over their
+    norms (scaling one matrix, or permuting the list, keeps the decision) stops
+    early; pivot ties go to the first entry in row then column order."""
     ms = list(ms)
     if not 1 <= len(ms) <= 4:
         raise ValueError(f"expected between 1 and 4 matrices, got {len(ms)}")
-    rows = [[m.a11 / n, m.a12 / n, m.a21 / n, m.a22 / n] for m in ms if (n := m.frob())]
-    live = list(range(len(rows)))
-    cols = [0, 1, 2, 3]
-    rank = 0
-    while live and cols:
-        pi, pj = live[0], cols[0]
-        best = abs(rows[pi][pj])
-        for i in live:
-            row = rows[i]
+    norms = [m.frob() for m in ms]
+    if 0.0 in norms:
+        return False
+    rows = [[m.a11 / n, m.a12 / n, m.a21 / n, m.a22 / n] for m, n in zip(ms, norms)]
+    cols, eps = [0, 1, 2, 3], tol.abs_eps
+    while True:
+        best, i = -1.0, 0
+        for row in rows:
             for j in cols:
-                if abs(row[j]) > best:
-                    best, pi, pj = abs(row[j]), i, j
-        pivot = rows[pi][pj]
-        if tol.is_zero(pivot):
-            break
-        rank += 1
-        live.remove(pi)
+                v = row[j]
+                if v > best or -v > best:
+                    best, pi, pj = abs(v), i, j
+            i += 1
+        if best <= eps:
+            return False
+        if len(rows) == 1:
+            return True
+        prow = rows.pop(pi)
         cols.remove(pj)
-        for i in live:
-            factor = rows[i][pj] / pivot
+        for row in rows:
+            factor = row[pj] / prow[pj]
             for j in cols:
-                rows[i][j] -= factor * rows[pi][j]
-            rows[i][pj] = 0.0
-    return rank == len(ms)
+                row[j] -= factor * prow[j]

@@ -41,6 +41,7 @@ from helpers import (
     assert_lines_match,
     conjugate_system,
     generic_drift_system,
+    generic_driftless_system,
     lincomb,
     line_gap,
     mat,
@@ -69,6 +70,17 @@ def test_system_requires_a_system_kind(kind):
         BilinearSystem(kind, None, swap)
     assert analyze(BilinearSystem(SystemKind.DRIFTLESS, None, swap)).klass is (
         VerdictClass.NEARLY_CONTROLLABLE)
+
+
+@pytest.mark.parametrize("drift, inputs", [
+    (None, ("a", "b")),
+    ([[1.0, 0.0], [0.0, 1.0]], (mat([[1.0, -1.0], [0.0, 2.0]]), mat([[0.0, 0.0], [1.0, 0.0]]))),
+], ids=["inputs", "drift"])
+def test_system_refuses_a_member_that_is_not_a_mat2(drift, inputs):
+    # Such a member used to leak AttributeError from the independence test.
+    kind = SystemKind.DRIFTLESS if drift is None else SystemKind.WITH_DRIFT
+    with pytest.raises(InvalidSystem, match="must be a Mat2"):
+        BilinearSystem(kind, drift, inputs)
 
 
 def test_system_input_count_bounds():
@@ -455,6 +467,51 @@ def test_a_combined_reduction_is_the_public_combination(sys):
     verdict = analyze(sys)
     if verdict.klass is VerdictClass.CONTROLLABLE:
         assert verdict.reduction.combined_coeffs == structure.combine_inputs(*sys.matrices())
+
+
+def _doubled(sys):
+    """sys with every member times 2: a different system, decided bit for bit alike."""
+    def twice(m):
+        return Mat2(2.0 * m.a11, 2.0 * m.a12, 2.0 * m.a21, 2.0 * m.a22)
+    return BilinearSystem(sys.kind, sys.drift and twice(sys.drift), tuple(map(twice, sys.inputs)))
+
+
+def test_analyze_builds_no_controllable_record(rotation_drift_system, monkeypatch):
+    # A controllable verdict and its reduction are built once, at import, and
+    # shared: analyze builds neither, whatever the shape, and whether the
+    # commutator settled the combination or combine_inputs tested it.
+    rng = np.random.default_rng(3)
+    third = mat([[1.0, 0.0], [0.0, 0.0]])
+    systems = [rotation_drift_system,
+               BilinearSystem(SystemKind.WITH_DRIFT, rotation_drift_system.drift,
+                              rotation_drift_system.inputs + (third,)),
+               _rotated_system(SystemKind.WITH_DRIFT, 1.0, _KEPT_BY_B2),
+               _rotated_system(SystemKind.DRIFTLESS, 1.0, _KEPT_BY_B2)]
+    systems += [generic_driftless_system(rng, m) for m in (2, 3, 4)]
+    twins = [_doubled(sys) for sys in systems]
+    assert {(sys.drift is None, sys.m) for sys in systems} == {
+        (False, 2), (False, 3), (True, 2), (True, 3), (True, 4)}
+    built = []
+    for cls in (Reduction, classify.Verdict):
+        def counted(self, *args, init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    verdicts = [analyze(sys) for sys in systems]
+    assert [analyze(twin) for twin in twins] == verdicts
+    assert built == []
+    assert [v.reduction.combined_coeffs for v in verdicts[1:4]] == [(1.0, 0.0), (0.0, 1.0),
+                                                                   (0.0, 1.0)]
+    for sys, twin, verdict in zip(systems, twins, verdicts):
+        assert twin != sys and analyze(twin) is verdict
+        assert verdict.klass is VerdictClass.CONTROLLABLE
+        with pytest.raises(AttributeError):
+            verdict.reduction = Reduction()
+        with pytest.raises(AttributeError):
+            verdict.reduction.pinned_value = 0.5
+        made = copy.copy(verdict), copy.deepcopy(verdict), pickle.loads(pickle.dumps(verdict))
+        assert all(m == verdict and repr(m) == repr(verdict) for m in made)
 
 
 def test_a_family_settled_by_the_commutator_runs_no_eigen_step(rotation_drift_system,

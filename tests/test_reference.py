@@ -178,8 +178,23 @@ def families(draw, min_size=2, max_size=4):
 @example([Mat2(1.7e308, 0.0, 0.0, 1.0), Mat2(0.0, 1.0, 0.0, 0.0)])
 @example([Mat2(-2.0, -1.0, 0.0, 1.0), Mat2(2.0, -2.0, -2.0, -1.0),   # pivot ties decide:
           Mat2(2.0, 2.0, -1.0, -1.0), Mat2(-2.0 + 2.0 ** -26, 0.0, -1.0, 1.0)])  # first wins
+@example([Mat2(1.0, 1.0, 1.0, -2.0), Mat2(-1.0, 1.0 + 2.0 ** -28, -2.0, 1.0),  # the last
+          Mat2(2.0, 0.0, -2.0, 2.0), Mat2(-1.0, -2.0, 1.0, 1.0)])       # tied one loses
+@example([Mat2(0.0, 0.0, 0.0, 0.0), Mat2(1.5e308, 1.5e308, 0.0, 0.0)])  # a zero member, then
+@example([Mat2(0.0, -3.0, 0.0, 0.0)])               # a norm that overflows; a single member
 def test_linearly_independent_matches_reference(ms):
     assert outcome(linearly_independent, ms) == outcome(ref_linearly_independent, ms)
+
+
+@given(families(1, 4), st.floats(min_value=1e-12, max_value=0.5))
+@example([Mat2(1.0, 0.0, 0.0, 0.0), Mat2(1.0, 0.25, 0.0, 0.0)],     # the last pivot
+         0.25 / math.hypot(1.0, 0.25, 0.0, 0.0))                      # sits on abs_eps
+@example([Mat2(1.0, -1.0, 1.0, 1.0)], 0.5)                           # so does the first
+def test_linearly_independent_matches_reference_at_any_tolerance(ms, abs_eps):
+    # The elimination compares its pivot with abs_eps itself, not through
+    # is_zero: the decision must still be the reference's at every tolerance.
+    tol = TolerancePolicy(abs_eps)
+    assert outcome(linearly_independent, ms, tol) == outcome(ref_linearly_independent, ms, tol)
 
 
 @given(matrices())
