@@ -73,7 +73,10 @@ class BilinearSystem(_Record):
 
     def __init__(self, kind: SystemKind, drift: Optional[Mat2], inputs: tuple[Mat2, ...],
                  tol: TolerancePolicy = DEFAULT_TOL):
-        inputs = tuple(inputs)
+        try:
+            inputs = tuple(inputs)
+        except TypeError:
+            raise InvalidSystem(f"inputs must be an iterable of Mat2, got {inputs!r}") from None
         m = len(inputs)
         if kind is SystemKind.WITH_DRIFT:
             if drift is None:
@@ -95,6 +98,8 @@ class BilinearSystem(_Record):
             if not linearly_independent(self.matrices(), tol):
                 raise InvalidSystem("linearly dependent inputs")
         except AttributeError:
+            if not isinstance(tol, TolerancePolicy):
+                raise InvalidSystem(f"tol must be a TolerancePolicy, got {tol!r}") from None
             if all(isinstance(x, Mat2) for x in self.matrices()):
                 raise
             raise InvalidSystem("the drift and every input must be a Mat2") from None
@@ -187,9 +192,7 @@ _COMBINED = ({c: _controllable(Reduction(combined_indices=(1, 2), combined_coeff
 
 def apply_reduction(sys: BilinearSystem, red: Reduction) -> BilinearSystem:
     """The effective two-input system the reduction describes."""
-    if red.is_identity():
-        if sys.m != 2:
-            raise InvalidSystem("identity reduction on a system with more than two inputs")
+    if red.is_identity() and sys.m == 2:
         return sys
     at = dict(zip(_slots(red, sys.m), sys.inputs))
     drift, kind = sys.drift, sys.kind

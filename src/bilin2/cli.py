@@ -9,12 +9,13 @@ System files are JSON:
 
 ``steer`` prints the plan and the replay residual it was accepted on, within
 ``verify_plan``'s bound 1e-8 * max(|eta|, max_k |M_k|_F |x_k|, 2^-1042).  Exit
-codes: 0 on success, 2 on parse or validation failure, on a verdict whose
-certificate leaves the float range, or on a simulated, sampled or replayed
-state that overflows, 3 when a steering request is refused (uncontrollable
-verdict, excluded initial state, zero endpoint under a controllable verdict,
-or no plan found: no closed-form escape step cleared the singular set, no
-usable two-step construction, or a singular input substitution).
+codes, decided in ``main`` alone: 0 on success; 3 on any of ``steer.REFUSALS``,
+a refused steering request (uncontrollable verdict, excluded initial state,
+zero endpoint under a controllable verdict, or no plan found: no closed-form
+escape step cleared the singular set, no usable two-step construction, or a
+singular input substitution); 2 on every other ``ValueError``: parse or
+validation failure, a verdict whose certificate leaves the float range, or a
+simulated, sampled or replayed state that overflows.
 BILIN2_TOL_ABS / BILIN2_TOL_REL override the tolerance from the environment,
 over the file.  Every zero test compares a dimensionless ratio with ``abs``;
 ``rel`` must still be positive and finite, and decides nothing:
@@ -30,29 +31,11 @@ import os
 import sys as _sys
 from typing import Optional
 
-from .classify import (
-    BilinearSystem,
-    InvalidSystem,
-    Reduction,
-    SystemKind,
-    Verdict,
-    analyze,
-)
+from .classify import BilinearSystem, Reduction, SystemKind, analyze
 from .mat2 import Direction, Mat2, TolerancePolicy, Vec2, cross
 from .quadform import LineUnion
 from .simulate import ControlPlan, line_hits, reachability_oracle, run
-from .steer import (
-    EscapeFailed,
-    InExcludedSet,
-    NotCanonicalClass,
-    NotControllablePair,
-    SingularSubstitution,
-    ZeroState,
-    plan_transfer,
-)
-
-REFUSALS = (InExcludedSet, NotControllablePair, ZeroState,
-            EscapeFailed, NotCanonicalClass, SingularSubstitution)
+from .steer import REFUSALS, plan_transfer
 
 
 class SystemFileError(ValueError):
@@ -191,16 +174,9 @@ def _emit(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _analyze(sys: BilinearSystem) -> Verdict:
-    try:
-        return analyze(sys)
-    except ValueError as exc:  # e.g. a certificate beyond the float range
-        raise SystemFileError(str(exc)) from exc
-
-
 def cmd_analyze(args) -> int:
     sys = load_system(args.file)
-    verdict = _analyze(sys)
+    verdict = analyze(sys)
     structure = verdict.structure
     _emit({
         "class": verdict.klass.value,
@@ -219,13 +195,7 @@ def cmd_steer(args) -> int:
     sys = load_system(args.file)
     xi = _parse_state(args.from_state, "--from")
     eta = _parse_state(args.to_state, "--to")
-    try:
-        plan = plan_transfer(sys, xi, eta)
-    except REFUSALS as exc:
-        _emit({"reason": str(exc)})
-        return 3
-    except ValueError as exc:  # the replay overflowed to inf or nan
-        raise SystemFileError(str(exc)) from exc
+    plan = plan_transfer(sys, xi, eta)
     _emit({"steps": [list(u) for u in plan.steps], "residual": plan.residual})
     return 0
 
@@ -253,10 +223,7 @@ def cmd_simulate(args) -> int:
     sys = load_system(args.file)
     xi = _parse_state(args.from_state, "--from")
     plan = _load_plan(args.plan, sys.m)
-    try:
-        states = run(sys, xi, plan)
-    except ValueError as exc:  # a state overflowed to inf or nan
-        raise SystemFileError(str(exc)) from exc
+    states = run(sys, xi, plan)
     rows = []
     for k, state in enumerate(states):
         controls = ([repr(c) for c in plan.steps[k]] if k < len(plan)
@@ -286,11 +253,8 @@ def cmd_oracle(args) -> int:
         raise SystemFileError(f"--trials must be positive, got {args.trials}")
     if args.seed < 0:
         raise SystemFileError(f"--seed must not be negative, got {args.seed}")
-    try:
-        report = reachability_oracle(sys, xi, args.trials, seed=args.seed)
-    except ValueError as exc:  # a sample overflowed to inf or nan
-        raise SystemFileError(str(exc)) from exc
-    verdict = _analyze(sys)
+    report = reachability_oracle(sys, xi, args.trials, seed=args.seed)
+    verdict = analyze(sys)
     hits = None
     if verdict.excluded_initial is not None:
         hits = line_hits(sys, report.samples, verdict.excluded_initial.lines)
@@ -357,7 +321,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_glue_flag_values(raw))
     try:
         return args.func(args)
-    except (SystemFileError, InvalidSystem) as exc:
+    except REFUSALS as exc:   # before ValueError: ZeroState is one
+        _emit({"reason": str(exc)})
+        return 3
+    except ValueError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
 

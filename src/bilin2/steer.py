@@ -57,6 +57,11 @@ class SingularSubstitution(RuntimeError):
     test, which near the threshold can differ from the independence test by about sqrt(2)."""
 
 
+# Every way plan_transfer refuses a transfer; the CLI exits 3 on exactly these.
+REFUSALS = (InExcludedSet, NotControllablePair, ZeroState,
+            EscapeFailed, NotCanonicalClass, SingularSubstitution)
+
+
 def _pair(sys: BilinearSystem) -> _Steering:
     """The steering record of a two-input system, which reads no verdict."""
     if sys.m != 2:

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from bilin2 import (
+    DEFAULT_TOL,
     BilinearSystem,
     ControlPlan,
     EscapeFailed,
@@ -81,6 +82,21 @@ def test_system_refuses_a_member_that_is_not_a_mat2(drift, inputs):
     kind = SystemKind.DRIFTLESS if drift is None else SystemKind.WITH_DRIFT
     with pytest.raises(InvalidSystem, match="must be a Mat2"):
         BilinearSystem(kind, drift, inputs)
+
+
+@pytest.mark.parametrize("inputs, tol, match", [
+    (None, DEFAULT_TOL, "inputs must be an iterable of Mat2"),
+    (5, DEFAULT_TOL, "inputs must be an iterable of Mat2"),
+    ((mat([[1.0, 0.0], [0.0, 0.0]]), mat([[0.0, 1.0], [0.0, 0.0]])), 1e-9,
+     "tol must be a TolerancePolicy"),
+    ((mat([[1.0, 0.0], [0.0, 0.0]]), mat([[0.0, 1.0], [0.0, 0.0]])), None,
+     "tol must be a TolerancePolicy"),
+], ids=["inputs-None", "inputs-int", "tol-float", "tol-None"])
+def test_system_refuses_a_malformed_input_list_or_tolerance(inputs, tol, match):
+    # These used to leak TypeError from tuple(inputs) and AttributeError from
+    # the independence test.
+    with pytest.raises(InvalidSystem, match=match):
+        BilinearSystem(SystemKind.DRIFTLESS, None, inputs, tol)
 
 
 def test_system_input_count_bounds():
@@ -764,7 +780,8 @@ def test_verdicts_are_homogeneous(family, input_factors, c):
     Reduction(combined_indices=(1, 1), combined_coeffs=(1.0, 0.0)),         # named twice
     Reduction(pinned_index=0, pinned_value=0.0, combined_indices=(1, 2),
               combined_coeffs=(1.0, 0.0)),                                  # one left
-], ids=["pinned", "combined", "pinned-and-combined", "combined-twice", "one-left"])
+    Reduction(),                                                            # three left
+], ids=["pinned", "combined", "pinned-and-combined", "combined-twice", "one-left", "identity"])
 def test_a_malformed_reduction_is_refused(red, rotation_drift_system):
     # A reduction that does not leave exactly two of the inputs, each named
     # once, is refused by both readers of a Reduction alike.

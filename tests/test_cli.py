@@ -101,6 +101,40 @@ def test_steer_replays_its_plan_once(write_doc, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command, call", [
+    ("analyze", "analyze"), ("steer", "plan_transfer"), ("simulate", "run"),
+    ("oracle", "reachability_oracle"),
+])
+def test_main_alone_decides_the_exit_code(command, call, write_doc, tmp_path, monkeypatch,
+                                          capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text("[[0.0, 0.0]]", encoding="utf-8")
+    argv = [command, write_doc(ROTATION_DRIFT)] + {
+        "analyze": [], "steer": ["--from", "1,1", "--to", "-11,-7"],
+        "simulate": ["--from", "1,1", "--plan", str(plan_path)],
+        "oracle": ["--from", "1,1", "--trials", "3"]}[command]
+
+    def raising(exc):
+        def library_call(*args, **kwargs):
+            raise exc
+        return library_call
+
+    # Every ValueError the library raises exits 2, with the message on stderr.
+    monkeypatch.setattr(cli, call, raising(ValueError("boom")))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: boom\n")
+    # A refusal from steer exits 3 with its reason, ZeroState (a ValueError) too.
+    if command == "steer":
+        for refusal in cli.REFUSALS:
+            monkeypatch.setattr(cli, call, raising(refusal("boom")))
+            assert cli.main(argv) == 3
+            assert capsys.readouterr() == ('{\n  "reason": "boom"\n}\n', "")
+    # The "this is a bug" RuntimeError is never turned into an exit code.
+    monkeypatch.setattr(cli, call, raising(RuntimeError("boom")))
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.main(argv)
+
+
 def test_import_leaves_numpy_unloaded():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = "import sys, bilin2, bilin2.cli; print('numpy' in sys.modules)"

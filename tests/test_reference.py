@@ -34,12 +34,8 @@ from bilin2 import (
     BilinearSystem,
     ControlPlan,
     EscapeFailed,
-    InExcludedSet,
     Mat2,
-    NotCanonicalClass,
-    NotControllablePair,
     SingularMatrix,
-    SingularSubstitution,
     SystemKind,
     TolerancePolicy,
     Vec2,
@@ -69,7 +65,7 @@ from bilin2.mat2 import (
 )
 from bilin2.quadform import pair_lines
 from bilin2.simulate import _LANDING_TOL
-from bilin2.steer import _canonical_steps, _escape, _escape_moves, _steering
+from bilin2.steer import REFUSALS, _canonical_steps, _escape, _escape_moves, _steering
 from helpers import (
     ESCAPE_CANDIDATES_DRIFT,
     ESCAPE_CANDIDATES_DRIFTLESS,
@@ -723,7 +719,7 @@ def test_returned_plans_are_plain_float_plans():
             xi, eta = Vec2(x * f, y * f), Vec2(1.7 * f, -0.6 * f)
             try:
                 plan = plan_transfer(sys, xi, eta)
-            except PLAN_REFUSALS:
+            except REFUSALS:
                 continue
             _assert_plain_plan(plan)
             if two_steps:
@@ -739,10 +735,6 @@ def test_returned_plans_are_plain_float_plans():
 
 
 # --- exact properties -----------------------------------------------------------
-
-
-PLAN_REFUSALS = (NotControllablePair, InExcludedSet, ZeroState, EscapeFailed,
-                 NotCanonicalClass, SingularSubstitution)
 
 
 @given(systems, st.builds(Vec2, entry, entry), st.builds(Vec2, entry, entry),
@@ -763,7 +755,7 @@ def test_plan_transfer_lands_within_the_bound_under_exact_replay(sys, xi, eta, a
     eta = Vec2(eta.x * 2.0 ** b, eta.y * 2.0 ** b)
     try:
         plan = plan_transfer(sys, xi, eta)
-    except PLAN_REFUSALS:
+    except REFUSALS:
         return
     except ValueError as exc:
         assert not isinstance(exc, SingularMatrix)
@@ -799,7 +791,7 @@ def _steps_or_refusal(sys, xi, eta):
     """The steps of plan_transfer's plan, or the type of the refusal it raised."""
     try:
         return plan_transfer(sys, xi, eta).steps
-    except PLAN_REFUSALS as exc:
+    except REFUSALS as exc:
         return type(exc)
 
 

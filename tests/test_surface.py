@@ -44,6 +44,14 @@ def test_public_surface_is_pinned_and_covers_the_benchmark():
     assert sorted(name for name in called if not hasattr(bilin2, name)) == []
 
 
+def test_steer_refusals_are_six_exported_classes_the_cli_shares():
+    # steer owns the refusal list: a transfer it refuses exits 3 in the CLI.
+    assert bilin2.steer.REFUSALS == (
+        bilin2.InExcludedSet, bilin2.NotControllablePair, bilin2.ZeroState,
+        bilin2.EscapeFailed, bilin2.NotCanonicalClass, bilin2.SingularSubstitution)
+    assert bilin2.cli.REFUSALS is bilin2.steer.REFUSALS
+
+
 # The value types are boundary types: fields, the measures the library reads,
 # and @ (the benchmark computes b1 @ xv), but no value arithmetic.
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
