@@ -29,9 +29,9 @@ finite (``_mat2``): the rotation frame of a ``Direction``, ``_pow2`` of a
 member.  Nothing downstream re-checks its inputs.
 
 The kernels compute on plain floats and build only their results: on the
-classify path ``linearly_independent`` (every member's norm first, then an
-elimination that stops at the first pivot in the zero band or the last row's
-pivot), the eigen-candidate stage (the isotropy test ``_anisotropic`` and
+classify path ``linearly_independent`` (every member's norm first, then four
+members' determinant, then elimination to the first zero-band or last pivot),
+the eigen-candidate stage (the isotropy test ``_anisotropic`` and
 ``_eigen_units`` on ``_pow2`` of a member, and the residual test
 ``_invariant``, under ``real_eigen_directions`` and ``is_eigenvector``;
 ``structure._candidates`` runs the commutator test first, and computes
@@ -279,7 +279,8 @@ def _lincomb(ca: float, m: Mat2, cb: float = 0.0, n: Optional[Mat2] = None) -> M
 
 def _pow2_exponent(top: float, k: int = 0) -> int:
     """The e in [-1022, 1023] that puts top * 2^e in [2^(k-1), 2^k)."""
-    return max(-1022, min(k - math.frexp(top)[1], 1023))
+    e = k - math.frexp(top)[1]
+    return e if -1022 <= e <= 1023 else max(-1022, min(e, 1023))
 
 
 def _pow2(m: Mat2) -> tuple[float, float, float, float]:
@@ -469,7 +470,10 @@ def linearly_independent(ms, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     A norm that overflows raises frob's ValueError, even after a zero member,
     which answers False.  Full-pivoting elimination on the rows over their
     norms (scaling one matrix, or permuting the list, keeps the decision) stops
-    early; pivot ties go to the first entry in row then column order."""
+    early; pivot ties go to the first entry in row then column order.  Four
+    rows whose determinant exceeds 64 (abs_eps + 2^-40) answer True at once:
+    with entries and multipliers at most 1 the pivots are at most 1, 2, 4, 8,
+    so each is at least |det|/64, 2^-40 past abs_eps and past any rounding."""
     ms = list(ms)
     if not 1 <= len(ms) <= 4:
         raise ValueError(f"expected between 1 and 4 matrices, got {len(ms)}")
@@ -478,13 +482,24 @@ def linearly_independent(ms, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
         return False
     rows = [[m.a11 / n, m.a12 / n, m.a21 / n, m.a22 / n] for m, n in zip(ms, norms)]
     cols, eps = [0, 1, 2, 3], tol.abs_eps
+    if len(rows) == 4:
+        (a, b, c, d), (e, f, g, h), (p, q, r, s), (t, u, v, w) = rows
+        if abs((a * f - b * e) * (r * w - s * v) - (a * g - c * e) * (q * w - s * u)
+               + (a * h - d * e) * (q * v - r * u) + (b * g - c * f) * (p * w - s * t)
+               - (b * h - d * f) * (p * v - r * t) + (c * h - d * g) * (p * u - q * t)
+               ) > 64.0 * (eps + 2.0 ** -40):
+            return True
     while True:
         best, i = -1.0, 0
-        for row in rows:
-            for j in cols:
-                v = row[j]
-                if v > best or -v > best:
-                    best, pi, pj = abs(v), i, j
+        for v0, v1, v2, v3 in rows:  # an eliminated column holds 0.0
+            if v0 > best or -v0 > best:
+                best, pi, pj = abs(v0), i, 0
+            if v1 > best or -v1 > best:
+                best, pi, pj = abs(v1), i, 1
+            if v2 > best or -v2 > best:
+                best, pi, pj = abs(v2), i, 2
+            if v3 > best or -v3 > best:
+                best, pi, pj = abs(v3), i, 3
             i += 1
         if best <= eps:
             return False
@@ -493,6 +508,6 @@ def linearly_independent(ms, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
         prow = rows.pop(pi)
         cols.remove(pj)
         for row in rows:
-            factor = row[pj] / prow[pj]
+            factor, row[pj] = row[pj] / prow[pj], 0.0
             for j in cols:
                 row[j] -= factor * prow[j]

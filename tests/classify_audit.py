@@ -19,6 +19,12 @@ also counts as wrong where its ``combined_coeffs`` are not what the public
 ``combine_inputs`` finds for the family's members; the digest is over the
 outcomes of ``analyze`` alone.
 
+One more line, outside the digest, counts the audited four-member families
+(drift and three inputs, or four inputs) that ``linearly_independent``
+settles by the determinant of their rows over their norms, |det R| above
+64 (abs_eps + 2^-40), and those left to its elimination, with the least
+|det R| found.  The determinant is formed here by cofactor expansion.
+
 Standard library only (``bench/inputs.py`` and ``bench/checks.py`` are read
 as they are):
 
@@ -27,6 +33,7 @@ as they are):
 """
 
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -84,6 +91,24 @@ def wrong(family, found):
                                 (region.x, region.y) if region else None)
 
 
+def det(rows) -> float:
+    """The determinant of a square list of rows, by expansion along the first."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def row_det(family):
+    """|det R| of a four-member family's rows over their norms, or None for
+    fewer members or a member whose norm is zero or not finite."""
+    members = family.matrices()
+    norms = [math.hypot(*m) for m in members]
+    if len(members) != 4 or not all(0.0 < n < math.inf for n in norms):
+        return None
+    return abs(det([[e / n for e in m] for m, n in zip(members, norms)]))
+
+
 def text(found) -> str:
     """The digested text of an outcome."""
     if isinstance(found, Exception):
@@ -92,14 +117,22 @@ def text(found) -> str:
 
 
 if __name__ == "__main__":
-    digest, bad = hashlib.sha256(), []
+    from bilin2 import DEFAULT_TOL
+
+    digest, bad, dets = hashlib.sha256(), [], []
     for name, family in families():
         found = outcome(family)
         digest.update(text(found).encode())
         if (why := wrong(family, found)) is not None:
             bad.append((name, family.name, why))
+        if (d := row_det(family)) is not None:
+            dets.append(d)
     print(f"{len(bad)} of {len(SEEDS) * BLOCKS * BLOCK_SIZE} families wrong")
     print(f"outcome digest sha256 {digest.hexdigest()}")
+    bound = 64.0 * (DEFAULT_TOL.abs_eps + 2.0 ** -40)
+    settled = sum(d > bound for d in dets)
+    print(f"four-member families: {settled} of {len(dets)} settled by |det R| > {bound:.2g}, "
+          f"{len(dets) - settled} by elimination; least |det R| {min(dets, default=0.0):.2g}")
     for name, built, why in bad[:20]:
         print(f"  {name} {built}: {why}")
     if digest.hexdigest() != DIGEST:
